@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 import numpy as np
 
 from . import qstate
-from .protocol import LOSS, xy_valid_settings
+from .protocol import LOSS
 from .qstate import DensityMatrix, PureState, State
 
 XY_OPTIMUM = math.cos(math.pi / 8) ** 2
@@ -82,12 +82,15 @@ class GhzDecomposition:
         return np.kron(g0, self.psi_theta) + np.kron(g1, self.psi_theta_pi) + self.chi
 
 
-def _qubit_permutation(n: int, order: Sequence[int]) -> list[int]:
-    """Tensor-axis permutation that relabels qubit order[i] as new qubit i."""
-    perm = [0] * n
-    for new, old in enumerate(order):
-        perm[n - 1 - new] = n - 1 - old
-    return perm
+def _qubit_permutation(arr: np.ndarray, order: Sequence[int]) -> np.ndarray:
+    """Relabel qubit order[i] as qubit i of a state vector (rank 1) or a
+    density matrix (rank 2)."""
+    n = len(order)
+    # tensor axis a of each index group holds qubit n-1-a
+    axes = [n - 1 - old for old in reversed(order)]
+    if arr.ndim == 2:
+        axes += [n + a for a in axes]
+    return arr.reshape((2,) * (arr.ndim * n)).transpose(axes).reshape(arr.shape)
 
 
 def honest_first_vector(psi: PureState, coalition: Coalition) -> np.ndarray:
@@ -96,10 +99,8 @@ def honest_first_vector(psi: PureState, coalition: Coalition) -> np.ndarray:
     The result reshapes to (2**k, 2**d): row = honest basis index, column =
     dishonest basis index, each group keeping ascending party order.
     """
-    n = psi.n
     order = sorted(coalition.dishonest) + list(coalition.honest)
-    perm = _qubit_permutation(n, order)
-    return psi.amplitudes.reshape((2,) * n).transpose(perm).reshape(-1)
+    return _qubit_permutation(psi.amplitudes, order)
 
 
 def _honest_matrix(psi: PureState, coalition: Coalition) -> np.ndarray:
@@ -210,14 +211,19 @@ def averaged_guess_probability(
 def xy_optimal_pass_probability(psi: PureState, coalition: Coalition) -> float:
     """Exact pass probability under the xy protocol when the coalition plays
     the optimal guess for every setting: the average Helstrom guess
-    probability over the 2**(n-1) valid xy assignments."""
-    honest = coalition.honest
-    values = []
-    for setting in xy_valid_settings(coalition.n):
-        honest_angle = sum(setting[j] for j in honest) % np.pi
-        values.append(
-            helstrom_guess_probability(decompose_vs_ghz(psi, coalition, honest_angle))
-        )
+    probability over the 2**(n-1) valid xy assignments.
+
+    A setting enters only through its honest angle sum mod pi: 0 or pi/2 for
+    an even or odd count of honest pi/2 angles.  Valid settings are the n-bit
+    strings of even weight, so with a dishonest party to complete the parity
+    the honest bits are uniform over all 2**k strings, and the average is
+    ``(H(0) + H(pi/2))/2`` with ``H`` the Helstrom guess probability at that
+    honest angle.  Without dishonest parties the honest count is always even.
+    """
+    honest_angles = (0.0, math.pi / 2) if coalition.dishonest else (0.0,)
+    values = [
+        helstrom_guess_probability(decompose_vs_ghz(psi, coalition, t)) for t in honest_angles
+    ]
     return float(np.mean(values))
 
 
@@ -305,66 +311,20 @@ def _ghz_side(phase: float, k: int, loss_mode: str, lam: float) -> SideInfo:
     return SideInfo(_RoundLabel(phase, loss_mode, lam), qstate.ghz_state(k, phase))
 
 
-def _measure_parties_pure(
-    psi: PureState, coalition: Coalition, angles: Sequence[float], rng: np.random.Generator
-) -> tuple[list[int], PureState]:
-    """Project the dishonest qubits onto |+-_t> states, returning outcomes and
-    the collapsed honest-side state."""
-    # dishonest qubits sit at the low positions of the reordered layout
-    a = honest_first_vector(psi, coalition)
-    bits: list[int] = []
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for t in angles:
-        rotated = np.exp(-1j * t) * a[1::2]
-        branch0 = (a[0::2] + rotated) * inv_sqrt2
-        p0 = float(np.vdot(branch0, branch0).real)
-        if rng.random() < p0:
-            bits.append(0)
-            a = branch0 / math.sqrt(p0)
-        else:
-            bits.append(1)
-            branch1 = (a[0::2] - rotated) * inv_sqrt2
-            a = branch1 / math.sqrt(max(1.0 - p0, 1e-300))
-    return bits, PureState(coalition.k, a)
-
-
-def _measure_parties_density(
-    rho: DensityMatrix, coalition: Coalition, angles: Sequence[float], rng: np.random.Generator
-) -> tuple[list[int], DensityMatrix]:
-    n = rho.n
-    order = sorted(coalition.dishonest) + list(coalition.honest)
-    perm = _qubit_permutation(n, order)
-    tens = rho.entries.reshape((2,) * (2 * n))
-    mat = tens.transpose(perm + [n + p for p in perm]).reshape(2**n, 2**n)
-    bits: list[int] = []
-    for t in angles:
-        r00 = mat[0::2, 0::2]
-        r01 = mat[0::2, 1::2]
-        r10 = mat[1::2, 0::2]
-        r11 = mat[1::2, 1::2]
-        cross = np.exp(1j * t) * r01 + np.exp(-1j * t) * r10
-        block0 = 0.5 * (r00 + cross + r11)
-        p0 = float(np.trace(block0).real)
-        if rng.random() < p0:
-            bits.append(0)
-            mat = block0 / p0
-        else:
-            bits.append(1)
-            mat = 0.5 * (r00 - cross + r11) / max(1.0 - p0, 1e-300)
-    return bits, DensityMatrix(coalition.k, mat)
-
-
 def measure_parties(
     state: State, coalition: Coalition, angles: Sequence[float], rng: np.random.Generator
 ) -> tuple[list[int], State]:
     """Measure the dishonest parties' qubits of an n-party state in the
     equatorial bases given by ``angles`` (one per dishonest qubit, ascending
-    party order) and return (outcome bits, collapsed honest state)."""
+    party order) and return (outcome bits, collapsed honest state).  Draws
+    follow the sampling contract in ``qstate``."""
     if len(angles) != coalition.n - coalition.k:
         raise ValueError("need one measurement angle per dishonest qubit")
-    if isinstance(state, PureState):
-        return _measure_parties_pure(state, coalition, angles, rng)
-    return _measure_parties_density(state, coalition, angles, rng)
+    pure = isinstance(state, PureState)
+    order = sorted(coalition.dishonest) + list(coalition.honest)
+    arr = _qubit_permutation(state.amplitudes if pure else state.entries, order)
+    bits, rest = qstate._measure_low_qubits(arr, angles, rng.random(len(angles)))
+    return bits, (PureState if pure else DensityMatrix)(coalition.k, rest)
 
 
 def make_strategy(

@@ -340,18 +340,19 @@ def estimate_pass_probability(
 
 
 def exact_pass_probability_theta(rho: DensityMatrix) -> float:
-    """Exact pass probability under uniformly random theta assignments.
+    """Exact pass probability under uniformly random theta assignments:
+    ``1/2 + Re rho[0, 2^n - 1]``.
 
     Averaging the per-setting test operator over all valid assignments leaves
     ``|G_0><G_0| + (I - |G_0><G_0| - |G_pi><G_pi|)/2``, so the value is
-    ``F_0 + (1 - F_0 - F_pi)/2`` with ``F_a`` the overlap with the rotated
-    GHZ state of phase ``a``.
+    ``F_0 + (1 - F_0 - F_pi)/2 = 1/2 + (F_0 - F_pi)/2`` with ``F_a`` the
+    overlap with the rotated GHZ state ``(|0..0> + e^{ia}|1..1>)/sqrt(2)``.
+    Writing ``N = 2^n - 1``,
+    ``F_0 = (rho[0,0] + rho[N,N])/2 + Re rho[0,N]`` and
+    ``F_pi = (rho[0,0] + rho[N,N])/2 - Re rho[0,N]``, so
+    ``F_0 - F_pi = 2 Re rho[0,N]``.
     """
-    g0 = qstate.ghz_state(rho.n, 0.0).amplitudes
-    gp = qstate.ghz_state(rho.n, np.pi).amplitudes
-    f0 = float((g0.conj() @ rho.entries @ g0).real)
-    fp = float((gp.conj() @ rho.entries @ gp).real)
-    return f0 + 0.5 * (1.0 - f0 - fp)
+    return 0.5 + float(rho.entries[0, -1].real)
 
 
 def xy_valid_settings(n: int) -> list[tuple[float, ...]]:
@@ -364,12 +365,22 @@ def xy_valid_settings(n: int) -> list[tuple[float, ...]]:
 
 
 def exact_pass_probability_xy(rho: DensityMatrix) -> float:
-    """Exact pass probability under the xy protocol: the uniform average of
-    the per-setting pass probability over all valid xy assignments."""
-    settings = xy_valid_settings(rho.n)
-    return float(
-        np.mean([qstate.setting_pass_probability(rho, s) for s in settings])
-    )
+    """Exact pass probability under the xy protocol, the uniform average of
+    the per-setting pass probability over all valid xy assignments:
+    ``1/2 + Re rho[0, 2^n - 1]``, the same value as the theta protocol.
+
+    A setting measures Y on an even-sized set S of parties and X on the rest;
+    it passes with probability ``(1 + (-1)^{|S|/2} <O_S>)/2`` for the product
+    observable ``O_S``.  ``O_S`` maps ``|b>`` to its complement with the factor
+    ``prod_{j in S} i(-1)^{b_j}``, so ``<O_S> = sum_b rho[b, ~b] i^{|S|}
+    prod_{j in S} (-1)^{b_j}`` and ``(-1)^{|S|/2} i^{|S|} = 1``.  Summed over
+    the even-sized S, ``prod_{j in S} (-1)^{b_j}`` gives
+    ``(prod_j (1 + s_j) + prod_j (1 - s_j))/2`` with ``s_j = (-1)^{b_j}``,
+    which is ``2^(n-1)`` for ``b = 0..0`` and ``b = 1..1`` and 0 otherwise.
+    The average of ``(-1)^{|S|/2} <O_S>`` over the ``2^(n-1)`` settings is
+    therefore ``rho[0, N] + rho[N, 0] = 2 Re rho[0, N]`` with ``N = 2^n - 1``.
+    """
+    return 0.5 + float(rho.entries[0, -1].real)
 
 
 def exact_pass_probability(rho: DensityMatrix, kind: ProtocolKind) -> float:

@@ -11,6 +11,14 @@ Conventions used throughout the package:
   ``|+_t> = (|0> + e^{it}|1>)/sqrt(2)``, ``|-_t> = (|0> - e^{it}|1>)/sqrt(2)``,
   with outcome bit 0 for ``|+_t>``.  The associated observable is
   ``cos(t) X + sin(t) Y``.
+
+Sampling contract (``sample_outcomes`` and ``adversary.measure_parties``):
+qubits are measured one at a time in ascending order (for
+``measure_parties``, the dishonest qubits in ascending party order).  Each
+measured qubit consumes exactly one uniform ``u`` from the generator, and
+gives outcome 0 when ``u < p0``, the probability of ``|+_t>`` given the
+outcomes before it.  ``sample_outcomes`` draws ``rng.random(n)`` up front and
+``measure_parties`` one ``rng.random()`` per qubit, which is the same stream.
 """
 
 from __future__ import annotations
@@ -205,14 +213,14 @@ def sample_outcomes(
 ) -> list[int]:
     """Sample one measurement outcome bit per qubit in the |+-_t> bases.
 
-    Qubits are projected sequentially in ascending index order, renormalizing
-    after each projection; the resulting joint distribution is the full Born
+    Draws ``rng.random(n)`` and measures the qubits in ascending order with
+    ``_measure_low_qubits``; the resulting joint distribution is the full Born
     rule over all 2**n outcome strings.  Outcome 0 corresponds to |+_t>.
     """
-    vals = angle_values(angles, state.n)
-    if isinstance(state, PureState):
-        return _sample_pure(state.amplitudes, vals, rng)
-    return _sample_density(state.entries, vals, rng)
+    # python floats keep the list loop's scalar arithmetic off numpy scalars
+    vals = angle_values(angles, state.n).tolist()
+    amps = state.amplitudes if isinstance(state, PureState) else state.entries
+    return _measure_low_qubits(amps, vals, rng.random(state.n).tolist())[0]
 
 
 # below this dimension plain python complex arithmetic beats numpy dispatch;
@@ -220,68 +228,61 @@ def sample_outcomes(
 _SMALL_STATE_DIM = 64
 
 
-def _sample_pure(amps: np.ndarray, vals: np.ndarray, rng: np.random.Generator) -> list[int]:
-    if len(amps) <= _SMALL_STATE_DIM:
-        return _sample_pure_small(amps.tolist(), vals, rng)
-    a = amps
-    draws = rng.random(len(vals))
-    outcomes = []
-    for t, u in zip(vals, draws):
-        # unnormalized projections onto |+-_t>; the 1/sqrt(2) factor is folded
-        # into the renormalization
-        rotated = cmath.exp(-1j * t) * a[1::2]
-        branch0 = a[0::2] + rotated
-        p0 = 0.5 * float(np.vdot(branch0, branch0).real)
-        if u < p0:
-            outcomes.append(0)
-            a = branch0 / math.sqrt(2.0 * p0)
-        else:
-            outcomes.append(1)
-            a = (a[0::2] - rotated) / math.sqrt(max(2.0 * (1.0 - p0), 1e-300))
-    return outcomes
+def _measure_low_qubits(
+    state: np.ndarray, angles: Sequence[float], draws: Sequence[float]
+) -> tuple[list[int], Union[np.ndarray, list[complex]]]:
+    """Measure qubits 0..m-1 (m = len(angles)) of a state vector or a density
+    matrix, in ascending order, as the sampling contract states; ``draws[j]``
+    is qubit j's uniform.  Returns the bits and the normalized state of the
+    unmeasured qubits, relabelled from 0.
 
-
-def _sample_pure_small(
-    a: list[complex], vals: np.ndarray, rng: np.random.Generator
-) -> list[int]:
-    draws = rng.random(len(vals)).tolist()
-    outcomes = []
-    for t, u in zip(vals, draws):
+    Projecting qubit 0 onto |+-_t> leaves ``low +- cross`` up to normalization:
+    ``low = a[0::2]`` and ``cross = e^{-it} a[1::2]`` for a vector, and
+    ``low = r00 + r11`` and ``cross = e^{it} r01 + e^{-it} r10`` for the
+    qubit-0 blocks of a density matrix.  Vectors of at most
+    ``_SMALL_STATE_DIM`` amplitudes run as python lists, and their remaining
+    state is returned as a list.
+    """
+    bits: list[int] = []
+    if state.ndim == 1 and len(state) <= _SMALL_STATE_DIM:
+        a = state.tolist()
+        for t, u in zip(angles, draws):
+            phase = cmath.exp(-1j * t)
+            half = range(0, len(a), 2)
+            branch0 = [a[i] + phase * a[i + 1] for i in half]
+            p0 = 0.5 * sum(x.real * x.real + x.imag * x.imag for x in branch0)
+            if u < p0:
+                bits.append(0)
+                scale = 1.0 / math.sqrt(2.0 * p0)
+                a = [x * scale for x in branch0]
+            else:
+                bits.append(1)
+                scale = 1.0 / math.sqrt(max(2.0 * (1.0 - p0), 1e-300))
+                a = [(a[i] - phase * a[i + 1]) * scale for i in half]
+        return bits, a
+    a = state
+    for t, u in zip(angles, draws):
         phase = cmath.exp(-1j * t)
-        half = range(0, len(a), 2)
-        branch0 = [a[i] + phase * a[i + 1] for i in half]
-        p0 = 0.5 * sum(x.real * x.real + x.imag * x.imag for x in branch0)
-        if u < p0:
-            outcomes.append(0)
-            scale = 1.0 / math.sqrt(2.0 * p0)
-            a = [x * scale for x in branch0]
+        if a.ndim == 1:
+            low, cross = a[0::2], phase * a[1::2]
         else:
-            outcomes.append(1)
-            scale = 1.0 / math.sqrt(max(2.0 * (1.0 - p0), 1e-300))
-            a = [(a[i] - phase * a[i + 1]) * scale for i in half]
-    return outcomes
-
-
-def _sample_density(mat: np.ndarray, vals: np.ndarray, rng: np.random.Generator) -> list[int]:
-    rho = mat
-    draws = rng.random(len(vals))
-    outcomes = []
-    for t, u in zip(vals, draws):
-        r00 = rho[0::2, 0::2]
-        r01 = rho[0::2, 1::2]
-        r10 = rho[1::2, 0::2]
-        r11 = rho[1::2, 1::2]
-        phase = cmath.exp(1j * t)
-        cross = phase * r01 + phase.conjugate() * r10
-        block0 = 0.5 * (r00 + cross + r11)
-        p0 = float(np.trace(block0).real)
-        if u < p0:
-            outcomes.append(0)
-            rho = block0 / p0
+            low = a[0::2, 0::2] + a[1::2, 1::2]
+            cross = phase.conjugate() * a[0::2, 1::2]
+            cross += phase * a[1::2, 0::2]
+        # branch is a fresh array: the outcome-1 branch and the normalization
+        # reuse its memory, which saves megabyte allocations at n = 10
+        branch = low + cross
+        # weight is 2 * p0 here and 2 * (1 - p0) for outcome 1
+        weight = float((np.vdot(branch, branch) if a.ndim == 1 else np.trace(branch)).real)
+        if u < 0.5 * weight:
+            bits.append(0)
         else:
-            outcomes.append(1)
-            rho = 0.5 * (r00 - cross + r11) / max(1.0 - p0, 1e-300)
-    return outcomes
+            bits.append(1)
+            weight = max(2.0 - weight, 1e-300)
+            np.subtract(low, cross, out=branch)
+        branch /= math.sqrt(weight) if a.ndim == 1 else weight
+        a = branch
+    return bits, a
 
 
 def setting_pass_probability(rho: DensityMatrix, angles: Sequence[AngleLike]) -> float:

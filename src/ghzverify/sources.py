@@ -170,22 +170,33 @@ def from_key(key: str, n: int) -> SourceModel:
             if not pval:
                 raise ValueError(f"malformed source parameter {item!r}")
             params[pkey.strip()] = pval.strip()
+
+    def param(pname: str, syntax: str) -> str:
+        if pname not in params:
+            raise ValueError(f"source {name!r} needs parameter {pname}; key syntax: {syntax}")
+        return params[pname]
+
     if name == "ideal-ghz":
         return SourceModel.ideal(n)
     if name == "dephased-ghz":
-        return SourceModel.dephased(n, float(params["p"]))
+        return SourceModel.dephased(n, float(param("p", "dephased-ghz:p=<0..1>")))
     if name == "depolarized-ghz":
-        return SourceModel.depolarized(n, float(params["v"]))
+        return SourceModel.depolarized(n, float(param("v", "depolarized-ghz:v=<0..1>")))
     if name == "biseparable-ghz-plus":
         return SourceModel.biseparable_plus(n)
     if name == "rotated-bell-plus":
-        return SourceModel.rotated_bell_plus(float(params["theta"]), n)
+        theta = param("theta", "rotated-bell-plus:theta=<radians>")
+        return SourceModel.rotated_bell_plus(float(theta), n)
     if name in ("higher-order", "higher-order-calibrated"):
         if "alpha" in params:
             alpha = float(params["alpha"])
         else:
-            alpha = alpha_from_mean_pairs(float(params["mean-pairs"]))
+            syntax = f"{name}:alpha=<0..1> or {name}:mean-pairs=<mean pair number>"
+            alpha = alpha_from_mean_pairs(float(param("mean-pairs", syntax)))
         return SourceModel.higher_order(n, alpha)
     if name == "calibrated":
-        return calibrate_to_fidelity(n, float(params["fidelity"]), params["family"])
+        syntax = "calibrated:fidelity=<0..1>,family=dephased|depolarized"
+        return calibrate_to_fidelity(
+            n, float(param("fidelity", syntax)), param("family", syntax)
+        )
     raise ValueError(f"unknown source key {name!r}")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -20,7 +22,8 @@ from ghzverify.adversary import (
 from ghzverify.protocol import HONEST, LOSS, PassStats, ProtocolKind, run_rounds
 from ghzverify.qstate import ghz_state, plus_state, tensor
 
-from conftest import random_pure
+import oracles
+from conftest import random_density, random_pure
 
 
 def _coalition_last(n, d=1):
@@ -195,6 +198,19 @@ def test_xy_optimal_pass_probability_examples():
     )
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_xy_optimal_matches_setting_sum_oracle(n, rng):
+    coalitions = [Coalition(n, [0]), Coalition(n, [])] + [
+        Coalition(n, rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+        for _ in range(3)
+    ]
+    for coalition in coalitions:
+        psi = random_pure(n, rng)
+        assert xy_optimal_pass_probability(psi, coalition) == pytest.approx(
+            oracles.xy_optimal_pass_probability(psi, coalition), abs=1e-12
+        )
+
+
 # ---------------------------------------------------------------------------
 # loss curves
 
@@ -360,3 +376,45 @@ def test_noisy_projection_underperforms_clean_biseparable():
         run_rounds(None, [HONEST] * 3 + [clean], ProtocolKind.THETA, 15_000, 79)
     )
     assert noisy_stats.estimate + 3 * noisy_stats.stderr < clean_stats.estimate
+
+
+def _coalitions(n):
+    """Every coalition of 1..n-1 dishonest parties, party 0 included."""
+    for d in range(1, n):
+        for dishonest in itertools.combinations(range(n), d):
+            yield Coalition(n, dishonest)
+
+
+def _entries(state):
+    return state.amplitudes if isinstance(state, qstate.PureState) else state.entries
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_measure_parties_matches_oracle_for_every_coalition(n, rng):
+    for coalition in _coalitions(n):
+        d = n - coalition.k
+        for _ in range(10):
+            for state in (random_pure(n, rng), random_density(n, rng)):
+                angles = list(rng.uniform(0, np.pi, d))
+                seed = int(rng.integers(2**32))
+                bits, rest = measure_parties(
+                    state, coalition, angles, np.random.default_rng(seed)
+                )
+                expected_bits, expected_rest = oracles.measure_parties(
+                    state, coalition, angles, np.random.default_rng(seed)
+                )
+                assert bits == expected_bits
+                assert type(rest) is type(expected_rest)
+                np.testing.assert_allclose(
+                    _entries(rest), _entries(expected_rest), rtol=0, atol=1e-12
+                )
+
+
+def test_measure_parties_consumes_one_uniform_per_dishonest_qubit(rng):
+    for coalition in (Coalition(3, [1]), Coalition(4, [0, 2]), Coalition(4, [1, 2, 3])):
+        d = coalition.n - coalition.k
+        for state in (random_pure(coalition.n, rng), random_density(coalition.n, rng)):
+            gen, twin = np.random.default_rng(5), np.random.default_rng(5)
+            measure_parties(state, coalition, list(rng.uniform(0, np.pi, d)), gen)
+            twin.random(d)
+            assert gen.bit_generator.state == twin.bit_generator.state

@@ -39,6 +39,17 @@ def test_verify_bad_source_key_exits_one(tmp_path):
     assert _run("verify", "--source", "nonsense-model") == 1
 
 
+def test_verify_missing_source_parameter_is_named(capsys):
+    for key, expected in (
+        ("dephased-ghz", "source 'dephased-ghz' needs parameter p; "
+         "key syntax: dephased-ghz:p=<0..1>"),
+        ("calibrated:fidelity=0.8", "source 'calibrated' needs parameter family; "
+         "key syntax: calibrated:fidelity=<0..1>,family=dephased|depolarized"),
+    ):
+        assert _run("verify", "--source", key, "--rounds", "10") == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
+
 def test_curves_csv_schema_and_domains(tmp_path):
     out = tmp_path / "curves.csv"
     code = _run(

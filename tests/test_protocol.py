@@ -23,7 +23,8 @@ from ghzverify.protocol import (
 )
 from ghzverify.qstate import ghz_state, setting_pass_probability
 
-from conftest import random_density
+import oracles
+from conftest import random_density, random_pure
 
 
 class _ScriptedRng:
@@ -320,6 +321,24 @@ def test_exact_xy_enumeration(rng):
     assert exact_pass_probability_xy(psi.to_density()) == pytest.approx(
         np.mean(values), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_exact_closed_forms_match_oracles(n, rng):
+    states = [random_density(n, rng) for _ in range(3)] + [
+        random_pure(n, rng).to_density(),
+        qstate.apply_channel(
+            ghz_state(n, float(rng.uniform(0, 2 * np.pi))).to_density(),
+            qstate.ChannelSpec.ghz_dephasing(float(rng.uniform())),
+        ),
+    ]
+    for rho in states:
+        assert exact_pass_probability_theta(rho) == pytest.approx(
+            oracles.exact_pass_probability_theta(rho), abs=1e-12
+        )
+        assert exact_pass_probability_xy(rho) == pytest.approx(
+            oracles.exact_pass_probability_xy(rho), abs=1e-12
+        )
 
 
 def test_honest_fidelity_bound_holds_on_random_states(rng):

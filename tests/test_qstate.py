@@ -19,6 +19,7 @@ from ghzverify.qstate import (
     tensor,
 )
 
+import oracles
 from conftest import random_density, random_pure, random_valid_theta_angles
 
 
@@ -200,6 +201,51 @@ def test_sampling_beyond_small_state_cutoff(rng):
         sample_outcomes(state, [theta] + [0.0] * 6, rng)[0] == 0 for _ in range(shots)
     )
     assert abs(hits / shots - exact) < 4 * np.sqrt(exact * (1 - exact) / shots)
+
+
+def _oracle_cases(n, rng, count):
+    """Random angles and generator seeds, half of them on a rotated GHZ
+    state, where many conditional probabilities are exactly 1/2 or 1."""
+    for i in range(count):
+        yield (
+            rng.uniform(0, np.pi, n),
+            int(rng.integers(2**32)),
+            ghz_state(n, float(rng.uniform(0, 2 * np.pi))) if i % 2 else None,
+        )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pure_sampling_matches_sequential_oracle(n, rng):
+    # n = 7 and 8 lie above the 64-amplitude list-loop cutoff
+    for angles, seed, ghz in _oracle_cases(n, rng, 150):
+        state = ghz or random_pure(n, rng)
+        expected = oracles.sample_outcomes(state, angles, np.random.default_rng(seed))
+        assert sample_outcomes(state, angles, np.random.default_rng(seed)) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_density_sampling_matches_sequential_oracle(n, rng):
+    for angles, seed, ghz in _oracle_cases(n, rng, 100):
+        state = ghz.to_density() if ghz else random_density(n, rng)
+        expected = oracles.sample_outcomes(state, angles, np.random.default_rng(seed))
+        assert sample_outcomes(state, angles, np.random.default_rng(seed)) == expected
+
+
+def test_sampling_contract_one_uniform_per_qubit(rng):
+    """sample_outcomes consumes exactly rng.random(n), and qubit 0 reads 0
+    exactly when its uniform lies below p0."""
+    for state in (ghz_state(3), random_pure(7, rng), random_density(4, rng)):
+        angles = rng.uniform(0, np.pi, state.n)
+        gen, twin = np.random.default_rng(11), np.random.default_rng(11)
+        sample_outcomes(state, angles, gen)
+        twin.random(state.n)
+        assert gen.bit_generator.state == twin.bit_generator.state
+    # |+_t> on |+> has p0 = cos^2(t/2)
+    for seed in range(200):
+        t = float(rng.uniform(0, np.pi))
+        u = np.random.default_rng(seed).random()
+        bit = sample_outcomes(plus_state(1), [t], np.random.default_rng(seed))[0]
+        assert bit == (0 if u < np.cos(t / 2) ** 2 else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,18 @@ def test_from_key_parsing():
         from_key("stabilizer-farm", 3)
     with pytest.raises(ValueError):
         from_key("dephased-ghz:p", 3)
+    missing = [
+        ("dephased-ghz", "p"),
+        ("depolarized-ghz:p=0.9", "v"),
+        ("rotated-bell-plus", "theta"),
+        ("higher-order", "mean-pairs"),
+        ("calibrated:fidelity=0.8", "family"),
+        ("calibrated:family=dephased", "fidelity"),
+    ]
+    for key, param in missing:
+        name = key.partition(":")[0]
+        with pytest.raises(ValueError, match=f"needs parameter {param}; key syntax: {name}:"):
+            from_key(key, 3)
 
 
 def test_model_key_round_trip():
