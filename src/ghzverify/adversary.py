@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
 from . import qstate
 from .protocol import LOSS
 from .qstate import DensityMatrix, PureState, State
+from .sources import key_number, key_params, reject_unaccepted, split_key
 
 XY_OPTIMUM = math.cos(math.pi / 8) ** 2
 
@@ -253,62 +254,95 @@ def xy_cheat_pass_curve(lam: float) -> float:
 
 
 class SideInfo(NamedTuple):
-    """Per-round data shared inside the coalition: the state handed to the
-    honest parties plus whatever classical label the source produced."""
+    """One round's coalition data: the GHZ phase of the honest parties'
+    state, the loss rule the coalition answers by, and that state."""
 
-    label: object
+    phase: float
+    loss_mode: str  # "none" | "xy-basis" | "arc"
     honest_state: State
 
 
-class _RoundLabel(NamedTuple):
-    phase: float
-    loss_mode: str  # "none" | "xy-basis" | "arc"
-    lam: float
+@dataclass(frozen=True)
+class PhaseArm:
+    """A table of GHZ phases (offsets from theta_prime), one drawn uniformly
+    per round, and the loss rule the coalition plays with it."""
+
+    phases: tuple[float, ...]
+    loss_mode: str = "none"  # "none" | "xy-basis" | "arc"
 
 
 @dataclass(frozen=True)
 class CheatStrategy:
-    """A dishonest coalition's round policy.
+    """A dishonest coalition's round policy, as data.
 
-    ``sample_side_info(rng, source_state)`` prepares one round: it returns the
-    state the honest parties will measure together with the coalition's
-    classical side information.  ``respond(side, angles)`` maps the coalition's
-    requested angles to an outcome bit or LOSS and is a total deterministic
-    function of its inputs.
+    Each round the honest parties get ``GHZ_k(phi)`` and the coalition
+    answers ``[cos(t + phi) < 0]`` to requested angles summing to ``t``, or
+    LOSS under its arm's loss rule.  ``phi`` is ``theta_prime`` plus a phase
+    from the arm's table; with two arms the first is played with probability
+    ``2*lam`` (it declares loss on half its rounds, so the loss rate is
+    ``lam``).  A ``masked`` strategy adds a fresh uniform rotation on
+    [0, pi).  A strategy that ``measures_source`` obtains ``GHZ_k(phi)`` by
+    measuring the coalition's qubits of the source state instead of
+    preparing it; an odd outcome parity shifts ``phi`` by pi.
     """
 
     name: str
+    n_parties: int
     dishonest_count: int
-    target_loss_rate: float
-    sample_side_info: Callable[[np.random.Generator, State | None], SideInfo]
-    respond: Callable[[SideInfo, tuple[float, ...]], Union[int, str]]
+    arms: tuple[PhaseArm, ...]
+    target_loss_rate: float = 0.0
+    theta_prime: float = 0.0
+    masked: bool = False
+    lam: float = 0.0
+    measures_source: bool = False
 
+    def sample_side_info(self, rng: np.random.Generator, source: State | None) -> SideInfo:
+        """Prepare one round, drawing as ``make_strategy`` documents."""
+        if self.measures_source and source is None:
+            raise ValueError(f"{self.name} needs a source state to measure")
+        arm = self.arms[0]
+        if len(self.arms) > 1 and not rng.random() < 2.0 * self.lam:
+            arm = self.arms[1]
+        phases = arm.phases
+        i = rng.integers(0, len(phases)) if len(phases) > 1 else 0
+        phase = self.theta_prime + phases[i]
+        if self.masked:
+            phase = (phase + rng.uniform(0.0, math.pi)) % (2.0 * math.pi)
+        k = self.n_parties - self.dishonest_count
+        if not self.measures_source:
+            return SideInfo(phase, arm.loss_mode, qstate.ghz_state(k, phase))
+        # measuring the first dishonest qubit at -phi (mod pi) and the others
+        # at 0 leaves GHZ_k(phi) up to a flip by pi per outcome 1 and per
+        # mod-pi wraparound of that angle
+        target = (-phase) % (2.0 * math.pi)
+        meas = [target % math.pi] + [0.0] * (self.dishonest_count - 1)
+        wrap = round((target - meas[0]) / math.pi)
+        coalition = Coalition(self.n_parties, range(k, self.n_parties))
+        bits, honest_state = measure_parties(source, coalition, meas, rng)
+        phase = (phase + ((sum(bits) + wrap) % 2) * math.pi) % (2.0 * math.pi)
+        return SideInfo(phase, arm.loss_mode, honest_state)
 
-def _respond_from_label(side: SideInfo, angles: tuple[float, ...]) -> Union[int, str]:
-    """Shared response rule: answer the likelier parity, or declare loss.
+    def respond(self, side: SideInfo, angles: tuple[float, ...]) -> Union[int, str]:
+        """Answer the likelier parity, or declare loss.
 
-    With the honest parties holding a rotated GHZ state of phase ``phi`` and
-    the coalition asked angles summing to ``t``, answering bit
-    ``[cos(t + phi) < 0]`` passes with probability ``(1 + |cos(t + phi)|)/2``.
-    Loss modes: "xy-basis" declares loss whenever the request is not aligned
-    with the state (|cos| below 1/2), "arc" declares loss on a half-open arc
-    of width lam*pi centred on the alignment minimum.
-    """
-    label: _RoundLabel = side.label
-    t = float(sum(angles))
-    alignment = math.cos(t + label.phase)
-    if label.loss_mode == "xy-basis":
-        if abs(alignment) < 0.5:
-            return LOSS
-    elif label.loss_mode == "arc":
-        offset = (t + label.phase) % math.pi - math.pi / 2.0
-        if -label.lam * math.pi / 2.0 <= offset < label.lam * math.pi / 2.0:
-            return LOSS
-    return 0 if alignment >= 0.0 else 1
-
-
-def _ghz_side(phase: float, k: int, loss_mode: str, lam: float) -> SideInfo:
-    return SideInfo(_RoundLabel(phase, loss_mode, lam), qstate.ghz_state(k, phase))
+        With the honest parties holding a rotated GHZ state of phase ``phi``
+        and the coalition asked angles summing to ``t``, answering bit
+        ``[cos(t + phi) < 0]`` passes with probability
+        ``(1 + |cos(t + phi)|)/2``.  Loss modes: "xy-basis" declares loss
+        whenever the request is not aligned with the state (|cos| below 1/2),
+        "arc" declares loss on a half-open arc of width lam*pi centred on the
+        alignment minimum.
+        """
+        t = float(sum(angles))
+        alignment = math.cos(t + side.phase)
+        if side.loss_mode == "xy-basis":
+            if abs(alignment) < 0.5:
+                return LOSS
+        elif side.loss_mode == "arc":
+            offset = (t + side.phase) % math.pi - math.pi / 2.0
+            if -self.lam * math.pi / 2.0 <= offset < self.lam * math.pi / 2.0:
+                return LOSS
+        return 0 if alignment >= 0.0 else 1
 
 
 def measure_parties(
@@ -327,6 +361,33 @@ def measure_parties(
     return bits, (PureState if pure else DensityMatrix)(coalition.k, rest)
 
 
+_XY_LOSS50 = PhaseArm(_BELL_PHASES, "xy-basis")
+_XY_ROTATED = PhaseArm(tuple(math.pi / 4 + i * math.pi / 2 for i in range(4)))
+_THETA_ARC = PhaseArm((0.0,), "arc")
+_THETA_SYNTAX = "{}:lam=<0..1>[,theta-prime=<radians>]"
+
+# name: (key syntax, CheatStrategy fields).  A strategy takes the parameters
+# its syntax names; lam, where named, is required and is the target loss rate.
+STRATEGIES = {
+    "xy-perfect-loss50": ("{}", dict(arms=(_XY_LOSS50,), target_loss_rate=0.5)),
+    "xy-naive-loss": ("{}", dict(arms=(PhaseArm((0.0,), "xy-basis"),), target_loss_rate=0.5)),
+    "xy-rotated-bell": ("{}", dict(arms=(_XY_ROTATED,))),
+    "xy-mixed": ("{}:lam=<0..1/2>", dict(arms=(_XY_LOSS50, _XY_ROTATED))),
+    "theta-rotated-bell": (_THETA_SYNTAX, dict(arms=(_THETA_ARC,), masked=True)),
+    "projective-cheat": (
+        _THETA_SYNTAX, dict(arms=(_THETA_ARC,), masked=True, measures_source=True)
+    ),
+    "product-guesser": ("{}[:theta-prime=<radians>]", dict(arms=(PhaseArm((0.0,)),))),
+}
+STRATEGY_NAMES = tuple(STRATEGIES)
+
+
+def _syntax(name: str) -> str:
+    if name not in STRATEGIES:
+        raise ValueError(f"unknown strategy {name!r}")
+    return STRATEGIES[name][0].format(name)
+
+
 def make_strategy(
     name: str,
     *,
@@ -337,117 +398,65 @@ def make_strategy(
 ) -> CheatStrategy:
     """Build a named cheating strategy for a coalition of the given size.
 
-    Available strategies (k = number of honest parties):
+    Available strategies (k = number of honest parties), with the draws
+    ``sample_side_info`` makes per round, in order:
 
     * ``xy-perfect-loss50`` -- the source sends one of four coordinated
       Bell-type states uniformly at random; the coalition answers only when
       its requested basis matches, declaring loss otherwise.  Passes every
       valid round at 50% declared loss, with basis-balanced answers and
-      losses.
+      losses.  Draws ``integers(0, 4)``.
     * ``xy-naive-loss`` -- the unmixed version of the above (always the same
       state, loss always on the mismatched basis); detectable by the audit.
+      Draws nothing.
     * ``xy-rotated-bell`` -- pi/4-rotated state with a random multiple-of-pi/2
-      masking offset; never declares loss and passes at cos^2(pi/8).
+      masking offset; never declares loss and passes at cos^2(pi/8).  Draws
+      ``integers(0, 4)``.
     * ``xy-mixed`` (lam) -- probabilistic mixture: with probability 2*lam play
-      xy-perfect-loss50, otherwise xy-rotated-bell.
+      xy-perfect-loss50, otherwise xy-rotated-bell.  Draws ``random()``, then
+      ``integers(0, 4)`` for the arm it picked.
     * ``theta-rotated-bell`` (lam, theta_prime) -- rotated state with a fresh
       uniform masking rotation each round; declares loss on the width-lam*pi
       arc of requested angles where the pass probability is lowest, so
-      declared-loss angles stay uniform over rounds.
+      declared-loss angles stay uniform over rounds.  Draws
+      ``uniform(0, pi)``.
     * ``projective-cheat`` (lam, theta_prime) -- measures the coalition's
       qubits of the (possibly noisy) source state to steer the honest parties
       into a rotated non-GME state, then plays theta-rotated-bell's rule.
+      Draws ``uniform(0, pi)``, then one uniform per dishonest qubit through
+      ``measure_parties``.
     * ``product-guesser`` (theta_prime) -- fixed rotated state, no loss,
-      always answers the likelier parity.
+      always answers the likelier parity.  Draws nothing.
+
+    ``respond`` draws nothing.  ``lam`` is required where listed; passing a
+    parameter a strategy does not take is an error.
     """
+    syntax = _syntax(name)
+    given = [p for p, v in (("lam", lam), ("theta-prime", theta_prime)) if v is not None]
+    reject_unaccepted("strategy", name, given, syntax)
+    fields = STRATEGIES[name][1]
     if dishonest_count < 1 or dishonest_count >= n_parties:
         raise ValueError("dishonest_count must leave at least one honest party")
-    k = n_parties - dishonest_count
     tp = 0.0 if theta_prime is None else float(theta_prime)
     if not 0.0 <= tp < 2.0 * math.pi:
         raise ValueError("theta_prime must lie in [0, 2*pi)")
-
-    if name == "xy-perfect-loss50":
-        def sample(rng, _source):
-            phase = _BELL_PHASES[rng.integers(0, 4)]
-            return _ghz_side(phase, k, "xy-basis", 0.0)
-
-        return CheatStrategy(name, dishonest_count, 0.5, sample, _respond_from_label)
-
-    if name == "xy-naive-loss":
-        def sample(rng, _source):
-            return _ghz_side(0.0, k, "xy-basis", 0.0)
-
-        return CheatStrategy(name, dishonest_count, 0.5, sample, _respond_from_label)
-
-    if name == "xy-rotated-bell":
-        def sample(rng, _source):
-            phase = math.pi / 4 + rng.integers(0, 4) * math.pi / 2
-            return _ghz_side(phase, k, "none", 0.0)
-
-        return CheatStrategy(name, dishonest_count, 0.0, sample, _respond_from_label)
-
-    if name == "xy-mixed":
-        if lam is None or not 0.0 <= lam <= 0.5:
-            raise ValueError("xy-mixed needs lam in [0, 1/2]")
-        lam = float(lam)
-
-        def sample(rng, _source):
-            if rng.random() < 2.0 * lam:
-                phase = _BELL_PHASES[rng.integers(0, 4)]
-                return _ghz_side(phase, k, "xy-basis", 0.0)
-            phase = math.pi / 4 + rng.integers(0, 4) * math.pi / 2
-            return _ghz_side(phase, k, "none", 0.0)
-
-        return CheatStrategy(name, dishonest_count, lam, sample, _respond_from_label)
-
-    if name == "theta-rotated-bell":
-        if lam is None or not 0.0 <= lam < 1.0:
-            raise ValueError("theta-rotated-bell needs lam in [0, 1)")
-        lam = float(lam)
-
-        def sample(rng, _source):
-            mask = rng.uniform(0.0, math.pi)
-            return _ghz_side((tp + mask) % (2.0 * math.pi), k, "arc", lam)
-
-        return CheatStrategy(name, dishonest_count, lam, sample, _respond_from_label)
-
-    if name == "projective-cheat":
-        if lam is None or not 0.0 <= lam < 1.0:
-            raise ValueError("projective-cheat needs lam in [0, 1)")
-        lam = float(lam)
-        coalition = Coalition(n_parties, range(k, n_parties))
-
-        def sample(rng, source):
-            if source is None:
-                raise ValueError("projective-cheat needs a source state to measure")
-            mask = rng.uniform(0.0, math.pi)
-            target = (tp + mask) % (2.0 * math.pi)
-            meas = [(-target) % (2.0 * math.pi) % math.pi] + [0.0] * (dishonest_count - 1)
-            # fold any mod-pi wraparound of the measurement angle into the label
-            wrap = round((((-target) % (2.0 * math.pi)) - meas[0]) / math.pi)
-            bits, honest_state = measure_parties(source, coalition, meas, rng)
-            flips = (sum(bits) + wrap) % 2
-            phase = (target + flips * math.pi) % (2.0 * math.pi)
-            return SideInfo(_RoundLabel(phase, "arc", lam), honest_state)
-
-        return CheatStrategy(name, dishonest_count, lam, sample, _respond_from_label)
-
-    if name == "product-guesser":
-        def sample(rng, _source):
-            return _ghz_side(tp, k, "none", 0.0)
-
-        return CheatStrategy(name, dishonest_count, 0.0, sample, _respond_from_label)
-
-    raise ValueError(f"unknown strategy {name!r}")
+    if "lam" in key_params(syntax):
+        # a two-arm mixture plays its first arm with probability 2*lam
+        mixed = len(fields["arms"]) > 1
+        if lam is None or not (0.0 <= lam <= 0.5 if mixed else 0.0 <= lam < 1.0):
+            raise ValueError(f"{name} needs lam in [0, {'1/2]' if mixed else '1)'}")
+        fields = dict(fields, lam=float(lam), target_loss_rate=float(lam))
+    return CheatStrategy(name, n_parties, dishonest_count, theta_prime=tp, **fields)
 
 
-STRATEGY_NAMES = (
-    "xy-perfect-loss50",
-    "xy-naive-loss",
-    "xy-rotated-bell",
-    "xy-mixed",
-    "theta-rotated-bell",
-    "projective-cheat",
-    "product-guesser",
-)
+def from_key(key: str, n_parties: int, dishonest_count: int = 1) -> CheatStrategy:
+    """Parse a strategy key like ``theta-rotated-bell:lam=0.3,theta-prime=0.5``
+    for a coalition of the last ``dishonest_count`` of ``n_parties`` parties."""
+    name, params = split_key(key, "strategy")
+    syntax = _syntax(name)
+    reject_unaccepted("strategy", name, params, syntax)
+    values = {
+        p.replace("-", "_"): key_number(v, f"strategy {name!r} parameter {p}", syntax)
+        for p, v in params.items()
+    }
+    return make_strategy(name, n_parties=n_parties, dishonest_count=dishonest_count, **values)

@@ -34,22 +34,13 @@ def _fmt(x: float) -> str:
 
 
 def parse_strategy_key(key: str, n_parties: int, dishonest_count: int):
-    """Parse ``name`` or ``name:lam=0.3,theta-prime=0.5`` into a strategy."""
+    """Parse ``honest`` or a strategy key like ``name:lam=0.3,theta-prime=0.5``
+    (see ``adversary.from_key``) into a strategy."""
     if key == "honest":
         return None
-    name, _, spec = key.partition(":")
-    kwargs = {}
-    if spec:
-        for item in spec.split(","):
-            pkey, _, pval = item.partition("=")
-            if not pval:
-                raise CliError(f"malformed strategy parameter {item!r}")
-            kwargs[pkey.strip().replace("-", "_")] = float(pval)
     try:
-        return adversary.make_strategy(
-            name, n_parties=n_parties, dishonest_count=dishonest_count, **kwargs
-        )
-    except (ValueError, TypeError) as exc:
+        return adversary.from_key(key, n_parties, dishonest_count)
+    except ValueError as exc:
         raise CliError(f"bad strategy {key!r}: {exc}") from exc
 
 

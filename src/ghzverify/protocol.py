@@ -269,10 +269,9 @@ def run_round(
         bits = qstate.sample_outcomes(honest_state, honest_angles, rng)
         for j, b in zip(honest_parties, bits):
             outcomes[j] = b
-        answer = strat.respond(side, tuple(assignment.angles[j] for j in dishonest))
-        if answer not in (0, 1, LOSS):
-            raise ValueError(f"strategy {strat.name!r} returned {answer!r}")
-        outcomes[dishonest[0]] = answer
+        outcomes[dishonest[0]] = strat.respond(
+            side, tuple(assignment.angles[j] for j in dishonest)
+        )
 
     if honest_loss > 0.0:
         drops = rng.random(len(honest_parties)) < honest_loss

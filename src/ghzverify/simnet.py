@@ -3,18 +3,20 @@ an ideal classical network, with loss caps and cheat-detection audits.
 
 Each round the Verifier samples an assignment, sends one angle per party,
 collects one outcome (or loss declaration) per party, and scores the round.
-Message delivery order within a round is randomized from a dedicated seeded
-stream; outcome sampling uses the same per-round streams as the protocol
-module, so a session's statistics coincide with
-``protocol.estimate_pass_probability`` under the same seed, and the Verifier's
-scoring depends only on the set of collected responses, not their order.
+Outcome sampling uses the same per-round streams as the protocol module, so a
+session's statistics coincide with ``protocol.estimate_pass_probability``
+under the same seed, and the Verifier's scoring depends only on the set of
+collected responses, not their order.  A session stores only its round
+records: the message log is derived from the records and the seed when it is
+written (``Transcript.messages``), with each round's delivery order drawn
+from a dedicated seeded stream.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 from scipy import stats as scipy_stats
@@ -35,64 +37,6 @@ BROADCAST = -1
 
 AUDIT_MIN_LOSSES = 100
 AUDIT_SIGNIFICANCE = 0.01
-
-
-@dataclass(frozen=True)
-class AngleMsg:
-    round: int
-    party: int
-    theta: float
-    sender: int
-    receiver: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "angle",
-            "round": self.round,
-            "party": self.party,
-            "theta": self.theta,
-            "sender": self.sender,
-            "receiver": self.receiver,
-        }
-
-
-@dataclass(frozen=True)
-class OutcomeMsg:
-    round: int
-    party: int
-    outcome: Union[int, str]
-    sender: int
-    receiver: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "outcome",
-            "round": self.round,
-            "party": self.party,
-            "outcome": self.outcome,
-            "sender": self.sender,
-            "receiver": self.receiver,
-        }
-
-
-@dataclass(frozen=True)
-class AbortMsg:
-    round: int
-    reason: str
-    sender: int
-    receiver: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "abort",
-            "round": self.round,
-            "reason": self.reason,
-            "sender": self.sender,
-            "receiver": self.receiver,
-        }
-
-
-Message = Union[AngleMsg, OutcomeMsg, AbortMsg]
 
 
 @dataclass(frozen=True)
@@ -200,19 +144,39 @@ class PartyAudit:
 
 @dataclass(frozen=True)
 class Transcript:
-    """Ordered message log plus everything derived from it."""
+    """A session's round records plus everything derived from them."""
 
     config: SessionConfig
-    messages: tuple[Message, ...]
     records: tuple[RoundRecord, ...]
     stats: PassStats
     loss_flags: tuple[bool, ...]
     audits: dict = field(default_factory=dict)
 
+    def messages(self) -> Iterator[dict]:
+        """The message log, derived from the records and the seed.
+
+        Per round: the Verifier's angle messages, then the parties' outcome
+        messages, each in an order permuted by the round's network stream
+        ``(seed, round, 0xA11CE)``, then an abort broadcast if any party
+        declared loss.
+        """
+        verifier = self.config.verifier
+        for rec in self.records:
+            i, n = rec.index, rec.assignment.n
+            net = np.random.default_rng((self.config.seed, i, 0xA11CE))
+            for j in net.permutation(n).tolist():
+                yield {"type": "angle", "round": i, "party": j,
+                       "theta": rec.assignment.angles[j], "sender": verifier, "receiver": j}
+            for j in net.permutation(n).tolist():
+                yield {"type": "outcome", "round": i, "party": j,
+                       "outcome": rec.outcomes[j], "sender": j, "receiver": verifier}
+            if rec.passed is None:
+                yield {"type": "abort", "round": i, "reason": "loss-declared",
+                       "sender": verifier, "receiver": BROADCAST}
+
     def messages_jsonl(self) -> str:
         return "\n".join(
-            json.dumps(m.to_json_dict(), sort_keys=True, separators=(",", ":"))
-            for m in self.messages
+            json.dumps(m, sort_keys=True, separators=(",", ":")) for m in self.messages()
         )
 
     def records_jsonl(self) -> str:
@@ -287,22 +251,6 @@ def audit_loss_pattern(transcript: Transcript) -> dict:
     return audit_records(transcript.records, transcript.config.kind)
 
 
-def _round_messages(
-    rec: RoundRecord, verifier: int, net: np.random.Generator
-) -> list[Message]:
-    n = rec.assignment.n
-    msgs: list[Message] = []
-    for j in net.permutation(n):
-        msgs.append(
-            AngleMsg(rec.index, int(j), rec.assignment.angles[j], verifier, int(j))
-        )
-    for j in net.permutation(n):
-        msgs.append(OutcomeMsg(rec.index, int(j), rec.outcomes[j], int(j), verifier))
-    if rec.passed is None:
-        msgs.append(AbortMsg(rec.index, "loss-declared", verifier, BROADCAST))
-    return msgs
-
-
 def run_session(config: SessionConfig) -> Transcript:
     """Execute a full session and return its transcript.
 
@@ -317,7 +265,6 @@ def run_session(config: SessionConfig) -> Transcript:
         if isinstance(config.source, sources.SourceModel)
         else config.source
     )
-    messages: list[Message] = []
     records: list[RoundRecord] = []
     for i in range(config.rounds):
         rec = run_round(
@@ -329,8 +276,6 @@ def run_session(config: SessionConfig) -> Transcript:
             index=i,
         )
         records.append(rec)
-        net = np.random.default_rng((config.seed, i, 0xA11CE))
-        messages.extend(_round_messages(rec, config.verifier, net))
 
     stats = PassStats.from_records(records)
     cap = config.lambda_max
@@ -339,7 +284,6 @@ def run_session(config: SessionConfig) -> Transcript:
     audits = audit_records(records, config.kind)
     return Transcript(
         config=config,
-        messages=tuple(messages),
         records=tuple(records),
         stats=stats,
         loss_flags=flags,

@@ -4,6 +4,7 @@ models of what the (possibly dishonest) source distributes."""
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 from . import qstate
@@ -154,49 +155,103 @@ def prepare(model: SourceModel) -> DensityMatrix:
     raise ValueError(f"unknown source variant {model.variant!r}")
 
 
-def from_key(key: str, n: int) -> SourceModel:
-    """Parse a CLI source key like ``dephased-ghz:p=0.2`` for n parties.
-
-    Accepted keys: ``ideal-ghz``, ``dephased-ghz:p=..``, ``depolarized-ghz:v=..``,
-    ``biseparable-ghz-plus``, ``rotated-bell-plus:theta=..``,
-    ``higher-order:alpha=..`` or ``higher-order:mean-pairs=..``, and
-    ``calibrated:fidelity=..,family=dephased|depolarized``.
-    """
+def split_key(key: str, what: str) -> tuple[str, dict[str, str]]:
+    """Split a ``name:k=v,...`` key into its name and raw parameter values;
+    ``what`` names the kind of key in error messages."""
     name, _, spec = key.partition(":")
     params: dict[str, str] = {}
     if spec:
         for item in spec.split(","):
             pkey, _, pval = item.partition("=")
+            pkey, pval = pkey.strip(), pval.strip()
             if not pval:
-                raise ValueError(f"malformed source parameter {item!r}")
-            params[pkey.strip()] = pval.strip()
+                raise ValueError(f"malformed {what} parameter {item!r}")
+            if pkey in params:
+                raise ValueError(f"{what} parameter {pkey} given twice in {key!r}")
+            params[pkey] = pval
+    return name, params
 
-    def param(pname: str, syntax: str) -> str:
+
+def key_number(value: str, label: str, syntax: str) -> float:
+    """``value`` as a finite float, or an error naming ``label`` and the key
+    syntax."""
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not math.isfinite(number):
+        message = f"{label} must be a finite number, got {value!r}; key syntax: {syntax}"
+        raise ValueError(message)
+    return number
+
+
+def key_params(syntax: str) -> list[str]:
+    """The parameter names a key syntax such as ``{}:p=<0..1>`` lists."""
+    return re.findall(r"([\w-]+)=", syntax)
+
+
+def reject_unaccepted(what: str, name: str, params, syntax: str) -> None:
+    """Raise on the first parameter name that ``syntax`` does not list."""
+    accepted = key_params(syntax)
+    for pname in params:
+        if pname not in accepted:
+            message = f"{what} {name!r} takes no parameter {pname}; key syntax: {syntax}"
+            raise ValueError(message)
+
+
+# key name: key syntax, with {} for the name; it lists the accepted parameters
+SOURCE_KEYS = {
+    "ideal-ghz": "{}",
+    "dephased-ghz": "{}:p=<0..1>",
+    "depolarized-ghz": "{}:v=<0..1>",
+    "biseparable-ghz-plus": "{}",
+    "rotated-bell-plus": "{}:theta=<radians>",
+    "higher-order": "{0}:alpha=<0..1> or {0}:mean-pairs=<mean pair number>",
+    "higher-order-calibrated": "{0}:alpha=<0..1> or {0}:mean-pairs=<mean pair number>",
+    "calibrated": "{}:fidelity=<0..1>,family=dephased|depolarized",
+}
+
+
+def from_key(key: str, n: int) -> SourceModel:
+    """Parse a CLI source key like ``dephased-ghz:p=0.2`` for n parties.
+
+    ``SOURCE_KEYS`` lists the keys and their syntax.  A missing, non-numeric
+    or unlisted parameter is an error naming the key syntax.
+    """
+    name, params = split_key(key, "source")
+    if name not in SOURCE_KEYS:
+        raise ValueError(f"unknown source key {name!r}")
+    syntax = SOURCE_KEYS[name].format(name)
+
+    def param(pname: str) -> str:
         if pname not in params:
             raise ValueError(f"source {name!r} needs parameter {pname}; key syntax: {syntax}")
         return params[pname]
 
+    def number(pname: str) -> float:
+        return key_number(param(pname), f"source {name!r} parameter {pname}", syntax)
+
     if name == "ideal-ghz":
-        return SourceModel.ideal(n)
-    if name == "dephased-ghz":
-        return SourceModel.dephased(n, float(param("p", "dephased-ghz:p=<0..1>")))
-    if name == "depolarized-ghz":
-        return SourceModel.depolarized(n, float(param("v", "depolarized-ghz:v=<0..1>")))
-    if name == "biseparable-ghz-plus":
-        return SourceModel.biseparable_plus(n)
-    if name == "rotated-bell-plus":
-        theta = param("theta", "rotated-bell-plus:theta=<radians>")
-        return SourceModel.rotated_bell_plus(float(theta), n)
-    if name in ("higher-order", "higher-order-calibrated"):
+        model = SourceModel.ideal(n)
+    elif name == "dephased-ghz":
+        model = SourceModel.dephased(n, number("p"))
+    elif name == "depolarized-ghz":
+        model = SourceModel.depolarized(n, number("v"))
+    elif name == "biseparable-ghz-plus":
+        model = SourceModel.biseparable_plus(n)
+    elif name == "rotated-bell-plus":
+        model = SourceModel.rotated_bell_plus(number("theta"), n)
+    elif name == "calibrated":
+        model = calibrate_to_fidelity(n, number("fidelity"), param("family"))
+    else:  # higher-order, higher-order-calibrated
+        if "alpha" in params and "mean-pairs" in params:
+            raise ValueError(
+                f"source {name!r} takes alpha or mean-pairs, not both; key syntax: {syntax}"
+            )
         if "alpha" in params:
-            alpha = float(params["alpha"])
+            alpha = number("alpha")
         else:
-            syntax = f"{name}:alpha=<0..1> or {name}:mean-pairs=<mean pair number>"
-            alpha = alpha_from_mean_pairs(float(param("mean-pairs", syntax)))
-        return SourceModel.higher_order(n, alpha)
-    if name == "calibrated":
-        syntax = "calibrated:fidelity=<0..1>,family=dephased|depolarized"
-        return calibrate_to_fidelity(
-            n, float(param("fidelity", syntax)), param("family", syntax)
-        )
-    raise ValueError(f"unknown source key {name!r}")
+            alpha = alpha_from_mean_pairs(number("mean-pairs"))
+        model = SourceModel.higher_order(n, alpha)
+    reject_unaccepted("source", name, params, syntax)
+    return model

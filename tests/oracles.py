@@ -8,15 +8,22 @@ overlaps and as a sum over the 2**(n-1) xy settings, and the xy-optimal
 cheat as a sum over those settings.  Each sampler draws its uniforms as the
 sampling contract in ``ghzverify.qstate`` prescribes, so on a shared seed it
 must return the same bits as the package.
+
+The cheating strategies are written as one pair of closures each, and the
+session message log as message objects built for every round; on a shared
+seed both must give the package's records, generator states and bytes.
 """
 
 import cmath
+import json
 import math
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ghzverify import adversary, qstate
-from ghzverify.protocol import xy_valid_settings
+from ghzverify.protocol import LOSS, xy_valid_settings
 from ghzverify.qstate import DensityMatrix, PureState
 
 SMALL_STATE_DIM = 64
@@ -185,3 +192,188 @@ def xy_optimal_pass_probability(psi, coalition):
         decomp = adversary.decompose_vs_ghz(psi, coalition, honest_angle)
         values.append(adversary.helstrom_guess_probability(decomp))
     return float(np.mean(values))
+
+
+# ---------------------------------------------------------------------------
+# cheating strategies as pairs of closures
+
+
+_BELL_PHASES = (0.0, math.pi, math.pi / 2, 3 * math.pi / 2)
+
+
+class SideInfo(NamedTuple):
+    label: object
+    honest_state: object
+
+
+class _RoundLabel(NamedTuple):
+    phase: float
+    loss_mode: str  # "none" | "xy-basis" | "arc"
+    lam: float
+
+
+@dataclass(frozen=True)
+class CheatStrategy:
+    name: str
+    dishonest_count: int
+    target_loss_rate: float
+    sample_side_info: Callable
+    respond: Callable
+
+
+def _respond_from_label(side, angles):
+    label = side.label
+    t = float(sum(angles))
+    alignment = math.cos(t + label.phase)
+    if label.loss_mode == "xy-basis":
+        if abs(alignment) < 0.5:
+            return LOSS
+    elif label.loss_mode == "arc":
+        offset = (t + label.phase) % math.pi - math.pi / 2.0
+        if -label.lam * math.pi / 2.0 <= offset < label.lam * math.pi / 2.0:
+            return LOSS
+    return 0 if alignment >= 0.0 else 1
+
+
+def _ghz_side(phase, k, loss_mode, lam):
+    return SideInfo(_RoundLabel(phase, loss_mode, lam), qstate.ghz_state(k, phase))
+
+
+def make_strategy(name, *, n_parties, dishonest_count=1, lam=None, theta_prime=None):
+    """One closure pair per strategy, each with its own draws."""
+    k = n_parties - dishonest_count
+    tp = 0.0 if theta_prime is None else float(theta_prime)
+
+    if name == "xy-perfect-loss50":
+        def sample(rng, _source):
+            phase = _BELL_PHASES[rng.integers(0, 4)]
+            return _ghz_side(phase, k, "xy-basis", 0.0)
+
+        return CheatStrategy(name, dishonest_count, 0.5, sample, _respond_from_label)
+
+    if name == "xy-naive-loss":
+        def sample(rng, _source):
+            return _ghz_side(0.0, k, "xy-basis", 0.0)
+
+        return CheatStrategy(name, dishonest_count, 0.5, sample, _respond_from_label)
+
+    if name == "xy-rotated-bell":
+        def sample(rng, _source):
+            phase = math.pi / 4 + rng.integers(0, 4) * math.pi / 2
+            return _ghz_side(phase, k, "none", 0.0)
+
+        return CheatStrategy(name, dishonest_count, 0.0, sample, _respond_from_label)
+
+    if name == "xy-mixed":
+        lam = float(lam)
+
+        def sample(rng, _source):
+            if rng.random() < 2.0 * lam:
+                phase = _BELL_PHASES[rng.integers(0, 4)]
+                return _ghz_side(phase, k, "xy-basis", 0.0)
+            phase = math.pi / 4 + rng.integers(0, 4) * math.pi / 2
+            return _ghz_side(phase, k, "none", 0.0)
+
+        return CheatStrategy(name, dishonest_count, lam, sample, _respond_from_label)
+
+    if name == "theta-rotated-bell":
+        lam = float(lam)
+
+        def sample(rng, _source):
+            mask = rng.uniform(0.0, math.pi)
+            return _ghz_side((tp + mask) % (2.0 * math.pi), k, "arc", lam)
+
+        return CheatStrategy(name, dishonest_count, lam, sample, _respond_from_label)
+
+    if name == "projective-cheat":
+        lam = float(lam)
+        coalition = adversary.Coalition(n_parties, range(k, n_parties))
+
+        def sample(rng, source):
+            mask = rng.uniform(0.0, math.pi)
+            target = (tp + mask) % (2.0 * math.pi)
+            meas = [(-target) % (2.0 * math.pi) % math.pi] + [0.0] * (dishonest_count - 1)
+            wrap = round((((-target) % (2.0 * math.pi)) - meas[0]) / math.pi)
+            bits, honest_state = adversary.measure_parties(source, coalition, meas, rng)
+            flips = (sum(bits) + wrap) % 2
+            phase = (target + flips * math.pi) % (2.0 * math.pi)
+            return SideInfo(_RoundLabel(phase, "arc", lam), honest_state)
+
+        return CheatStrategy(name, dishonest_count, lam, sample, _respond_from_label)
+
+    if name == "product-guesser":
+        def sample(rng, _source):
+            return _ghz_side(tp, k, "none", 0.0)
+
+        return CheatStrategy(name, dishonest_count, 0.0, sample, _respond_from_label)
+
+    raise ValueError(f"unknown strategy {name!r}")
+
+
+# ---------------------------------------------------------------------------
+# the session message log as stored message objects
+
+
+BROADCAST = -1
+
+
+@dataclass(frozen=True)
+class AngleMsg:
+    round: int
+    party: int
+    theta: float
+    sender: int
+    receiver: int
+
+    def to_json_dict(self):
+        return {"type": "angle", "round": self.round, "party": self.party,
+                "theta": self.theta, "sender": self.sender, "receiver": self.receiver}
+
+
+@dataclass(frozen=True)
+class OutcomeMsg:
+    round: int
+    party: int
+    outcome: object
+    sender: int
+    receiver: int
+
+    def to_json_dict(self):
+        return {"type": "outcome", "round": self.round, "party": self.party,
+                "outcome": self.outcome, "sender": self.sender, "receiver": self.receiver}
+
+
+@dataclass(frozen=True)
+class AbortMsg:
+    round: int
+    reason: str
+    sender: int
+    receiver: int
+
+    def to_json_dict(self):
+        return {"type": "abort", "round": self.round, "reason": self.reason,
+                "sender": self.sender, "receiver": self.receiver}
+
+
+def _round_messages(rec, verifier, net):
+    n = rec.assignment.n
+    msgs = []
+    for j in net.permutation(n):
+        msgs.append(AngleMsg(rec.index, int(j), rec.assignment.angles[j], verifier, int(j)))
+    for j in net.permutation(n):
+        msgs.append(OutcomeMsg(rec.index, int(j), rec.outcomes[j], int(j), verifier))
+    if rec.passed is None:
+        msgs.append(AbortMsg(rec.index, "loss-declared", verifier, BROADCAST))
+    return msgs
+
+
+def messages_jsonl(transcript):
+    """The message log built round by round with a fresh network stream each."""
+    config = transcript.config
+    messages = []
+    for i, rec in enumerate(transcript.records):
+        net = np.random.default_rng((config.seed, i, 0xA11CE))
+        messages.extend(_round_messages(rec, config.verifier, net))
+    return "\n".join(
+        json.dumps(m.to_json_dict(), sort_keys=True, separators=(",", ":")) for m in messages
+    )

@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from ghzverify import qstate, sources
+from ghzverify import adversary, qstate, sources
 from ghzverify.adversary import (
     XY_OPTIMUM,
     Coalition,
@@ -19,7 +20,14 @@ from ghzverify.adversary import (
     xy_cheat_pass_curve,
     xy_optimal_pass_probability,
 )
-from ghzverify.protocol import HONEST, LOSS, PassStats, ProtocolKind, run_rounds
+from ghzverify.protocol import (
+    HONEST,
+    LOSS,
+    PassStats,
+    ProtocolKind,
+    run_round,
+    run_rounds,
+)
 from ghzverify.qstate import ghz_state, plus_state, tensor
 
 import oracles
@@ -256,6 +264,104 @@ def test_make_strategy_rejects_unknown_and_bad_params():
         make_strategy("theta-rotated-bell", n_parties=3, lam=1.0)
     with pytest.raises(ValueError):
         make_strategy("product-guesser", n_parties=3, dishonest_count=3)
+
+
+# keyword parameters of each strategy in the tests below
+STRATEGY_PARAMS = {
+    "xy-perfect-loss50": {},
+    "xy-naive-loss": {},
+    "xy-rotated-bell": {},
+    "xy-mixed": {"lam": 0.2},
+    "theta-rotated-bell": {"lam": 0.3, "theta_prime": 0.4},
+    "projective-cheat": {"lam": 0.2, "theta_prime": 0.7},
+    "product-guesser": {"theta_prime": 0.785},
+}
+
+
+def test_make_strategy_rejects_parameters_a_strategy_does_not_take():
+    for name, kwargs, pname in (
+        ("product-guesser", {"lam": 0.3}, "lam"),
+        ("xy-perfect-loss50", {"theta_prime": 1.0}, "theta-prime"),
+        ("xy-mixed", {"lam": 0.2, "theta_prime": 1.0}, "theta-prime"),
+    ):
+        expected = f"'{name}' takes no parameter {pname}; key syntax"
+        with pytest.raises(ValueError, match=expected):
+            make_strategy(name, n_parties=3, **kwargs)
+    with pytest.raises(ValueError, match="needs lam"):
+        make_strategy("theta-rotated-bell", n_parties=3)
+
+
+def test_cheat_strategy_has_no_callable_fields():
+    for name in adversary.STRATEGY_NAMES:
+        strat = make_strategy(name, n_parties=4, **STRATEGY_PARAMS[name])
+        for f in dataclasses.fields(strat):
+            assert not callable(getattr(strat, f.name)), (name, f.name)
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGY_PARAMS))
+@pytest.mark.parametrize("n,d", [(3, 1), (3, 2), (4, 1), (4, 2)])
+def test_strategy_matches_closure_oracle(name, n, d):
+    source = sources.prepare(sources.SourceModel.dephased(n, 0.3))
+    kwargs = STRATEGY_PARAMS[name]
+    strat = make_strategy(name, n_parties=n, dishonest_count=d, **kwargs)
+    oracle = oracles.make_strategy(name, n_parties=n, dishonest_count=d, **kwargs)
+    assert strat.target_loss_rate == oracle.target_loss_rate
+    honest = [HONEST] * (n - d)
+    for kind, seed in ((ProtocolKind.THETA, 101 + n + d), (ProtocolKind.XY, 202 + n + d)):
+        assert run_rounds(source, honest + [strat] * d, kind, 150, seed) == run_rounds(
+            source, honest + [oracle] * d, kind, 150, seed
+        )
+        gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for i in range(100):
+            rec = run_round(source, honest + [strat] * d, kind, gen, index=i)
+            expected = run_round(source, honest + [oracle] * d, kind, twin, index=i)
+            assert rec == expected
+        assert gen.bit_generator.state == twin.bit_generator.state
+
+
+def _bell_phase(twin):
+    return (0.0, np.pi, np.pi / 2, 3 * np.pi / 2)[twin.integers(0, 4)]
+
+
+def _rotated_phase(twin):
+    return np.pi / 4 + twin.integers(0, 4) * np.pi / 2
+
+
+def _projective_draws(twin, d):
+    twin.uniform(0.0, np.pi)
+    twin.random(d)  # measure_parties: one uniform per dishonest qubit
+    return None  # the measurement outcomes decide the phase
+
+
+# the draws sample_side_info makes per round, replayed on a twin generator;
+# each returns the phase those draws select
+DRAW_CONTRACT = {
+    "xy-perfect-loss50": lambda twin, d: _bell_phase(twin),
+    "xy-naive-loss": lambda twin, d: 0.0,
+    "xy-rotated-bell": lambda twin, d: _rotated_phase(twin),
+    "xy-mixed": lambda twin, d: (
+        _bell_phase(twin) if twin.random() < 2 * 0.2 else _rotated_phase(twin)
+    ),
+    "theta-rotated-bell": lambda twin, d: (0.4 + twin.uniform(0.0, np.pi)) % (2 * np.pi),
+    "projective-cheat": _projective_draws,
+    "product-guesser": lambda twin, d: 0.785,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_CONTRACT))
+def test_strategy_draw_contract(name):
+    for n, d in ((3, 1), (4, 2)):
+        source = sources.prepare(sources.SourceModel.dephased(n, 0.3))
+        strat = make_strategy(name, n_parties=n, dishonest_count=d, **STRATEGY_PARAMS[name])
+        gen, twin = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(40):
+            side = strat.sample_side_info(gen, source)
+            phase = DRAW_CONTRACT[name](twin, d)
+            assert gen.bit_generator.state == twin.bit_generator.state
+            if phase is not None:
+                assert side.phase == phase
+            strat.respond(side, (0.3,) * d)
+            assert gen.bit_generator.state == twin.bit_generator.state
 
 
 def test_xy_perfect_loss_has_balanced_bases():

@@ -181,3 +181,31 @@ def test_json_format_for_curves(tmp_path):
 
 def test_bad_strategy_key_exits_one():
     assert _run("verify", "--strategy", "xy-mixed:lam=0.9") == 1
+
+
+def test_bad_strategy_parameters_are_named(capsys):
+    for key, expected in (
+        ("product-guesser:lam=0.3", "strategy 'product-guesser' takes no parameter lam; "
+         "key syntax: product-guesser[:theta-prime=<radians>]"),
+        ("xy-perfect-loss50:theta-prime=1", "strategy 'xy-perfect-loss50' takes no parameter "
+         "theta-prime; key syntax: xy-perfect-loss50"),
+        ("xy-mixed:lam=abc", "strategy 'xy-mixed' parameter lam must be a finite number, "
+         "got 'abc'; key syntax: xy-mixed:lam=<0..1/2>"),
+        ("theta-rotated-bell:lamda=0.2", "strategy 'theta-rotated-bell' takes no parameter "
+         "lamda; key syntax: theta-rotated-bell:lam=<0..1>[,theta-prime=<radians>]"),
+        ("xy-mixed", "xy-mixed needs lam in [0, 1/2]"),
+    ):
+        assert _run("verify", "--strategy", key, "--rounds", "10") == 1
+        assert capsys.readouterr().err == f"error: bad strategy {key!r}: {expected}\n"
+
+
+def test_bad_source_parameters_are_named(capsys):
+    for key, expected in (
+        ("ideal-ghz:p=0.3", "source 'ideal-ghz' takes no parameter p; key syntax: ideal-ghz"),
+        ("depolarized-ghz:v=0.9,p=0.1", "source 'depolarized-ghz' takes no parameter p; "
+         "key syntax: depolarized-ghz:v=<0..1>"),
+        ("dephased-ghz:p=abc", "source 'dephased-ghz' parameter p must be a finite number, "
+         "got 'abc'; key syntax: dephased-ghz:p=<0..1>"),
+    ):
+        assert _run("verify", "--source", key, "--rounds", "10") == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"

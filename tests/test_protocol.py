@@ -149,12 +149,14 @@ def test_ideal_ghz_round_always_passes(rng):
 
 
 def test_round_with_always_loss_party(rng):
+    # a loss arc of width pi covers every requested angle
     always_loss = adversary.CheatStrategy(
         name="always-loss",
+        n_parties=3,
         dishonest_count=1,
         target_loss_rate=1.0,
-        sample_side_info=lambda r, s: adversary.SideInfo(None, ghz_state(2)),
-        respond=lambda side, angles: LOSS,
+        arms=(adversary.PhaseArm((0.0,), "arc"),),
+        lam=1.0,
     )
     rec = run_round(None, [HONEST, HONEST, always_loss], ProtocolKind.THETA, rng)
     assert rec.passed is None
@@ -221,12 +223,14 @@ def test_optimal_guesser_reaches_xy_cheat_optimum():
 
 
 def test_estimate_requires_valid_rounds(rng):
+    # a loss arc of width pi covers every requested angle
     always_loss = adversary.CheatStrategy(
         name="always-loss",
+        n_parties=2,
         dishonest_count=1,
         target_loss_rate=1.0,
-        sample_side_info=lambda r, s: adversary.SideInfo(None, ghz_state(1)),
-        respond=lambda side, angles: LOSS,
+        arms=(adversary.PhaseArm((0.0,), "arc"),),
+        lam=1.0,
     )
     with pytest.raises(ValueError):
         estimate_pass_probability(None, [HONEST, always_loss], ProtocolKind.THETA, 50, 1)

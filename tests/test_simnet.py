@@ -4,13 +4,9 @@ import pytest
 
 from ghzverify import adversary, protocol, sources
 from ghzverify.protocol import HONEST, LOSS, ProtocolKind
-from ghzverify.simnet import (
-    AngleMsg,
-    OutcomeMsg,
-    SessionConfig,
-    audit_loss_pattern,
-    run_session,
-)
+from ghzverify.simnet import SessionConfig, audit_loss_pattern, run_session
+
+import oracles
 
 
 def _config(**overrides):
@@ -134,20 +130,20 @@ def test_message_log_covers_every_round():
     for rec in transcript.records:
         angle_msgs = [
             m
-            for m in transcript.messages
-            if isinstance(m, AngleMsg) and m.round == rec.index
+            for m in transcript.messages()
+            if m["type"] == "angle" and m["round"] == rec.index
         ]
         outcome_msgs = [
             m
-            for m in transcript.messages
-            if isinstance(m, OutcomeMsg) and m.round == rec.index
+            for m in transcript.messages()
+            if m["type"] == "outcome" and m["round"] == rec.index
         ]
-        assert {m.party for m in angle_msgs} == {0, 1, 2}
-        assert {m.party for m in outcome_msgs} == {0, 1, 2}
+        assert {m["party"] for m in angle_msgs} == {0, 1, 2}
+        assert {m["party"] for m in outcome_msgs} == {0, 1, 2}
         for m in angle_msgs:
-            assert m.theta == rec.assignment.angles[m.party]
+            assert m["theta"] == rec.assignment.angles[m["party"]]
         for m in outcome_msgs:
-            assert m.outcome == rec.outcomes[m.party]
+            assert m["outcome"] == rec.outcomes[m["party"]]
 
 
 def test_round_scoring_is_order_independent(rng):
@@ -169,10 +165,17 @@ def test_round_scoring_is_order_independent(rng):
 def test_abort_message_emitted_on_loss():
     transcript = run_session(_config(rounds=200, honest_loss=0.2))
     lossy_rounds = {rec.index for rec in transcript.records if rec.passed is None}
-    abort_rounds = {
-        m.round for m in transcript.messages if m.__class__.__name__ == "AbortMsg"
-    }
+    abort_rounds = {m["round"] for m in transcript.messages() if m["type"] == "abort"}
     assert abort_rounds == lossy_rounds
+
+
+def test_message_log_matches_stored_message_oracle():
+    strat = adversary.make_strategy("xy-mixed", n_parties=3, lam=0.3)
+    transcript = run_session(
+        _config(rounds=300, seed=5, strategy=strat, source=None, honest_loss=0.1, verifier=1)
+    )
+    assert any(rec.passed is None for rec in transcript.records)
+    assert transcript.messages_jsonl() == oracles.messages_jsonl(transcript)
 
 
 def test_summary_is_json_parseable():

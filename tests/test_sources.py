@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ghzverify import adversary, qstate
 from ghzverify.qstate import DensityMatrix, ghz_state
 from ghzverify.sources import (
+    SOURCE_KEYS,
+    VARIANTS,
     PumpParams,
     SourceModel,
     alpha_from_mean_pairs,
     calibrate_to_fidelity,
     from_key,
     higher_order_fidelity,
+    key_params,
     prepare,
 )
 
@@ -171,8 +176,69 @@ def test_from_key_parsing():
         name = key.partition(":")[0]
         with pytest.raises(ValueError, match=f"needs parameter {param}; key syntax: {name}:"):
             from_key(key, 3)
+    unaccepted = [
+        ("ideal-ghz:p=0.3", "p"),
+        ("depolarized-ghz:v=0.9,p=0.1", "p"),
+        ("biseparable-ghz-plus:theta=0.5", "theta"),
+        ("calibrated:fidelity=0.8,family=dephased,v=0.9", "v"),
+    ]
+    for key, param in unaccepted:
+        name = key.partition(":")[0]
+        expected = f"takes no parameter {param}; key syntax: {name}"
+        with pytest.raises(ValueError, match=expected):
+            from_key(key, 3)
+    with pytest.raises(ValueError, match="takes alpha or mean-pairs, not both; key syntax"):
+        from_key("higher-order:alpha=0.2,mean-pairs=0.05", 3)
+    with pytest.raises(ValueError, match="given twice"):
+        from_key("dephased-ghz:p=0.1,p=0.2", 3)
+    for key, param in (
+        ("dephased-ghz:p=abc", "p"),
+        ("rotated-bell-plus:theta=pi", "theta"),
+        ("higher-order:mean-pairs=lots", "mean-pairs"),
+        ("rotated-bell-plus:theta=nan", "theta"),
+        ("rotated-bell-plus:theta=-inf", "theta"),
+    ):
+        name = key.partition(":")[0]
+        value = key.partition("=")[2]
+        with pytest.raises(
+            ValueError,
+            match=f"source '{name}' parameter {param} must be a finite number, got '{value}'; "
+            f"key syntax: {name}:",
+        ):
+            from_key(key, 3)
 
 
 def test_model_key_round_trip():
     model = SourceModel.dephased(3, 0.25)
     assert from_key(model.key(), 3) == model
+
+
+# a model of every source family from a parameter x in [0, 1]
+_FAMILIES = {
+    "ideal-ghz": lambda n, x: SourceModel.ideal(n),
+    "dephased-ghz": lambda n, x: SourceModel.dephased(n, x),
+    "depolarized-ghz": lambda n, x: SourceModel.depolarized(n, x),
+    "biseparable-ghz-plus": lambda n, x: SourceModel.biseparable_plus(n),
+    "rotated-bell-plus": lambda n, x: SourceModel.rotated_bell_plus(2 * np.pi * x - np.pi, n),
+    "higher-order-calibrated": lambda n, x: SourceModel.higher_order(n, 0.001 + 0.998 * x),
+}
+
+
+def test_families_cover_every_variant():
+    assert set(_FAMILIES) == set(VARIANTS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    variant=st.sampled_from(sorted(_FAMILIES)),
+    n=st.integers(3, 4),
+    x=st.floats(0.0, 1.0),
+    pname=st.text("abcdefghijklmnopqrstuvwxyz-", min_size=1, max_size=12),
+)
+def test_model_keys_round_trip_and_reject_unaccepted_parameters(variant, n, x, pname):
+    model = _FAMILIES[variant](n, x)
+    key = model.key()
+    assert from_key(key, n) == model
+    assume(pname not in key_params(SOURCE_KEYS[variant]))
+    with pytest.raises(ValueError):
+        from_key(key + ("," if model.params else ":") + f"{pname}=0.5", n)
