@@ -296,6 +296,16 @@ class CheatStrategy:
     lam: float = 0.0
     measures_source: bool = False
 
+    def key(self) -> str:
+        """The strategy key that ``from_key`` parses back into this strategy;
+        theta-prime is left out at its default 0."""
+        values = {"lam": self.lam, "theta-prime": self.theta_prime}
+        inner = ",".join(
+            f"{p}={values[p]!r}" for p in key_params(_syntax(self.name))
+            if p == "lam" or values[p] != 0.0
+        )
+        return f"{self.name}:{inner}" if inner else self.name
+
     def sample_side_info(self, rng: np.random.Generator, source: State | None) -> SideInfo:
         """Prepare one round, drawing as ``make_strategy`` documents."""
         if self.measures_source and source is None:

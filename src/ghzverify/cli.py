@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adversary, analytics, protocol, qstate, simnet, sources
-from .protocol import HONEST, ProtocolKind
+from .protocol import ProtocolKind
 
 
 class CliError(Exception):
@@ -44,9 +44,14 @@ def parse_strategy_key(key: str, n_parties: int, dishonest_count: int):
         raise CliError(f"bad strategy {key!r}: {exc}") from exc
 
 
-def _load_config_file(path: str) -> dict:
-    """Key-value config lines (``key = value``, '#' comments); flags win."""
-    values = {}
+def _apply_config_file(path: str, commands: dict[str, _Parser]) -> None:
+    """Set the ``key = value`` lines of a config file ('#' comments) as the
+    defaults of every subcommand that takes the key; flags win."""
+    actions: dict[str, list] = {}
+    for command in commands.values():
+        for act in command._actions:
+            if act.dest not in ("help", "config"):
+                actions.setdefault(act.dest, []).append((command, act))
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -54,8 +59,20 @@ def _load_config_file(path: str) -> dict:
         key, sep, val = line.partition("=")
         if not sep:
             raise CliError(f"malformed config line {raw!r}")
-        values[key.strip().replace("-", "_")] = val.strip()
-    return values
+        key, val = key.strip(), val.strip()
+        where = f"config file {path}: key {key!r}"
+        dest = key.replace("-", "_")
+        if dest not in actions:
+            raise CliError(f"{where} is not an option of any subcommand")
+        for command, act in actions[dest]:
+            try:
+                value = act.type(val) if act.type else val
+            except ValueError:
+                raise CliError(f"{where}: invalid {act.type.__name__} value {val!r}") from None
+            if act.choices is not None and value not in act.choices:
+                choices = ", ".join(map(str, act.choices))
+                raise CliError(f"{where}: invalid choice {val!r} (choose from {choices})")
+            command.set_defaults(**{dest: value})
 
 
 def _add_common(p: _Parser):
@@ -108,9 +125,9 @@ def _write_or_print(text: str, out: str | None):
 def _run_session(args) -> simnet.Transcript:
     strategy = parse_strategy_key(args.strategy, args.parties, args.dishonest_count)
     model = sources.from_key(args.source, args.parties)
-    config = simnet.SessionConfig.build(
+    config = simnet.SessionConfig(
         args.parties,
-        ProtocolKind(args.protocol),
+        args.protocol,
         args.rounds,
         args.seed,
         source=model,
@@ -157,7 +174,12 @@ CURVE_COLUMNS = (
 
 
 def cmd_curves(args) -> int:
-    grid = [float(x) for x in args.lambda_grid.split(",") if x.strip() != ""]
+    grid = []
+    for entry in filter(str.strip, args.lambda_grid.split(",")):
+        try:
+            grid.append(float(entry))
+        except ValueError:
+            raise CliError(f"--lambda-grid entry {entry.strip()!r} is not a number") from None
     if not grid:
         raise CliError("empty lambda grid")
     if any(not 0.0 <= lam < 1.0 for lam in grid):
@@ -168,7 +190,7 @@ def cmd_curves(args) -> int:
         strat = adversary.make_strategy("theta-rotated-bell", n_parties=args.parties, lam=lam)
         st = protocol.estimate_pass_probability(
             None,
-            [HONEST] * (args.parties - 1) + [strat],
+            strat,
             ProtocolKind.THETA,
             args.rounds,
             np.random.default_rng((args.seed, 101, i)),
@@ -180,7 +202,7 @@ def cmd_curves(args) -> int:
             strat = adversary.make_strategy("xy-mixed", n_parties=args.parties, lam=lam)
             st = protocol.estimate_pass_probability(
                 None,
-                [HONEST] * (args.parties - 1) + [strat],
+                strat,
                 ProtocolKind.XY,
                 args.rounds,
                 np.random.default_rng((args.seed, 202, i)),
@@ -289,14 +311,7 @@ def main(argv=None) -> int:
         probe.add_argument("--config")
         known, _ = probe.parse_known_args(argv if argv is not None else sys.argv[1:])
         if known.config:
-            file_values = _load_config_file(known.config)
-            for command in commands.values():
-                defaults = {}
-                for act in command._actions:
-                    if act.dest in file_values:
-                        raw = file_values[act.dest]
-                        defaults[act.dest] = act.type(raw) if act.type else raw
-                command.set_defaults(**defaults)
+            _apply_config_file(known.config, commands)
         args = parser.parse_args(argv)
         handler = {
             "verify": cmd_verify,

@@ -13,12 +13,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
 from . import qstate
-from .qstate import DensityMatrix, PureState, State
+from .qstate import DensityMatrix, State
+
+if TYPE_CHECKING:
+    from .adversary import CheatStrategy
 
 LOSS = "LOSS"
 
@@ -28,16 +31,6 @@ ANGLE_SUM_TOL = 1e-9
 class ProtocolKind(str, Enum):
     THETA = "theta"
     XY = "xy"
-
-
-class _Honest:
-    """Marker policy for a party that measures honestly."""
-
-    def __repr__(self):
-        return "HONEST"
-
-
-HONEST = _Honest()
 
 
 @dataclass(frozen=True)
@@ -195,36 +188,9 @@ def parity_test(assignment: AngleAssignment, outcomes: Sequence[int]) -> int:
 # rounds
 
 
-SourceLike = Union[State, Callable[[], State], None]
-
-
-def _resolve_source(source: SourceLike) -> State | None:
-    if source is None or isinstance(source, (PureState, DensityMatrix)):
-        return source
-    if callable(source):
-        return source()
-    raise TypeError(f"unsupported source {source!r}")
-
-
-def _split_policies(strategies) -> tuple[list[int], object | None]:
-    """Return (dishonest party indices, their shared strategy)."""
-    dishonest = [j for j, p in enumerate(strategies) if p is not HONEST]
-    if not dishonest:
-        return [], None
-    strat = strategies[dishonest[0]]
-    if any(strategies[j] is not strat for j in dishonest):
-        raise ValueError("all dishonest parties must share one coalition strategy")
-    if len(dishonest) != strat.dishonest_count:
-        raise ValueError(
-            f"strategy {strat.name!r} covers {strat.dishonest_count} parties, "
-            f"{len(dishonest)} were marked dishonest"
-        )
-    return dishonest, strat
-
-
 def run_round(
-    source: SourceLike,
-    strategies: Sequence[object] | None,
+    source: State | None,
+    strategy: CheatStrategy | None,
     kind: ProtocolKind,
     rng: np.random.Generator,
     *,
@@ -233,49 +199,37 @@ def run_round(
 ) -> RoundRecord:
     """Execute one single-shot round and return its record.
 
-    ``strategies`` lists one policy per party: the HONEST marker or a shared
-    CheatStrategy instance for every coalition member.  When all parties are
-    honest the source state must cover all of them; otherwise the coalition
-    supplies the honest parties' state and answers classically (possibly with
-    LOSS).  ``honest_loss`` is an i.i.d. loss probability applied to honest
+    With ``strategy`` None every party is honest and measures its qubit of
+    the source state.  Otherwise the strategy is played by the last
+    ``strategy.dishonest_count`` of its ``strategy.n_parties`` parties: it
+    supplies the state of the honest parties ``0..k-1`` (measuring its qubits
+    of the source if it ``measures_source``), its first member answers for
+    the coalition (possibly with LOSS) and the others report 0.
+    ``honest_loss`` in [0, 1) is an i.i.d. loss probability applied to honest
     parties, independent of their outcomes.
     """
-    state = _resolve_source(source)
-    if strategies is None:
-        if state is None:
-            raise ValueError("need either a source state or explicit strategies")
-        n = state.n
-        dishonest, strat = [], None
+    if not 0.0 <= honest_loss < 1.0:
+        raise ValueError(f"honest_loss must lie in [0, 1), got {honest_loss}")
+    if strategy is None:
+        if source is None:
+            raise ValueError("an all-honest round needs a source state")
+        n = k = source.n
     else:
-        n = len(strategies)
-        dishonest, strat = _split_policies(strategies)
+        n = strategy.n_parties
+        k = n - strategy.dishonest_count
     assignment = sample_angles(kind, n, rng)
 
-    if strat is None:
-        if state is None or state.n != n:
-            raise ValueError("source state arity does not match the party count")
-        outcomes: list[Union[int, str]] = qstate.sample_outcomes(
-            state, assignment.angles, rng
-        )
-        honest_parties = range(n)
+    outcomes: list[Union[int, str]]
+    if strategy is None:
+        outcomes = qstate.sample_outcomes(source, assignment.angles, rng)
     else:
-        outcomes = [0] * n
-        honest_parties = [j for j in range(n) if j not in dishonest]
-        side = strat.sample_side_info(rng, state)
-        honest_state = side.honest_state
-        if honest_state.n != len(honest_parties):
-            raise ValueError("strategy produced a state of the wrong arity")
-        honest_angles = [assignment.angles[j] for j in honest_parties]
-        bits = qstate.sample_outcomes(honest_state, honest_angles, rng)
-        for j, b in zip(honest_parties, bits):
-            outcomes[j] = b
-        outcomes[dishonest[0]] = strat.respond(
-            side, tuple(assignment.angles[j] for j in dishonest)
-        )
+        side = strategy.sample_side_info(rng, source)
+        outcomes = qstate.sample_outcomes(side.honest_state, assignment.angles[:k], rng)
+        outcomes.append(strategy.respond(side, assignment.angles[k:]))
+        outcomes += [0] * (n - k - 1)
 
     if honest_loss > 0.0:
-        drops = rng.random(len(honest_parties)) < honest_loss
-        for j, drop in zip(honest_parties, drops):
+        for j, drop in enumerate(rng.random(k) < honest_loss):
             if drop:
                 outcomes[j] = LOSS
 
@@ -296,8 +250,8 @@ def base_seed(rng: Union[int, np.random.Generator]) -> int:
 
 
 def run_rounds(
-    source: SourceLike,
-    strategies: Sequence[object] | None,
+    source: State | None,
+    strategy: CheatStrategy | None,
     kind: ProtocolKind,
     rounds: int,
     rng: Union[int, np.random.Generator],
@@ -310,15 +264,15 @@ def run_rounds(
     seed = base_seed(rng)
     return [
         run_round(
-            source, strategies, kind, round_rng(seed, i), honest_loss=honest_loss, index=i
+            source, strategy, kind, round_rng(seed, i), honest_loss=honest_loss, index=i
         )
         for i in range(rounds)
     ]
 
 
 def estimate_pass_probability(
-    source: SourceLike,
-    strategies: Sequence[object] | None,
+    source: State | None,
+    strategy: CheatStrategy | None,
     kind: ProtocolKind,
     rounds: int,
     rng: Union[int, np.random.Generator],
@@ -330,7 +284,7 @@ def estimate_pass_probability(
     Rounds with declared loss are excluded from the denominator; a run in
     which every round was lossy raises, since the estimate is undefined.
     """
-    records = run_rounds(source, strategies, kind, rounds, rng, honest_loss=honest_loss)
+    records = run_rounds(source, strategy, kind, rounds, rng, honest_loss=honest_loss)
     return PassStats.from_records(records)
 
 

@@ -22,15 +22,8 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from . import sources
-from .protocol import (
-    HONEST,
-    LOSS,
-    PassStats,
-    ProtocolKind,
-    RoundRecord,
-    round_rng,
-    run_round,
-)
+from .adversary import CheatStrategy
+from .protocol import LOSS, PassStats, ProtocolKind, RoundRecord, round_rng, run_round
 from .qstate import DensityMatrix, PureState
 
 BROADCAST = -1
@@ -41,64 +34,45 @@ AUDIT_SIGNIFICANCE = 0.01
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Everything needed to reproduce a session byte for byte."""
+    """Everything needed to reproduce a session byte for byte.
+
+    ``strategy`` (None when every party is honest) is played by the last
+    ``strategy.dishonest_count`` parties; the Verifier must not be among them.
+    """
 
     n_parties: int
     kind: ProtocolKind
     rounds: int
     seed: int
-    policies: tuple
+    strategy: CheatStrategy | None = None
     source: Union[sources.SourceModel, PureState, DensityMatrix, None] = None
     verifier: int = 0
     lambda_max: float = 0.5
     honest_loss: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", ProtocolKind(self.kind))
         if self.rounds < 1:
             raise ValueError("need at least one round")
         if not 0.0 <= self.lambda_max < 1.0:
             raise ValueError("lambda_max must lie in [0, 1)")
-        if len(self.policies) != self.n_parties:
-            raise ValueError("need one policy per party")
+        if self.strategy is not None and self.strategy.n_parties != self.n_parties:
+            raise ValueError(
+                f"strategy {self.strategy.name!r} is built for "
+                f"{self.strategy.n_parties} parties, the session has {self.n_parties}"
+            )
+        if self.source is not None and self.source.n != self.n_parties:
+            raise ValueError(
+                f"the source covers {self.source.n} parties, the session has {self.n_parties}"
+            )
         if not 0 <= self.verifier < self.n_parties:
             raise ValueError("verifier index out of range")
-        if self.policies[self.verifier] is not HONEST:
+        if self.verifier in self.dishonest_parties():
             raise ValueError("the Verifier must be honest")
 
-    @classmethod
-    def build(
-        cls,
-        n_parties: int,
-        kind: ProtocolKind,
-        rounds: int,
-        seed: int,
-        *,
-        source=None,
-        strategy=None,
-        verifier: int = 0,
-        lambda_max: float = 0.5,
-        honest_loss: float = 0.0,
-    ) -> "SessionConfig":
-        """Place ``strategy`` (if any) on the last ``dishonest_count`` parties."""
-        if strategy is None:
-            policies = (HONEST,) * n_parties
-        else:
-            d = strategy.dishonest_count
-            policies = (HONEST,) * (n_parties - d) + (strategy,) * d
-        return cls(
-            n_parties=n_parties,
-            kind=ProtocolKind(kind),
-            rounds=rounds,
-            seed=seed,
-            policies=policies,
-            source=source,
-            verifier=verifier,
-            lambda_max=lambda_max,
-            honest_loss=honest_loss,
-        )
-
     def dishonest_parties(self) -> tuple[int, ...]:
-        return tuple(j for j, p in enumerate(self.policies) if p is not HONEST)
+        d = 0 if self.strategy is None else self.strategy.dishonest_count
+        return tuple(range(self.n_parties - d, self.n_parties))
 
     def describe(self) -> dict:
         if isinstance(self.source, sources.SourceModel):
@@ -107,18 +81,17 @@ class SessionConfig:
             source_key = None
         else:
             source_key = f"<state:{self.source.n} qubits>"
-        dishonest = self.dishonest_parties()
         return {
             "n_parties": self.n_parties,
             "verifier": self.verifier,
-            "protocol": ProtocolKind(self.kind).value,
+            "protocol": self.kind.value,
             "rounds": self.rounds,
             "seed": self.seed,
             "lambda_max": self.lambda_max,
             "honest_loss": self.honest_loss,
             "source": source_key,
-            "strategy": self.policies[dishonest[0]].name if dishonest else None,
-            "dishonest_parties": list(dishonest),
+            "strategy": None if self.strategy is None else self.strategy.key(),
+            "dishonest_parties": list(self.dishonest_parties()),
         }
 
 
@@ -269,7 +242,7 @@ def run_session(config: SessionConfig) -> Transcript:
     for i in range(config.rounds):
         rec = run_round(
             state,
-            config.policies,
+            config.strategy,
             config.kind,
             round_rng(config.seed, i),
             honest_loss=config.honest_loss,

@@ -215,6 +215,7 @@ class _RoundLabel(NamedTuple):
 @dataclass(frozen=True)
 class CheatStrategy:
     name: str
+    n_parties: int
     dishonest_count: int
     target_loss_rate: float
     sample_side_info: Callable
@@ -249,20 +250,20 @@ def make_strategy(name, *, n_parties, dishonest_count=1, lam=None, theta_prime=N
             phase = _BELL_PHASES[rng.integers(0, 4)]
             return _ghz_side(phase, k, "xy-basis", 0.0)
 
-        return CheatStrategy(name, dishonest_count, 0.5, sample, _respond_from_label)
+        return CheatStrategy(name, n_parties, dishonest_count, 0.5, sample, _respond_from_label)
 
     if name == "xy-naive-loss":
         def sample(rng, _source):
             return _ghz_side(0.0, k, "xy-basis", 0.0)
 
-        return CheatStrategy(name, dishonest_count, 0.5, sample, _respond_from_label)
+        return CheatStrategy(name, n_parties, dishonest_count, 0.5, sample, _respond_from_label)
 
     if name == "xy-rotated-bell":
         def sample(rng, _source):
             phase = math.pi / 4 + rng.integers(0, 4) * math.pi / 2
             return _ghz_side(phase, k, "none", 0.0)
 
-        return CheatStrategy(name, dishonest_count, 0.0, sample, _respond_from_label)
+        return CheatStrategy(name, n_parties, dishonest_count, 0.0, sample, _respond_from_label)
 
     if name == "xy-mixed":
         lam = float(lam)
@@ -274,7 +275,7 @@ def make_strategy(name, *, n_parties, dishonest_count=1, lam=None, theta_prime=N
             phase = math.pi / 4 + rng.integers(0, 4) * math.pi / 2
             return _ghz_side(phase, k, "none", 0.0)
 
-        return CheatStrategy(name, dishonest_count, lam, sample, _respond_from_label)
+        return CheatStrategy(name, n_parties, dishonest_count, lam, sample, _respond_from_label)
 
     if name == "theta-rotated-bell":
         lam = float(lam)
@@ -283,7 +284,7 @@ def make_strategy(name, *, n_parties, dishonest_count=1, lam=None, theta_prime=N
             mask = rng.uniform(0.0, math.pi)
             return _ghz_side((tp + mask) % (2.0 * math.pi), k, "arc", lam)
 
-        return CheatStrategy(name, dishonest_count, lam, sample, _respond_from_label)
+        return CheatStrategy(name, n_parties, dishonest_count, lam, sample, _respond_from_label)
 
     if name == "projective-cheat":
         lam = float(lam)
@@ -299,13 +300,13 @@ def make_strategy(name, *, n_parties, dishonest_count=1, lam=None, theta_prime=N
             phase = (target + flips * math.pi) % (2.0 * math.pi)
             return SideInfo(_RoundLabel(phase, "arc", lam), honest_state)
 
-        return CheatStrategy(name, dishonest_count, lam, sample, _respond_from_label)
+        return CheatStrategy(name, n_parties, dishonest_count, lam, sample, _respond_from_label)
 
     if name == "product-guesser":
         def sample(rng, _source):
             return _ghz_side(tp, k, "none", 0.0)
 
-        return CheatStrategy(name, dishonest_count, 0.0, sample, _respond_from_label)
+        return CheatStrategy(name, n_parties, dishonest_count, 0.0, sample, _respond_from_label)
 
     raise ValueError(f"unknown strategy {name!r}")
 

@@ -12,7 +12,7 @@ import numpy as np
 from ghzverify import adversary, analytics, protocol, qstate, simnet, sources
 from ghzverify.analytics import TrustModel
 from ghzverify.cli import main as cli_main
-from ghzverify.protocol import HONEST, PassStats, ProtocolKind
+from ghzverify.protocol import PassStats, ProtocolKind
 
 from conftest import random_density, random_pure
 
@@ -131,7 +131,7 @@ def test_criterion_05_optimal_cheat_thresholds():
 
     strat = adversary.make_strategy("product-guesser", n_parties=3, theta_prime=np.pi / 4)
     stats = protocol.estimate_pass_probability(
-        None, [HONEST, HONEST, strat], ProtocolKind.THETA, 100_000, 55
+        None, strat, ProtocolKind.THETA, 100_000, 55
     )
     target = 0.5 + 1.0 / np.pi
     dev = abs(stats.estimate - target) / stats.stderr
@@ -151,7 +151,7 @@ def test_criterion_06_loss_curves():
     for lam in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
         strat = adversary.make_strategy("xy-mixed", n_parties=3, lam=lam)
         stats = protocol.estimate_pass_probability(
-            None, [HONEST, HONEST, strat], ProtocolKind.XY, rounds, 600 + int(lam * 10)
+            None, strat, ProtocolKind.XY, rounds, 600 + int(lam * 10)
         )
         target = adversary.xy_cheat_pass_curve(lam)
         if lam == 0.5:
@@ -163,7 +163,7 @@ def test_criterion_06_loss_curves():
     for lam in (0.0, 0.2, 0.4, 0.6, 0.8):
         strat = adversary.make_strategy("theta-rotated-bell", n_parties=3, lam=lam)
         stats = protocol.estimate_pass_probability(
-            None, [HONEST, HONEST, strat], ProtocolKind.THETA, rounds, 700 + int(lam * 10)
+            None, strat, ProtocolKind.THETA, rounds, 700 + int(lam * 10)
         )
         target = 0.5 + np.sin(np.pi * (1 - lam) / 2) / (np.pi * (1 - lam))
         dev = abs(stats.estimate - target) / stats.stderr
@@ -215,7 +215,7 @@ def test_criterion_10_verdict_logic():
 def test_criterion_11_audit():
     rounds = 10_000
     naive = adversary.make_strategy("xy-naive-loss", n_parties=3)
-    config = simnet.SessionConfig.build(
+    config = simnet.SessionConfig(
         3, ProtocolKind.XY, rounds, 1100, strategy=naive, lambda_max=0.6
     )
     naive_audit = simnet.run_session(config).audits[2]
@@ -224,7 +224,7 @@ def test_criterion_11_audit():
     p_values = []
     for seed in range(20):
         mixed = adversary.make_strategy("xy-perfect-loss50", n_parties=3)
-        config = simnet.SessionConfig.build(
+        config = simnet.SessionConfig(
             3, ProtocolKind.XY, rounds, 2200 + seed, strategy=mixed, lambda_max=0.6
         )
         audit = simnet.run_session(config).audits[2]

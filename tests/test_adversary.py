@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from ghzverify import adversary, qstate, sources
@@ -21,7 +23,6 @@ from ghzverify.adversary import (
     xy_optimal_pass_probability,
 )
 from ghzverify.protocol import (
-    HONEST,
     LOSS,
     PassStats,
     ProtocolKind,
@@ -298,6 +299,26 @@ def test_cheat_strategy_has_no_callable_fields():
             assert not callable(getattr(strat, f.name)), (name, f.name)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(adversary.STRATEGY_NAMES),
+    n=st.integers(2, 6),
+    d=st.integers(1, 5),
+    x=st.floats(0.0, 1.0, exclude_max=True),
+    theta_prime=st.one_of(st.none(), st.floats(0.0, 2 * np.pi, exclude_max=True)),
+)
+def test_strategy_keys_round_trip(name, n, d, x, theta_prime):
+    d = min(d, n - 1)
+    accepted = sources.key_params(adversary.STRATEGIES[name][0])
+    kwargs = {}
+    if "lam" in accepted:
+        kwargs["lam"] = x / 2 if name == "xy-mixed" else x
+    if "theta-prime" in accepted:
+        kwargs["theta_prime"] = theta_prime
+    strat = make_strategy(name, n_parties=n, dishonest_count=d, **kwargs)
+    assert adversary.from_key(strat.key(), n, d) == strat
+
+
 @pytest.mark.parametrize("name", sorted(STRATEGY_PARAMS))
 @pytest.mark.parametrize("n,d", [(3, 1), (3, 2), (4, 1), (4, 2)])
 def test_strategy_matches_closure_oracle(name, n, d):
@@ -306,15 +327,14 @@ def test_strategy_matches_closure_oracle(name, n, d):
     strat = make_strategy(name, n_parties=n, dishonest_count=d, **kwargs)
     oracle = oracles.make_strategy(name, n_parties=n, dishonest_count=d, **kwargs)
     assert strat.target_loss_rate == oracle.target_loss_rate
-    honest = [HONEST] * (n - d)
     for kind, seed in ((ProtocolKind.THETA, 101 + n + d), (ProtocolKind.XY, 202 + n + d)):
-        assert run_rounds(source, honest + [strat] * d, kind, 150, seed) == run_rounds(
-            source, honest + [oracle] * d, kind, 150, seed
+        assert run_rounds(source, strat, kind, 150, seed) == run_rounds(
+            source, oracle, kind, 150, seed
         )
         gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         for i in range(100):
-            rec = run_round(source, honest + [strat] * d, kind, gen, index=i)
-            expected = run_round(source, honest + [oracle] * d, kind, twin, index=i)
+            rec = run_round(source, strat, kind, gen, index=i)
+            expected = run_round(source, oracle, kind, twin, index=i)
             assert rec == expected
         assert gen.bit_generator.state == twin.bit_generator.state
 
@@ -366,7 +386,7 @@ def test_strategy_draw_contract(name):
 
 def test_xy_perfect_loss_has_balanced_bases():
     strat = make_strategy("xy-perfect-loss50", n_parties=3)
-    records = run_rounds(None, [HONEST, HONEST, strat], ProtocolKind.XY, 6000, 41)
+    records = run_rounds(None, strat, ProtocolKind.XY, 6000, 41)
     stats = PassStats.from_records(records)
     assert stats.estimate == 1.0
     by_basis = {0.0: [0, 0], np.pi / 2: [0, 0]}
@@ -382,7 +402,7 @@ def test_xy_perfect_loss_has_balanced_bases():
 
 def test_xy_naive_loss_is_basis_correlated():
     strat = make_strategy("xy-naive-loss", n_parties=3)
-    records = run_rounds(None, [HONEST, HONEST, strat], ProtocolKind.XY, 2000, 43)
+    records = run_rounds(None, strat, ProtocolKind.XY, 2000, 43)
     for rec in records:
         basis = rec.assignment.angles[2]
         assert (rec.outcomes[2] == LOSS) == (basis > 0.1)
@@ -392,7 +412,7 @@ def test_xy_naive_loss_is_basis_correlated():
 def test_product_guesser_reaches_xy_optimum():
     strat = make_strategy("product-guesser", n_parties=3, theta_prime=np.pi / 4)
     stats = PassStats.from_records(
-        run_rounds(None, [HONEST, HONEST, strat], ProtocolKind.XY, 20_000, 47)
+        run_rounds(None, strat, ProtocolKind.XY, 20_000, 47)
     )
     assert abs(stats.estimate - XY_OPTIMUM) < 3 * stats.stderr
 
@@ -400,7 +420,7 @@ def test_product_guesser_reaches_xy_optimum():
 def test_theta_rotated_bell_matches_curve_and_hides_loss_angles():
     lam = 0.3
     strat = make_strategy("theta-rotated-bell", n_parties=3, lam=lam)
-    records = run_rounds(None, [HONEST, HONEST, strat], ProtocolKind.THETA, 30_000, 53)
+    records = run_rounds(None, strat, ProtocolKind.THETA, 30_000, 53)
     stats = PassStats.from_records(records)
     assert abs(stats.estimate - theta_cheat_pass_curve(lam)) < 3 * stats.stderr
     assert stats.loss_rates[2] == pytest.approx(lam, abs=0.02)
@@ -415,7 +435,7 @@ def test_xy_mixed_interpolates_between_pure_strategies():
     for lam, seed in ((0.1, 61), (0.4, 67)):
         strat = make_strategy("xy-mixed", n_parties=3, lam=lam)
         stats = PassStats.from_records(
-            run_rounds(None, [HONEST, HONEST, strat], ProtocolKind.XY, 20_000, seed)
+            run_rounds(None, strat, ProtocolKind.XY, 20_000, seed)
         )
         assert abs(stats.estimate - xy_cheat_pass_curve(lam)) < 4 * stats.stderr
         assert stats.loss_rates[2] == pytest.approx(lam, abs=0.02)
@@ -425,7 +445,7 @@ def test_two_party_coalition_acts_as_one_responder():
     # both coalition members share the strategy; the first answers for both
     strat = make_strategy("product-guesser", n_parties=4, dishonest_count=2)
     records = run_rounds(
-        None, [HONEST, HONEST, strat, strat], ProtocolKind.THETA, 20_000, 83
+        None, strat, ProtocolKind.THETA, 20_000, 83
     )
     stats = PassStats.from_records(records)
     assert abs(stats.estimate - theta_cheat_pass_curve(0.0)) < 4 * stats.stderr
@@ -458,7 +478,7 @@ def test_projective_cheat_on_ideal_ghz_matches_curve():
     source = ghz_state(3)
     strat = make_strategy("projective-cheat", n_parties=3, lam=0.0)
     stats = PassStats.from_records(
-        run_rounds(source, [HONEST, HONEST, strat], ProtocolKind.THETA, 20_000, 71)
+        run_rounds(source, strat, ProtocolKind.THETA, 20_000, 71)
     )
     assert abs(stats.estimate - theta_cheat_pass_curve(0.0)) < 3 * stats.stderr
 
@@ -475,11 +495,11 @@ def test_noisy_projection_underperforms_clean_biseparable():
     noisy = sources.prepare(sources.SourceModel.dephased(4, 0.5))
     projective = make_strategy("projective-cheat", n_parties=4, lam=0.0)
     noisy_stats = PassStats.from_records(
-        run_rounds(noisy, [HONEST] * 3 + [projective], ProtocolKind.THETA, 15_000, 73)
+        run_rounds(noisy, projective, ProtocolKind.THETA, 15_000, 73)
     )
     clean = make_strategy("product-guesser", n_parties=4)
     clean_stats = PassStats.from_records(
-        run_rounds(None, [HONEST] * 3 + [clean], ProtocolKind.THETA, 15_000, 79)
+        run_rounds(None, clean, ProtocolKind.THETA, 15_000, 79)
     )
     assert noisy_stats.estimate + 3 * noisy_stats.stderr < clean_stats.estimate
 

@@ -209,3 +209,29 @@ def test_bad_source_parameters_are_named(capsys):
     ):
         assert _run("verify", "--source", key, "--rounds", "10") == 1
         assert capsys.readouterr().err == f"error: {expected}\n"
+
+
+def test_bad_honest_loss_is_named(capsys):
+    for value, shown in (("-0.5", "-0.5"), ("nan", "nan"), ("2", "2.0")):
+        assert _run("verify", "--honest-loss", value, "--rounds", "10") == 1
+        assert capsys.readouterr().err == f"error: honest_loss must lie in [0, 1), got {shown}\n"
+
+
+def test_bad_config_file_entries_are_named(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    for text, expected in (
+        ("rouns = 50\n", "key 'rouns' is not an option of any subcommand"),
+        ("rounds = abc\n", "key 'rounds': invalid int value 'abc'"),
+        ("lambda-max = x\n", "key 'lambda-max': invalid float value 'x'"),
+        ("protocol = foo\n", "key 'protocol': invalid choice 'foo' (choose from theta, xy)"),
+        ("angle-points = 4\nformat = xml\n",
+         "key 'format': invalid choice 'xml' (choose from json, csv)"),
+    ):
+        conf.write_text(text)
+        assert _run("verify", "--config", str(conf), "--rounds", "10") == 1
+        assert capsys.readouterr().err == f"error: config file {conf}: {expected}\n"
+
+
+def test_bad_lambda_grid_entry_is_named(capsys):
+    assert _run("curves", "--lambda-grid", "0,abc", "--rounds", "10") == 1
+    assert capsys.readouterr().err == "error: --lambda-grid entry 'abc' is not a number\n"

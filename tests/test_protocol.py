@@ -6,7 +6,6 @@ from scipy import stats as scipy_stats
 
 from ghzverify import adversary, qstate, sources
 from ghzverify.protocol import (
-    HONEST,
     LOSS,
     AngleAssignment,
     PassStats,
@@ -158,18 +157,41 @@ def test_round_with_always_loss_party(rng):
         arms=(adversary.PhaseArm((0.0,), "arc"),),
         lam=1.0,
     )
-    rec = run_round(None, [HONEST, HONEST, always_loss], ProtocolKind.THETA, rng)
+    rec = run_round(None, always_loss, ProtocolKind.THETA, rng)
     assert rec.passed is None
     assert rec.outcomes[2] == LOSS
 
 
 def test_xy_perfect_loss_strategy_round(rng):
     strat = adversary.make_strategy("xy-perfect-loss50", n_parties=3)
-    records = run_rounds(None, [HONEST, HONEST, strat], ProtocolKind.XY, 4000, 17)
+    records = run_rounds(None, strat, ProtocolKind.XY, 4000, 17)
     stats = PassStats.from_records(records)
     assert stats.estimate == 1.0
     assert stats.loss_rates[2] == pytest.approx(0.5, abs=0.03)
     assert stats.loss_rates[0] == stats.loss_rates[1] == 0.0
+
+
+@pytest.mark.parametrize("n,d", [(3, 1), (4, 2)])
+def test_honest_parties_measure_their_own_qubits(n, d):
+    # qubit 1 is |->, every other qubit |+>: at angle t party 0 reports 0 with
+    # probability cos^2(t/2) and party 1 with probability sin^2(t/2)
+    minus = qstate.PureState(1, np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0))
+    source = qstate.tensor(qstate.tensor(qstate.plus_state(1), minus), qstate.plus_state(n - 2))
+    strat = adversary.make_strategy("projective-cheat", n_parties=n, dishonest_count=d, lam=0.0)
+    records = run_rounds(source, strat, ProtocolKind.THETA, 4000, 29 + n)
+    for party, p_zero in ((0, lambda t: np.cos(t / 2) ** 2), (1, lambda t: np.sin(t / 2) ** 2)):
+        p = np.array([p_zero(rec.assignment.angles[party]) for rec in records])
+        zeros = np.array([rec.outcomes[party] == 0 for rec in records])
+        # both laws average 1/2 over uniform angles; each half tells them apart
+        for half in (p < 0.5, p >= 0.5):
+            expected, var = p[half].sum(), np.sum(p[half] * (1 - p[half]))
+            assert abs(zeros[half].sum() - expected) < 4 * np.sqrt(var), party
+
+
+def test_round_rejects_bad_honest_loss(rng):
+    for loss in (-0.5, float("nan"), float("inf"), 1.0, 2.0):
+        with pytest.raises(ValueError, match="honest_loss must lie in"):
+            run_round(ghz_state(3), None, ProtocolKind.THETA, rng, honest_loss=loss)
 
 
 def test_round_record_serialization(rng):
@@ -185,13 +207,6 @@ def test_record_rejects_inconsistent_passed():
     asg = AngleAssignment((0.0, 0.0), ProtocolKind.XY, 0)
     with pytest.raises(ValueError):
         RoundRecord(0, asg, (0, LOSS), 1)
-
-
-def test_mixed_coalition_strategies_rejected(rng):
-    a = adversary.make_strategy("product-guesser", n_parties=3)
-    b = adversary.make_strategy("product-guesser", n_parties=3)
-    with pytest.raises(ValueError):
-        run_round(None, [HONEST, a, b], ProtocolKind.THETA, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +232,7 @@ def test_depolarized_estimate_matches_exact_value():
 def test_optimal_guesser_reaches_xy_cheat_optimum():
     strat = adversary.make_strategy("product-guesser", n_parties=3, theta_prime=np.pi / 4)
     stats = estimate_pass_probability(
-        None, [HONEST, HONEST, strat], ProtocolKind.XY, 20_000, 23
+        None, strat, ProtocolKind.XY, 20_000, 23
     )
     assert abs(stats.estimate - adversary.XY_OPTIMUM) < 4 * stats.stderr
 
@@ -233,7 +248,7 @@ def test_estimate_requires_valid_rounds(rng):
         lam=1.0,
     )
     with pytest.raises(ValueError):
-        estimate_pass_probability(None, [HONEST, always_loss], ProtocolKind.THETA, 50, 1)
+        estimate_pass_probability(None, always_loss, ProtocolKind.THETA, 50, 1)
 
 
 def test_estimate_is_seed_deterministic():

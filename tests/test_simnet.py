@@ -3,7 +3,7 @@ import json
 import pytest
 
 from ghzverify import adversary, protocol, sources
-from ghzverify.protocol import HONEST, LOSS, ProtocolKind
+from ghzverify.protocol import LOSS, ProtocolKind
 from ghzverify.simnet import SessionConfig, audit_loss_pattern, run_session
 
 import oracles
@@ -18,7 +18,7 @@ def _config(**overrides):
         source=sources.SourceModel.ideal(3),
     )
     defaults.update(overrides)
-    return SessionConfig.build(
+    return SessionConfig(
         defaults.pop("n_parties"),
         defaults.pop("kind"),
         defaults.pop("rounds"),
@@ -47,9 +47,26 @@ def test_session_config_validation():
             kind=ProtocolKind.XY,
             rounds=10,
             seed=1,
-            policies=(strat, HONEST, HONEST),
-            verifier=0,
+            strategy=strat,
+            verifier=2,
         )
+
+
+def test_session_config_places_the_strategy_on_the_last_parties():
+    strat = adversary.make_strategy(
+        "theta-rotated-bell", n_parties=4, dishonest_count=2, lam=0.3, theta_prime=0.5
+    )
+    config = SessionConfig(4, "theta", 10, 1, strategy=strat)
+    assert config.kind is ProtocolKind.THETA
+    assert config.dishonest_parties() == (2, 3)
+    doc = config.describe()
+    assert doc["strategy"] == "theta-rotated-bell:lam=0.3,theta-prime=0.5"
+    assert doc["dishonest_parties"] == [2, 3]
+    assert SessionConfig(4, "theta", 10, 1).dishonest_parties() == ()
+    with pytest.raises(ValueError, match="built for 4 parties, the session has 3"):
+        SessionConfig(3, "theta", 10, 1, strategy=strat)
+    with pytest.raises(ValueError, match="source covers 3 parties, the session has 4"):
+        SessionConfig(4, "theta", 10, 1, source=sources.SourceModel.ideal(3))
 
 
 def test_hidden_cheat_passes_undetected():
