@@ -204,7 +204,8 @@ def run_round(
     ``strategy.dishonest_count`` of its ``strategy.n_parties`` parties: it
     supplies the state of the honest parties ``0..k-1`` (measuring its qubits
     of the source if it ``measures_source``), its first member answers for
-    the coalition (possibly with LOSS) and the others report 0.
+    the coalition (possibly with LOSS) and the others report 0; a source given
+    with a strategy must have one qubit per party.
     ``honest_loss`` in [0, 1) is an i.i.d. loss probability applied to honest
     parties, independent of their outcomes.
     """
@@ -217,6 +218,10 @@ def run_round(
     else:
         n = strategy.n_parties
         k = n - strategy.dishonest_count
+        if source is not None and source.n != n:
+            raise ValueError(
+                f"the source has {source.n} qubits but the strategy is for {n} parties"
+            )
     assignment = sample_angles(kind, n, rng)
 
     outcomes: list[Union[int, str]]

@@ -27,9 +27,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NoReturn, Sequence, Union
 
 import numpy as np
+from scipy.linalg.lapack import zpotrf
 
 NORM_TOL = 1e-9
 MAX_PURE_QUBITS = 20
@@ -82,23 +83,44 @@ class PureState:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (2**self.n,):
             raise ValueError(f"expected {2**self.n} amplitudes, got shape {amps.shape}")
+        # written as `not (... <= tol)` so that a NaN fails the test too
         norm = float(np.vdot(amps, amps).real)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state is not normalized: |psi|^2 = {norm}")
+        if not abs(norm - 1.0) <= NORM_TOL:
+            _reject(amps, "state vector", f"state is not normalized: |psi|^2 = {norm}")
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
     def to_density(self) -> "DensityMatrix":
-        return DensityMatrix(self.n, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityMatrix(self.n, _projector(self.amplitudes))
+
+
+def _projector(amps: np.ndarray) -> np.ndarray:
+    """The unvalidated matrix |psi><psi| of a state vector's amplitudes."""
+    return np.outer(amps, amps.conj())
+
+
+def _reject(values: np.ndarray, what: str, message: str) -> NoReturn:
+    """Raise ``message``, or name the non-finite entries that made a
+    tolerance test fail."""
+    if not np.isfinite(values).all():
+        message = f"{what} has non-finite entries"
+    raise ValueError(message)
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """An n-qubit density operator: Hermitian, unit trace, PSD up to tolerance.
 
-    States failing the positivity floor (eigenvalues below -1e-9) are rejected
-    rather than repaired, so numerical corruption fails loudly.
+    Every entry must be finite, the matrix must equal its conjugate transpose
+    within 1e-9 entrywise and its trace must be 1 within 1e-9.  Positivity
+    means no eigenvalue below -1e-9.  It is tested by a Cholesky
+    factorisation of ``rho + 1e-9 * I``, which exists exactly when every
+    eigenvalue of ``rho`` lies above -1e-9, so it judges a matrix as a full
+    diagonalisation would unless the smallest eigenvalue equals -1e-9 to
+    within rounding; like ``eigvalsh`` it reads the lower triangle.  States
+    failing a check are rejected rather than repaired, so numerical
+    corruption fails loudly.
     """
 
     n: int
@@ -111,12 +133,18 @@ class DensityMatrix:
         mat = np.asarray(self.entries, dtype=complex)
         if mat.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix, got shape {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > NORM_TOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
+        # a NaN or infinite entry makes this maximum NaN or infinite
+        if not np.max(np.abs(mat - mat.conj().T)) <= NORM_TOL:
+            _reject(mat, "density matrix", "density matrix is not Hermitian within tolerance")
         tr = float(np.trace(mat).real)
-        if abs(tr - 1.0) > NORM_TOL:
+        if not abs(tr - 1.0) <= NORM_TOL:
             raise ValueError(f"density matrix trace is {tr}, expected 1")
-        if float(np.linalg.eigvalsh(mat)[0]) < -NORM_TOL:
+        # LAPACK factors the transpose, a Fortran-ordered view, in place; its
+        # upper triangle is the transpose of mat's lower one, and a Hermitian
+        # matrix and its transpose have the same eigenvalues
+        shifted = mat.copy()
+        shifted.flat[:: d + 1] += NORM_TOL
+        if zpotrf(shifted.T, lower=0, overwrite_a=1, clean=0)[1] != 0:
             raise ValueError("density matrix has an eigenvalue below -1e-9")
         mat = mat.copy()
         mat.setflags(write=False)
@@ -366,13 +394,20 @@ def fidelity(rho: State, sigma: State) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def apply_channel(rho: DensityMatrix, spec: ChannelSpec) -> DensityMatrix:
-    """Apply a noise channel and return the resulting density matrix."""
-    mat = rho.entries.copy()
+def apply_channel(state: State, spec: ChannelSpec) -> DensityMatrix:
+    """Apply a noise channel and return the resulting density matrix.
+
+    A pure state enters as its projector, which is not validated on its own:
+    only the output is, so preparing a noisy source validates one matrix.
+    """
+    if isinstance(state, PureState):
+        mat = _projector(state.amplitudes)
+    else:
+        mat = state.entries.copy()
     if spec.kind == "ghz-dephasing":
         mat[0, -1] *= 1.0 - spec.value
         mat[-1, 0] *= 1.0 - spec.value
-        return DensityMatrix(rho.n, mat)
-    dim = 2**rho.n
+        return DensityMatrix(state.n, mat)
+    dim = 2**state.n
     mixed = spec.value * mat + (1.0 - spec.value) * np.eye(dim) / dim
-    return DensityMatrix(rho.n, mixed)
+    return DensityMatrix(state.n, mixed)

@@ -135,12 +135,14 @@ def prepare(model: SourceModel) -> DensityMatrix:
     n = model.n
     if model.variant == "ideal-ghz":
         return qstate.ghz_state(n).to_density()
+    # the channels take the GHZ state itself, so the noisy matrix is the
+    # only one validated
     if model.variant == "dephased-ghz":
-        base = qstate.ghz_state(n).to_density()
-        return qstate.apply_channel(base, ChannelSpec.ghz_dephasing(model.params["p"]))
+        spec = ChannelSpec.ghz_dephasing(model.params["p"])
+        return qstate.apply_channel(qstate.ghz_state(n), spec)
     if model.variant == "depolarized-ghz":
-        base = qstate.ghz_state(n).to_density()
-        return qstate.apply_channel(base, ChannelSpec.depolarizing(model.params["v"]))
+        spec = ChannelSpec.depolarizing(model.params["v"])
+        return qstate.apply_channel(qstate.ghz_state(n), spec)
     if model.variant == "biseparable-ghz-plus":
         # the unentangled qubit goes to the last (dishonest) party
         return qstate.tensor(qstate.ghz_state(n - 1), qstate.plus_state(1)).to_density()

@@ -9,6 +9,9 @@ cheat as a sum over those settings.  Each sampler draws its uniforms as the
 sampling contract in ``ghzverify.qstate`` prescribes, so on a shared seed it
 must return the same bits as the package.
 
+The positivity check of a density matrix is a full diagonalisation; the
+package factors the shifted matrix instead.
+
 The cheating strategies are written as one pair of closures each, and the
 session message log as message objects built for every round; on a shared
 seed both must give the package's records, generator states and bytes.
@@ -27,6 +30,16 @@ from ghzverify.protocol import LOSS, xy_valid_settings
 from ghzverify.qstate import DensityMatrix, PureState
 
 SMALL_STATE_DIM = 64
+
+
+# ---------------------------------------------------------------------------
+# state validation
+
+
+def has_eigenvalue_below_floor(mat):
+    """True when the Hermitian matrix that ``mat``'s lower triangle defines has
+    an eigenvalue below ``-NORM_TOL``: the floor ``DensityMatrix`` enforces."""
+    return float(np.linalg.eigvalsh(mat)[0]) < -qstate.NORM_TOL
 
 
 # ---------------------------------------------------------------------------

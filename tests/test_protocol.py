@@ -194,6 +194,13 @@ def test_round_rejects_bad_honest_loss(rng):
             run_round(ghz_state(3), None, ProtocolKind.THETA, rng, honest_loss=loss)
 
 
+def test_round_names_source_and_strategy_arity_mismatch(rng):
+    strat = adversary.make_strategy("projective-cheat", n_parties=4, lam=0.0)
+    with pytest.raises(ValueError) as err:
+        run_round(ghz_state(3), strat, ProtocolKind.THETA, rng)
+    assert str(err.value) == "the source has 3 qubits but the strategy is for 4 parties"
+
+
 def test_round_record_serialization(rng):
     rec = run_round(ghz_state(2), None, ProtocolKind.THETA, rng, index=3)
     doc = json.loads(rec.to_json_line())

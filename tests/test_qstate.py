@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzverify import qstate
 from ghzverify.qstate import (
@@ -73,6 +75,48 @@ def test_density_rejects_negative_eigenvalue():
 def test_density_rejects_wrong_trace():
     with pytest.raises(ValueError):
         DensityMatrix(1, np.eye(2, dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "cls,entries,message",
+    [
+        (PureState, [np.nan, 1.0], "state vector has non-finite entries"),
+        (PureState, [np.inf, 0.0], "state vector has non-finite entries"),
+        (DensityMatrix, [[np.nan, 0.0], [0.0, 1.0]], "density matrix has non-finite entries"),
+        (DensityMatrix, [[0.5, np.nan], [np.nan, 0.5]], "density matrix has non-finite entries"),
+    ],
+)
+def test_states_reject_non_finite_entries(cls, entries, message):
+    with pytest.raises(ValueError) as err:
+        cls(1, np.array(entries, dtype=complex))
+    assert str(err.value) == message
+
+
+# the smallest eigenvalue planted in a random state: either side of the
+# -1e-9 floor by a margin far above rounding, zero, or clearly negative
+PLANTED_MINIMUM = st.one_of(
+    st.sampled_from([0.5e-9, -0.5e-9, 2e-9, -2e-9, 0.0]),
+    st.floats(-0.5, -2e-9),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 7), lowest=PLANTED_MINIMUM, seed=st.integers(0, 2**32 - 1))
+def test_positivity_check_matches_eigenvalue_oracle(n, lowest, seed):
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    rest = rng.random(d - 1) + 1e-3
+    w = np.concatenate([[lowest], rest * (1.0 - lowest) / rest.sum()])
+    mat = (u * w) @ u.conj().T
+    rejected = oracles.has_eigenvalue_below_floor(mat)
+    assert rejected == (lowest < -1e-9)
+    if rejected:
+        with pytest.raises(ValueError) as err:
+            DensityMatrix(n, mat)
+        assert str(err.value) == "density matrix has an eigenvalue below -1e-9"
+    else:
+        DensityMatrix(n, mat)
 
 
 def test_measurement_angle_rejects_out_of_range():

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ghzverify import adversary, qstate
-from ghzverify.qstate import DensityMatrix, ghz_state
+from ghzverify.qstate import ChannelSpec, DensityMatrix, ghz_state
 from ghzverify.sources import (
     SOURCE_KEYS,
     VARIANTS,
@@ -242,3 +242,34 @@ def test_model_keys_round_trip_and_reject_unaccepted_parameters(variant, n, x, p
     assume(pname not in key_params(SOURCE_KEYS[variant]))
     with pytest.raises(ValueError):
         from_key(key + ("," if model.params else ":") + f"{pname}=0.5", n)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_prepare_validates_one_density_matrix(variant, monkeypatch):
+    validated = []
+    check = DensityMatrix.__post_init__
+
+    def counted(self):
+        validated.append(self.n)
+        check(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+    prepare(_FAMILIES[variant](4, 0.3))
+    assert validated == [4]
+
+
+@pytest.mark.parametrize("n", [3, 6, 10])
+def test_noisy_sources_are_bit_identical_to_the_channel_formulas(n):
+    amps = ghz_state(n).amplitudes
+    projector = np.outer(amps, amps.conj())
+    dephased = projector.copy()
+    dephased[0, -1] *= 1.0 - 0.2
+    dephased[-1, 0] *= 1.0 - 0.2
+    depolarized = 0.8 * projector + (1.0 - 0.8) * np.eye(2**n) / 2**n
+    for model, spec, expected in (
+        (SourceModel.dephased(n, 0.2), ChannelSpec.ghz_dephasing(0.2), dephased),
+        (SourceModel.depolarized(n, 0.8), ChannelSpec.depolarizing(0.8), depolarized),
+    ):
+        assert np.array_equal(prepare(model).entries, expected)
+        on_density = qstate.apply_channel(ghz_state(n).to_density(), spec)
+        assert np.array_equal(on_density.entries, expected)
