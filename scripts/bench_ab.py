@@ -6,18 +6,20 @@
 Each pair runs ``benchmarks/run.py`` once in each tree, one after the other;
 even pairs run the base tree first and odd pairs the change tree, so a slow
 phase of the machine does not always fall on the same side.  Both trees run
-the benchmark code of their own checkout with the same workload, seed and
-``--seconds`` (by default ``run_seconds`` from the base tree's
-``BENCHMARK.json``).  The script changes no machine setting.
+the benchmark code of their own checkout with the same workload and seed,
+for the ``run_seconds`` of the base tree's ``BENCHMARK.json``.  The script
+changes no machine setting.
 
 ``BENCH_<label>.json`` holds one entry per workload and seed: every run's
-metrics, each side's median and quartiles per metric and, for each
-end-to-end metric of ``BENCHMARK.json``, how many pairs the change won (ties
-count for neither side) and whether that shows a gain: at least ten pairs,
-a win in at least nine tenths of them and medians further apart than the
-base runs' interquartile range.  An existing file of the same label keeps
-its other entries, and the file is rewritten after every run, so an
-interrupted measurement keeps the runs it finished.
+metrics, each side's median and quartiles per metric and share of failed
+operations and, for each end-to-end metric of ``BENCHMARK.json``, how many
+pairs the change won (ties count for neither side) and whether that shows a
+gain: at least ten pairs, a win in at least nine tenths of them, medians
+further apart than the base runs' interquartile range, every change run
+correct and no larger share of failed operations than the base.  An
+existing file of the same label keeps its other entries, and the file is
+rewritten after every run, so an interrupted measurement keeps the runs it
+finished; the summary covers the completed pairs.
 """
 
 from __future__ import annotations
@@ -55,24 +57,23 @@ def describe(values: list[float]) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
+def failed_share(runs: list[dict]) -> float:
+    return sum(r["failed"] for r in runs) / sum(r["attempted"] for r in runs)
+
+
 def summarize(runs: dict, end_to_end: list[dict]) -> dict:
     """Per-metric medians and quartiles of both sides, and the pair wins of
-    the change on each end-to-end metric."""
-    pairs = min(len(runs["base"]), len(runs["change"]))
-    names = sorted(set().union(*(r["metrics"] for side in SIDES for r in runs[side])))
-    stats = {}
-    for name in names:
-        stats[name] = {
-            side: describe([r["metrics"][name] for r in runs[side] if name in r["metrics"]])
-            for side in SIDES if any(name in r["metrics"] for r in runs[side])
-        }
+    the change on each end-to-end metric.  ``runs`` holds whole pairs."""
+    pairs = len(runs["base"])
+    stats = {name: {side: describe([r["metrics"][name] for r in runs[side]]) for side in SIDES}
+             for name in sorted(runs["base"][0]["metrics"])}
+    failed = {side: failed_share(runs[side]) for side in SIDES}
+    sound = all(r["correct"] for r in runs["change"]) and failed["change"] <= failed["base"]
     wins = {}
     for metric in end_to_end:
         name, lower = metric["name"], metric["better"] == "lower"
-        if name not in stats or pairs == 0:
-            continue
         won = 0
-        for b, c in zip(runs["base"][:pairs], runs["change"][:pairs]):
+        for b, c in zip(runs["base"], runs["change"]):
             vb, vc = b["metrics"][name], c["metrics"][name]
             won += (vc < vb) if lower else (vc > vb)
         base, change = stats[name]["base"], stats[name]["change"]
@@ -83,9 +84,10 @@ def summarize(runs: dict, end_to_end: list[dict]) -> dict:
             "pairs": pairs,
             "change_wins": won,
             "median_change_frac": change["median"] / base["median"] - 1.0,
-            "gain_shown": pairs >= 10 and won >= 0.9 * pairs and gap > base["q3"] - base["q1"],
+            "gain_shown": (sound and pairs >= 10 and won >= 0.9 * pairs
+                           and gap > base["q3"] - base["q1"]),
         }
-    return {"pairs": pairs, "metrics": stats, "end_to_end": wins}
+    return {"pairs": pairs, "failed_share": failed, "metrics": stats, "end_to_end": wins}
 
 
 def main(argv=None) -> int:
@@ -96,14 +98,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json)")
     parser.add_argument("--out-dir", type=Path, default=Path("."))
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
     spec = json.loads((args.base / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     out = args.out_dir / f"BENCH_{args.label}.json"
     doc = json.loads(out.read_text()) if out.exists() else {"label": args.label, "entries": {}}
     doc["environment"] = {
@@ -122,9 +123,10 @@ def main(argv=None) -> int:
             run = run_once(trees[side], args.workload, args.seed, seconds)
             run["pair"], run["first"] = pair, side == order[0]
             entry["runs"][side].append(run)
-            entry["summary"] = summarize(entry["runs"], spec["end_to_end"])
+            if side == order[1]:
+                entry["summary"] = summarize(entry["runs"], spec["end_to_end"])
             out.write_text(json.dumps(doc, indent=2) + "\n")
-            print(f"pair {pair} {side}: wall_s {run['metrics'].get('wall_s')} "
+            print(f"pair {pair} {side}: wall_s {run['metrics']['wall_s']} "
                   f"correct {run['correct']} failed {run['failed']}", flush=True)
     for name, w in entry["summary"]["end_to_end"].items():
         print(f"{name:14s} change wins {w['change_wins']}/{w['pairs']} "

@@ -92,12 +92,7 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
 
     def to_density(self) -> "DensityMatrix":
-        return DensityMatrix(self.n, _projector(self.amplitudes))
-
-
-def _projector(amps: np.ndarray) -> np.ndarray:
-    """The unvalidated matrix |psi><psi| of a state vector's amplitudes."""
-    return np.outer(amps, amps.conj())
+        return DensityMatrix(self.n, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 def _reject(values: np.ndarray, what: str, message: str) -> NoReturn:
@@ -401,7 +396,7 @@ def apply_channel(state: State, spec: ChannelSpec) -> DensityMatrix:
     only the output is, so preparing a noisy source validates one matrix.
     """
     if isinstance(state, PureState):
-        mat = _projector(state.amplitudes)
+        mat = np.outer(state.amplitudes, state.amplitudes.conj())
     else:
         mat = state.entries.copy()
     if spec.kind == "ghz-dephasing":
