@@ -75,13 +75,6 @@ class GhzDecomposition:
     q_theta: float
     overlap: complex
 
-    def reconstruct_honest_first(self) -> np.ndarray:
-        """The original state in honest-first qubit layout."""
-        k = self.coalition.k
-        g0 = qstate.ghz_state(k, self.theta).amplitudes
-        g1 = qstate.ghz_state(k, self.theta + np.pi).amplitudes
-        return np.kron(g0, self.psi_theta) + np.kron(g1, self.psi_theta_pi) + self.chi
-
 
 def _qubit_permutation(arr: np.ndarray, order: Sequence[int]) -> np.ndarray:
     """Relabel qubit order[i] as qubit i of a state vector (rank 1) or a
@@ -389,7 +382,6 @@ STRATEGIES = {
     ),
     "product-guesser": ("{}[:theta-prime=<radians>]", dict(arms=(PhaseArm((0.0,)),))),
 }
-STRATEGY_NAMES = tuple(STRATEGIES)
 
 
 def _syntax(name: str) -> str:

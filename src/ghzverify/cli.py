@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import adversary, analytics, protocol, qstate, simnet, sources
+from . import adversary, analytics, protocol, simnet, sources
 from .protocol import ProtocolKind
 
 
@@ -75,35 +75,34 @@ def _apply_config_file(path: str, commands: dict[str, _Parser]) -> None:
             command.set_defaults(**{dest: value})
 
 
-def _add_common(p: _Parser):
-    p.add_argument("--config", help="key=value defaults file; flags override")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--rounds", type=int, default=6000)
-    p.add_argument("--parties", type=int, default=3)
-    p.add_argument("--protocol", choices=("theta", "xy"), default="theta")
-    p.add_argument("--source", default="ideal-ghz", help="source model key")
-    p.add_argument("--strategy", default="honest", help="strategy key or 'honest'")
-    p.add_argument("--dishonest-count", type=int, default=1)
-    p.add_argument("--lambda-max", type=float, default=0.5)
-    p.add_argument("--honest-loss", type=float, default=0.0)
-    p.add_argument(
-        "--trust",
-        choices=tuple(t.value for t in analytics.TrustModel),
-        default=analytics.TrustModel.DISHONEST_ALLOWED.value,
-    )
-    p.add_argument("--assumed-loss", type=float, default=0.0)
-    p.add_argument("--sigma", type=float, default=3.0)
-    p.add_argument("--out", help="output path (or prefix for session)")
-    p.add_argument("--format", choices=("json", "csv"), default=None)
-
-
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """One parser per subcommand, each taking only the flags it reads."""
     parser = _Parser(prog="ghzverify")
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
     for name in ("verify", "curves", "dishonest-angle-profile", "session"):
         p = sub.add_parser(name)
-        _add_common(p)
+        p.add_argument("--config", help="key=value defaults file; flags override")
+        p.add_argument("--seed", type=int, default=7)
+        p.add_argument("--rounds", type=int, default=6000)
+        p.add_argument("--parties", type=int, default=3)
+        p.add_argument("--out", help="output path (or prefix for session)")
+        if name in ("verify", "session"):
+            p.add_argument("--protocol", choices=("theta", "xy"), default="theta")
+            p.add_argument("--source", default="ideal-ghz", help="source model key")
+            p.add_argument("--strategy", default="honest", help="strategy key or 'honest'")
+            p.add_argument("--dishonest-count", type=int, default=1)
+            p.add_argument("--lambda-max", type=float, default=0.5)
+            p.add_argument("--honest-loss", type=float, default=0.0)
+            p.add_argument(
+                "--trust",
+                choices=tuple(t.value for t in analytics.TrustModel),
+                default=analytics.TrustModel.DISHONEST_ALLOWED.value,
+            )
+            p.add_argument("--assumed-loss", type=float, default=0.0)
+            p.add_argument("--sigma", type=float, default=3.0)
+        else:
+            p.add_argument("--format", choices=("json", "csv"), default="csv")
         if name == "curves":
             p.add_argument("--lambda-grid", default="0,0.1,0.2,0.3,0.4,0.5")
         if name == "dishonest-angle-profile":
@@ -219,29 +218,23 @@ PROFILE_COLUMNS = ("theta", "optimal_pass", "simulated_pass", "simulated_stderr"
 
 def _profile_point(theta_d: float, theta_prime: float, args) -> tuple[float, float]:
     """Simulated pass rate with the dishonest angle pinned to ``theta_d``."""
-    n = args.parties
     # the guesser's state phase is -theta_prime so the pass probability is
     # (1 + |cos(theta_prime - theta_d)|)/2 at each requested angle
     strat = adversary.make_strategy(
-        "product-guesser", n_parties=n, theta_prime=(-theta_prime) % (2 * math.pi)
+        "product-guesser", n_parties=args.parties, theta_prime=(-theta_prime) % (2 * math.pi)
     )
-    passes = 0
-    for i in range(args.rounds):
-        rng = np.random.default_rng((args.seed, 303, round(theta_d * 1e9), i))
-        free = rng.uniform(0.0, np.pi, n - 2)
-        completion = (-(free.sum() + theta_d)) % np.pi
-        angles = tuple(free) + (float(completion), float(theta_d))
-        total = sum(angles)
-        assignment = protocol.AngleAssignment(
-            angles, ProtocolKind.THETA, int(round(total / np.pi)) % 2
+    records = [
+        protocol.run_round(
+            None,
+            strat,
+            ProtocolKind.THETA,
+            np.random.default_rng((args.seed, 303, round(theta_d * 1e9), i)),
+            last_angle=theta_d,
         )
-        side = strat.sample_side_info(rng, None)
-        bits = qstate.sample_outcomes(side.honest_state, angles[:-1], rng)
-        answer = strat.respond(side, (theta_d,))
-        bits.append(answer)
-        passes += protocol.parity_test(assignment, bits)
-    est = passes / args.rounds
-    return est, math.sqrt(est * (1.0 - est) / args.rounds)
+        for i in range(args.rounds)
+    ]
+    st = protocol.PassStats.from_records(records)
+    return st.estimate, st.stderr
 
 
 def cmd_profile(args) -> int:
@@ -290,8 +283,7 @@ def cmd_session(args) -> int:
 
 
 def _emit_rows(rows: list[dict], columns: tuple[str, ...], args):
-    fmt = args.format or "csv"
-    if fmt == "json":
+    if args.format == "json":
         text = json.dumps(rows, sort_keys=True, indent=2)
     else:
         lines = [",".join(columns)]

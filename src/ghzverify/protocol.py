@@ -148,20 +148,40 @@ def _assignment_trusted(
     return asg
 
 
-def sample_angles(kind: ProtocolKind, n: int, rng: np.random.Generator) -> AngleAssignment:
+def _completion(partial: float) -> float:
+    """The angle in [0, pi) that brings ``partial`` to a multiple of pi."""
+    last = float((-partial) % np.pi)
+    return 0.0 if last == np.pi else last  # the remainder can round up to pi
+
+
+def sample_angles(
+    kind: ProtocolKind, n: int, rng: np.random.Generator, *, last_angle: float | None = None
+) -> AngleAssignment:
     """Draw one valid assignment; the last party's angle completes the sum.
 
     theta kind: the first n-1 angles are i.i.d. uniform on [0, pi).
     xy kind: the first n-1 angles are i.i.d. uniform on {0, pi/2} and the last
     one forces an even count of pi/2 entries.
+    ``last_angle`` in [0, pi) pins the last angle of a theta assignment:
+    parties 0..n-3 draw ``rng.uniform(0, pi, n-2)``, party n-2 completes the
+    sum, and the assignment is built through the validating constructor.
     """
     if n < 2:
         raise ValueError(f"need at least 2 parties, got {n}")
     kind = ProtocolKind(kind)
+    if last_angle is not None:
+        if kind is not ProtocolKind.THETA:
+            raise ValueError("last_angle pins a theta assignment; the xy kind takes none")
+        if not 0.0 <= last_angle < np.pi:
+            raise ValueError(f"last_angle must lie in [0, pi), got {last_angle}")
+        free = rng.uniform(0.0, np.pi, n - 2)
+        completion = _completion(free.sum() + last_angle)
+        angles = tuple(float(a) for a in free) + (completion, float(last_angle))
+        return AngleAssignment(angles, kind, int(round(sum(angles) / np.pi)) % 2)
     if kind is ProtocolKind.THETA:
         free = rng.uniform(0.0, np.pi, n - 1)
-        last = (-free.sum()) % np.pi
-        angles = tuple(float(a) for a in free) + (float(last),)
+        last = _completion(free.sum())
+        angles = tuple(float(a) for a in free) + (last,)
         total = free.sum() + last
     else:
         free = rng.integers(0, 2, n - 1)
@@ -196,6 +216,7 @@ def run_round(
     *,
     honest_loss: float = 0.0,
     index: int = 0,
+    last_angle: float | None = None,
 ) -> RoundRecord:
     """Execute one single-shot round and return its record.
 
@@ -208,6 +229,8 @@ def run_round(
     with a strategy must have one qubit per party.
     ``honest_loss`` in [0, 1) is an i.i.d. loss probability applied to honest
     parties, independent of their outcomes.
+    ``last_angle`` pins the last party's theta angle: parties 0..n-3 draw
+    ``rng.uniform(0, pi, n-2)`` and party n-2 completes the sum.
     """
     if not 0.0 <= honest_loss < 1.0:
         raise ValueError(f"honest_loss must lie in [0, 1), got {honest_loss}")
@@ -222,7 +245,7 @@ def run_round(
             raise ValueError(
                 f"the source has {source.n} qubits but the strategy is for {n} parties"
             )
-    assignment = sample_angles(kind, n, rng)
+    assignment = sample_angles(kind, n, rng, last_angle=last_angle)
 
     outcomes: list[Union[int, str]]
     if strategy is None:
@@ -313,15 +336,6 @@ def exact_pass_probability_theta(rho: DensityMatrix) -> float:
     return 0.5 + float(rho.entries[0, -1].real)
 
 
-def xy_valid_settings(n: int) -> list[tuple[float, ...]]:
-    """All 2**(n-1) xy assignments with an even count of pi/2 entries."""
-    settings = []
-    for bits in range(2**n):
-        if bin(bits).count("1") % 2 == 0:
-            settings.append(tuple(((bits >> j) & 1) * (np.pi / 2) for j in range(n)))
-    return settings
-
-
 def exact_pass_probability_xy(rho: DensityMatrix) -> float:
     """Exact pass probability under the xy protocol, the uniform average of
     the per-setting pass probability over all valid xy assignments:
@@ -338,7 +352,7 @@ def exact_pass_probability_xy(rho: DensityMatrix) -> float:
     The average of ``(-1)^{|S|/2} <O_S>`` over the ``2^(n-1)`` settings is
     therefore ``rho[0, N] + rho[N, 0] = 2 Re rho[0, N]`` with ``N = 2^n - 1``.
     """
-    return 0.5 + float(rho.entries[0, -1].real)
+    return exact_pass_probability_theta(rho)
 
 
 def exact_pass_probability(rho: DensityMatrix, kind: ProtocolKind) -> float:

@@ -1,12 +1,10 @@
-"""Small n-qubit state engine: construction, rotation, measurement and noise.
+"""Small n-qubit state engine: construction, measurement and noise.
 
 Conventions used throughout the package:
 
 * Basis index ``i`` encodes qubit ``j`` in bit ``j`` of ``i``; qubit 0 is the
   least significant bit, so ``|1...1>`` sits at index ``2**n - 1``.
 * The rotated GHZ state carries ``e^{+i*phase}`` on ``|1...1>``.
-* ``R_z(theta) = diag(1, e^{-i*theta})``, so rotating every qubit of a GHZ
-  state by angles summing to ``s`` maps its phase to ``phase - s``.
 * The equatorial measurement basis is
   ``|+_t> = (|0> + e^{it}|1>)/sqrt(2)``, ``|-_t> = (|0> - e^{it}|1>)/sqrt(2)``,
   with outcome bit 0 for ``|+_t>``.  The associated observable is
@@ -37,37 +35,14 @@ MAX_PURE_QUBITS = 20
 MAX_DENSITY_QUBITS = 10
 
 
-@dataclass(frozen=True)
-class MeasurementAngle:
-    """An equatorial measurement angle in radians, restricted to [0, pi)."""
-
-    theta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta < np.pi:
-            raise ValueError(f"measurement angle must lie in [0, pi), got {self.theta}")
-
-    def __float__(self) -> float:
-        return float(self.theta)
-
-
-AngleLike = Union[MeasurementAngle, float]
-
-
-def angle_values(angles: Sequence[AngleLike], n: int | None = None) -> np.ndarray:
+def angle_values(angles: Sequence[float], n: int) -> np.ndarray:
     """Normalize a sequence of angles to a float array, validating the range."""
-    if n is not None and len(angles) != n:
+    if len(angles) != n:
         raise ValueError(f"expected {n} angles, got {len(angles)}")
-    try:
-        if min(angles) < 0.0 or max(angles) >= np.pi:
-            raise ValueError("measurement angles must lie in [0, pi)")
-        return np.asarray(angles, dtype=float)
-    except TypeError:
-        # MeasurementAngle objects are not orderable; unwrap them first
-        vals = np.array([float(a) for a in angles], dtype=float)
-        if np.any(vals < 0.0) or np.any(vals >= np.pi):
-            raise ValueError("measurement angles must lie in [0, pi)")
-        return vals
+    # one test per angle, so that a NaN fails wherever it sits
+    if not all(0.0 <= a < np.pi for a in angles):
+        raise ValueError("measurement angles must lie in [0, pi)")
+    return np.asarray(angles, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -189,13 +164,6 @@ def ghz_state(n: int, phase: float = 0.0) -> PureState:
     return PureState(n, amps)
 
 
-def basis_state(n: int, index: int) -> PureState:
-    """The computational basis state |index> on n qubits."""
-    amps = np.zeros(2**n, dtype=complex)
-    amps[index] = 1.0
-    return PureState(n, amps)
-
-
 def plus_state(n: int) -> PureState:
     """The product state |+>^n with uniform real amplitudes."""
     amps = np.full(2**n, 2.0 ** (-n / 2.0), dtype=complex)
@@ -207,12 +175,8 @@ def tensor(low: PureState, high: PureState) -> PureState:
     return PureState(low.n + high.n, np.kron(high.amplitudes, low.amplitudes))
 
 
-def maximally_mixed(n: int) -> DensityMatrix:
-    return DensityMatrix(n, np.eye(2**n, dtype=complex) / 2**n)
-
-
 # ---------------------------------------------------------------------------
-# rotations and measurement
+# measurement
 
 
 @lru_cache(maxsize=32)
@@ -224,15 +188,8 @@ def _bit_table(n: int) -> np.ndarray:
     return bits
 
 
-def rz_all(state: PureState, angles: Sequence[AngleLike]) -> PureState:
-    """Apply R_z(theta_j) = diag(1, e^{-i*theta_j}) to every qubit j."""
-    vals = angle_values(angles, state.n)
-    phases = np.exp(-1j * _bit_table(state.n) @ vals)
-    return PureState(state.n, state.amplitudes * phases)
-
-
 def sample_outcomes(
-    state: State, angles: Sequence[AngleLike], rng: np.random.Generator
+    state: State, angles: Sequence[float], rng: np.random.Generator
 ) -> list[int]:
     """Sample one measurement outcome bit per qubit in the |+-_t> bases.
 
@@ -308,7 +265,7 @@ def _measure_low_qubits(
     return bits, a
 
 
-def setting_pass_probability(rho: DensityMatrix, angles: Sequence[AngleLike]) -> float:
+def setting_pass_probability(rho: DensityMatrix, angles: Sequence[float]) -> float:
     """Exact probability that the outcome parity matches the angle parity.
 
     For angles summing to m*pi this equals

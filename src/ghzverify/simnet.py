@@ -208,12 +208,6 @@ def _audit_party(
 
 
 def audit_records(records: Sequence[RoundRecord], kind: ProtocolKind) -> dict:
-    kind = ProtocolKind(kind)
-    n = records[0].assignment.n if records else 0
-    return {party: _audit_party(records, kind, party) for party in range(n)}
-
-
-def audit_loss_pattern(transcript: Transcript) -> dict:
     """Per-party loss-pattern tests at 1% significance.
 
     xy sessions get a chi-square independence test of loss against requested
@@ -221,7 +215,9 @@ def audit_loss_pattern(transcript: Transcript) -> dict:
     loss-conditioned angles.  Parties with fewer than 100 declared losses are
     reported as insufficient data.
     """
-    return audit_records(transcript.records, transcript.config.kind)
+    kind = ProtocolKind(kind)
+    n = records[0].assignment.n if records else 0
+    return {party: _audit_party(records, kind, party) for party in range(n)}
 
 
 def run_session(config: SessionConfig) -> Transcript:

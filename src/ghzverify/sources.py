@@ -78,18 +78,6 @@ class SourceModel:
         return f"{self.variant}:{inner}"
 
 
-@dataclass(frozen=True)
-class PumpParams:
-    """Pair-source pumping strength: mean pair number and derived amplitude."""
-
-    mean_pairs: float
-    alpha: float
-
-    @classmethod
-    def from_mean_pairs(cls, mean_pairs: float) -> "PumpParams":
-        return cls(float(mean_pairs), alpha_from_mean_pairs(mean_pairs))
-
-
 def alpha_from_mean_pairs(mean_pairs: float) -> float:
     """Emission amplitude from the mean pair number: sqrt(nbar/(nbar+1))."""
     if mean_pairs < 0.0:

@@ -7,7 +7,8 @@ projective measurement, the exact pass probabilities as GHZ-projector
 overlaps and as a sum over the 2**(n-1) xy settings, and the xy-optimal
 cheat as a sum over those settings.  Each sampler draws its uniforms as the
 sampling contract in ``ghzverify.qstate`` prescribes, so on a shared seed it
-must return the same bits as the package.
+must return the same bits as the package.  Basis states, the maximally mixed
+state and the list of xy settings are built here as test inputs.
 
 The positivity check of a density matrix is a full diagonalisation; the
 package factors the shifted matrix instead.
@@ -15,6 +16,10 @@ package factors the shifted matrix instead.
 The cheating strategies are written as one pair of closures each, and the
 session message log as message objects built for every round; on a shared
 seed both must give the package's records, generator states and bytes.
+
+The dishonest-angle profile's rounds are drawn and scored by hand, as the
+command line once did; on a shared seed they must give the package's
+estimates from ``run_round`` with a pinned last angle.
 """
 
 import cmath
@@ -25,11 +30,35 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ghzverify import adversary, qstate
-from ghzverify.protocol import LOSS, xy_valid_settings
+from ghzverify import adversary, protocol, qstate
+from ghzverify.protocol import LOSS
 from ghzverify.qstate import DensityMatrix, PureState
 
 SMALL_STATE_DIM = 64
+
+
+# ---------------------------------------------------------------------------
+# test inputs
+
+
+def basis_state(n, index):
+    """The computational basis state |index> on n qubits."""
+    amps = np.zeros(2**n, dtype=complex)
+    amps[index] = 1.0
+    return PureState(n, amps)
+
+
+def maximally_mixed(n):
+    return DensityMatrix(n, np.eye(2**n, dtype=complex) / 2**n)
+
+
+def xy_valid_settings(n):
+    """All 2**(n-1) xy assignments with an even count of pi/2 entries."""
+    settings = []
+    for bits in range(2**n):
+        if bin(bits).count("1") % 2 == 0:
+            settings.append(tuple(((bits >> j) & 1) * (np.pi / 2) for j in range(n)))
+    return settings
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +234,35 @@ def xy_optimal_pass_probability(psi, coalition):
         decomp = adversary.decompose_vs_ghz(psi, coalition, honest_angle)
         values.append(adversary.helstrom_guess_probability(decomp))
     return float(np.mean(values))
+
+
+# ---------------------------------------------------------------------------
+# the dishonest-angle profile drawn by hand
+
+
+def profile_point(theta_d, theta_prime, n, rounds, seed):
+    """Pass rate and standard error of ``rounds`` product-guesser rounds with
+    the last party's angle pinned to ``theta_d``: parties 0..n-3 draw their
+    angles, party n-2 completes the sum, and the round is scored directly."""
+    strat = adversary.make_strategy(
+        "product-guesser", n_parties=n, theta_prime=(-theta_prime) % (2 * math.pi)
+    )
+    passes = 0
+    for i in range(rounds):
+        rng = np.random.default_rng((seed, 303, round(theta_d * 1e9), i))
+        free = rng.uniform(0.0, np.pi, n - 2)
+        completion = (-(free.sum() + theta_d)) % np.pi
+        angles = tuple(free) + (float(completion), float(theta_d))
+        total = sum(angles)
+        assignment = protocol.AngleAssignment(
+            angles, protocol.ProtocolKind.THETA, int(round(total / np.pi)) % 2
+        )
+        side = strat.sample_side_info(rng, None)
+        bits = qstate.sample_outcomes(side.honest_state, angles[:-1], rng)
+        bits.append(strat.respond(side, (theta_d,)))
+        passes += protocol.parity_test(assignment, bits)
+    est = passes / rounds
+    return est, math.sqrt(est * (1.0 - est) / rounds)
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ def test_decompose_ideal_ghz_any_angle(rng):
 
 
 def test_decompose_all_zeros_state():
-    psi = qstate.basis_state(3, 0)
+    psi = oracles.basis_state(3, 0)
     d = decompose_vs_ghz(psi, _coalition_last(3), 0.0)
     assert d.p_theta == pytest.approx(0.5, abs=1e-12)
     assert d.q_theta == pytest.approx(0.5, abs=1e-12)
@@ -98,7 +98,9 @@ def test_decomposition_reconstructs_state(rng):
         dec = decompose_vs_ghz(psi, coalition, theta)
         norm_budget = dec.p_theta + dec.q_theta + float(np.vdot(dec.chi, dec.chi).real)
         assert norm_budget == pytest.approx(1.0, abs=1e-9)
-        rebuilt = dec.reconstruct_honest_first()
+        g0 = ghz_state(coalition.k, theta).amplitudes
+        g1 = ghz_state(coalition.k, theta + np.pi).amplitudes
+        rebuilt = np.kron(g0, dec.psi_theta) + np.kron(g1, dec.psi_theta_pi) + dec.chi
         assert np.allclose(rebuilt, honest_first_vector(psi, coalition), atol=1e-9)
 
 
@@ -175,7 +177,7 @@ def test_best_dishonest_fidelity_examples():
         0.5, abs=1e-9
     )
     assert best_dishonest_fidelity(
-        qstate.basis_state(3, 0), _coalition_last(3)
+        oracles.basis_state(3, 0), _coalition_last(3)
     ) == pytest.approx(0.5, abs=1e-9)
 
 
@@ -191,7 +193,7 @@ def test_best_dishonest_fidelity_pure_path_matches_partial_trace(rng):
 
 def test_best_dishonest_fidelity_labeled_mixture():
     coalition = _coalition_last(3)
-    mixture = [(0.5, ghz_state(3)), (0.5, qstate.basis_state(3, 0))]
+    mixture = [(0.5, ghz_state(3)), (0.5, oracles.basis_state(3, 0))]
     assert best_dishonest_fidelity(mixture, coalition) == pytest.approx(0.75, abs=1e-9)
     with pytest.raises(ValueError):
         best_dishonest_fidelity([(0.7, ghz_state(3))], coalition)
@@ -293,7 +295,7 @@ def test_make_strategy_rejects_parameters_a_strategy_does_not_take():
 
 
 def test_cheat_strategy_has_no_callable_fields():
-    for name in adversary.STRATEGY_NAMES:
+    for name in adversary.STRATEGIES:
         strat = make_strategy(name, n_parties=4, **STRATEGY_PARAMS[name])
         for f in dataclasses.fields(strat):
             assert not callable(getattr(strat, f.name)), (name, f.name)
@@ -301,7 +303,7 @@ def test_cheat_strategy_has_no_callable_fields():
 
 @settings(max_examples=300, deadline=None)
 @given(
-    name=st.sampled_from(adversary.STRATEGY_NAMES),
+    name=st.sampled_from(tuple(adversary.STRATEGIES)),
     n=st.integers(2, 6),
     d=st.integers(1, 5),
     x=st.floats(0.0, 1.0, exclude_max=True),

@@ -5,6 +5,8 @@ import pytest
 
 from ghzverify.cli import main
 
+import oracles
+
 
 def _run(*argv):
     return main(list(argv))
@@ -112,6 +114,28 @@ def test_profile_matches_cosine_law(tmp_path):
         theta, optimal, simulated, stderr = (float(x) for x in line.split(","))
         assert optimal == pytest.approx(0.5 + 0.5 * abs(np.cos(theta)), abs=1e-12)
         assert abs(simulated - optimal) < max(4 * stderr, 1e-9)
+
+
+@pytest.mark.parametrize("parties", [2, 3, 4])
+@pytest.mark.parametrize("theta_prime", [0.0, 0.7])
+def test_profile_matches_hand_drawn_oracle(parties, theta_prime, tmp_path):
+    out = tmp_path / "profile.csv"
+    code = _run(
+        "dishonest-angle-profile",
+        "--parties", str(parties),
+        "--angle-points", "5",
+        "--rounds", "300",
+        "--seed", "11",
+        "--theta-prime", repr(theta_prime),
+        "--out", str(out),
+    )
+    assert code == 0
+    lines = ["theta,optimal_pass,simulated_pass,simulated_stderr"]
+    for theta in np.linspace(0.0, np.pi, 5, endpoint=False):
+        optimal = 0.5 + 0.5 * abs(np.cos(theta_prime - theta))
+        est, se = oracles.profile_point(float(theta), theta_prime, parties, 300, 11)
+        lines.append(",".join(f"{x:.17g}" for x in (theta, optimal, est, se)))
+    assert out.read_text() == "\n".join(lines) + "\n"
 
 
 def test_profile_grid_average_near_theta_bound(tmp_path):
@@ -230,6 +254,18 @@ def test_bad_config_file_entries_are_named(tmp_path, capsys):
         conf.write_text(text)
         assert _run("verify", "--config", str(conf), "--rounds", "10") == 1
         assert capsys.readouterr().err == f"error: config file {conf}: {expected}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("curves", "--protocol", "xy"), "--protocol xy"),
+        (("verify", "--format", "csv"), "--format csv"),
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_rejected(argv, flag, capsys):
+    assert _run(*argv, "--rounds", "10") == 1
+    assert capsys.readouterr().err == f"error: unrecognized arguments: {flag}\n"
 
 
 def test_bad_lambda_grid_entry_is_named(capsys):

@@ -1,7 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from ghzverify import adversary, qstate, sources
@@ -18,7 +21,6 @@ from ghzverify.protocol import (
     run_round,
     run_rounds,
     sample_angles,
-    xy_valid_settings,
 )
 from ghzverify.qstate import ghz_state, setting_pass_probability
 
@@ -66,6 +68,13 @@ def test_theta_completion():
     assert asg.parity == 1  # 0.5 + 1.0 + (pi - 1.5) = pi
 
 
+def test_theta_completion_that_rounds_to_pi_is_zero():
+    # -1e-17 % pi rounds to pi, which is not a valid angle
+    asg = sample_angles(ProtocolKind.THETA, 2, _ScriptedRng(uniforms=[1e-17]))
+    assert asg.angles == (1e-17, 0.0)
+    assert asg.parity == 0
+
+
 def test_sample_angles_rejects_single_party(rng):
     with pytest.raises(ValueError):
         sample_angles(ProtocolKind.THETA, 1, rng)
@@ -98,6 +107,40 @@ def test_xy_sampler_always_even_half_pi_count(rng):
     for _ in range(2000):
         asg = sample_angles(ProtocolKind.XY, 5, rng)
         assert sum(a > 0 for a in asg.angles) % 2 == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    theta=st.floats(0.0, np.pi, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pinned_last_angle_layout(n, theta, seed):
+    rng = np.random.default_rng(seed)
+    twin = copy.deepcopy(rng)
+    asg = sample_angles(ProtocolKind.THETA, n, rng, last_angle=theta)
+    assert asg.angles[-1] == theta
+    assert asg.angles[:-2] == tuple(twin.uniform(0.0, np.pi, n - 2))
+    assert rng.bit_generator.state == twin.bit_generator.state
+    total = sum(asg.angles)
+    m = round(total / np.pi)
+    assert abs(total - m * np.pi) <= 1e-9
+    assert asg.parity == m % 2
+    assert 0.0 <= asg.angles[-2] < np.pi
+
+
+def test_pinned_last_angle_is_theta_only(rng):
+    for call in (
+        lambda: sample_angles(ProtocolKind.XY, 3, rng, last_angle=0.0),
+        lambda: run_round(ghz_state(3), None, ProtocolKind.XY, rng, last_angle=0.0),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "last_angle pins a theta assignment; the xy kind takes none"
+    for bad in (-0.1, np.pi, np.nan):
+        with pytest.raises(ValueError) as err:
+            sample_angles(ProtocolKind.THETA, 3, rng, last_angle=bad)
+        assert str(err.value) == f"last_angle must lie in [0, pi), got {bad}"
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +337,7 @@ def test_exact_theta_ideal_and_mixed(rng):
         assert exact_pass_probability_theta(ghz_state(n).to_density()) == pytest.approx(
             1.0, abs=1e-12
         )
-        assert exact_pass_probability_theta(qstate.maximally_mixed(n)) == pytest.approx(
+        assert exact_pass_probability_theta(oracles.maximally_mixed(n)) == pytest.approx(
             0.5, abs=1e-12
         )
 
@@ -333,13 +376,13 @@ def test_povm_average_consistency(rng):
 
 def test_exact_xy_enumeration(rng):
     assert exact_pass_probability_xy(ghz_state(3).to_density()) == pytest.approx(1.0)
-    assert exact_pass_probability_xy(qstate.maximally_mixed(3)) == pytest.approx(0.5)
-    assert len(xy_valid_settings(4)) == 8
+    assert exact_pass_probability_xy(oracles.maximally_mixed(3)) == pytest.approx(0.5)
+    assert len(oracles.xy_valid_settings(4)) == 8
     # honest-measurement average for the pi/4-rotated Bell plus an unentangled
     # qubit: two settings at (1+cos(pi/4))/2, two at 1/2
     psi = qstate.tensor(ghz_state(2, np.pi / 4), qstate.plus_state(1))
     values = sorted(
-        setting_pass_probability(psi.to_density(), s) for s in xy_valid_settings(3)
+        setting_pass_probability(psi.to_density(), s) for s in oracles.xy_valid_settings(3)
     )
     assert values[0] == pytest.approx(0.5, abs=1e-12)
     assert values[1] == pytest.approx(0.5, abs=1e-12)

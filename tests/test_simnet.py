@@ -4,7 +4,7 @@ import pytest
 
 from ghzverify import adversary, protocol, sources
 from ghzverify.protocol import LOSS, ProtocolKind
-from ghzverify.simnet import SessionConfig, audit_loss_pattern, run_session
+from ghzverify.simnet import SessionConfig, run_session
 
 import oracles
 
@@ -110,8 +110,6 @@ def test_theta_rotated_bell_loss_pattern_not_flagged():
 def test_audit_insufficient_data_below_100_losses():
     transcript = run_session(_config(rounds=300, honest_loss=0.05))
     assert all(a.status == "insufficient-data" for a in transcript.audits.values())
-    # re-running the audit on the transcript gives the same reports
-    assert audit_loss_pattern(transcript) == transcript.audits
 
 
 def test_loss_cap_flag_raised_when_exceeded():

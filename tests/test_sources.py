@@ -8,7 +8,6 @@ from ghzverify.qstate import ChannelSpec, DensityMatrix, ghz_state
 from ghzverify.sources import (
     SOURCE_KEYS,
     VARIANTS,
-    PumpParams,
     SourceModel,
     alpha_from_mean_pairs,
     calibrate_to_fidelity,
@@ -61,11 +60,6 @@ def test_alpha_from_mean_pairs():
     assert alpha_from_mean_pairs(1.0) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     with pytest.raises(ValueError):
         alpha_from_mean_pairs(-0.1)
-
-
-def test_pump_params_derivation():
-    pump = PumpParams.from_mean_pairs(0.05)
-    assert pump.alpha == alpha_from_mean_pairs(0.05)
 
 
 def test_higher_order_fidelity_values():
