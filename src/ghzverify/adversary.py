@@ -11,6 +11,7 @@ round-by-round response policies.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import qstate
 from .protocol import LOSS
-from .qstate import DensityMatrix, PureState, State
+from .qstate import DensityMatrix, GhzDiagonal, PureState, State
 from .sources import key_number, key_params, reject_unaccepted, split_key
 
 XY_OPTIMUM = math.cos(math.pi / 8) ** 2
@@ -163,7 +164,7 @@ def best_dishonest_fidelity(
     hands the coalition a classical label; the value is then the
     weight-averaged optimum over the components.
     """
-    if not isinstance(state, (PureState, DensityMatrix)):
+    if not isinstance(state, (PureState, DensityMatrix, GhzDiagonal)):
         parts = list(state)
         weights = np.array([w for w, _ in parts], dtype=float)
         if abs(weights.sum() - 1.0) > 1e-9 or np.any(weights < 0):
@@ -354,9 +355,25 @@ def measure_parties(
     """Measure the dishonest parties' qubits of an n-party state in the
     equatorial bases given by ``angles`` (one per dishonest qubit, ascending
     party order) and return (outcome bits, collapsed honest state).  Draws
-    follow the sampling contract in ``qstate``."""
+    follow the sampling contract in ``qstate``.
+
+    On a ``GhzDiagonal`` record every dishonest bit has ``p0 = 1/2``, since an
+    honest qubit stays unmeasured, and the honest state is again a record:
+    its diagonal is the source diagonal summed over the dishonest qubits and
+    its coherence is ``c e^{i*T} (-1)^x``, with ``T`` the sum of ``angles``
+    and ``x`` the XOR of the bits.
+    """
     if len(angles) != coalition.n - coalition.k:
         raise ValueError("need one measurement angle per dishonest qubit")
+    if isinstance(state, GhzDiagonal):
+        bits = [0 if u < 0.5 else 1 for u in rng.random(len(angles)).tolist()]
+        sign = -1.0 if sum(bits) % 2 else 1.0
+        coherence = sign * state.coherence * cmath.exp(1j * sum(angles))
+        # tensor axis a holds qubit n-1-a; the remaining axes keep the honest
+        # qubits in order
+        axes = tuple(state.n - 1 - q for q in coalition.dishonest)
+        diag = state.diagonal.reshape((2,) * state.n).sum(axis=axes).reshape(-1)
+        return bits, qstate._ghz_diagonal_unchecked(coalition.k, diag, coherence)
     pure = isinstance(state, PureState)
     order = sorted(coalition.dishonest) + list(coalition.honest)
     arr = _qubit_permutation(state.amplitudes if pure else state.entries, order)

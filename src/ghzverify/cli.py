@@ -33,13 +33,17 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def parse_strategy_key(key: str, n_parties: int, dishonest_count: int):
+def parse_strategy_key(key: str, n_parties: int, dishonest_count: int | None):
     """Parse ``honest`` or a strategy key like ``name:lam=0.3,theta-prime=0.5``
-    (see ``adversary.from_key``) into a strategy."""
+    (see ``adversary.from_key``) into a strategy.  ``dishonest_count`` defaults
+    to 1 for a cheating strategy and must be None for ``honest``."""
     if key == "honest":
+        if dishonest_count is not None:
+            raise CliError("--dishonest-count needs a cheating --strategy; the strategy is honest")
         return None
     try:
-        return adversary.from_key(key, n_parties, dishonest_count)
+        count = 1 if dishonest_count is None else dishonest_count
+        return adversary.from_key(key, n_parties, count)
     except ValueError as exc:
         raise CliError(f"bad strategy {key!r}: {exc}") from exc
 
@@ -91,7 +95,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
             p.add_argument("--protocol", choices=("theta", "xy"), default="theta")
             p.add_argument("--source", default="ideal-ghz", help="source model key")
             p.add_argument("--strategy", default="honest", help="strategy key or 'honest'")
-            p.add_argument("--dishonest-count", type=int, default=1)
+            p.add_argument("--dishonest-count", type=int, help="default 1 with a cheating strategy")
             p.add_argument("--lambda-max", type=float, default=0.5)
             p.add_argument("--honest-loss", type=float, default=0.0)
             p.add_argument(
@@ -153,11 +157,18 @@ def cmd_verify(args) -> int:
         "dishonest_fidelity": analytics.dishonest_fidelity_bound(stats.estimate),
     }
     _write_or_print(json.dumps(doc, sort_keys=True, indent=2), args.out)
-    print(
+    report = (
         f"verify: estimate={stats.estimate:.6f} +- {stats.stderr:.6f} "
-        f"threshold={v.threshold:.6f} -> {v.decision}",
-        file=sys.stderr,
+        f"threshold={v.threshold:.6f} -> {v.decision}"
     )
+    if transcript.config.strategy is None:
+        # self-check: honest loss is independent of the outcomes, so the
+        # exact value holds for the valid rounds
+        exact = protocol.exact_pass_probability(transcript.state, args.protocol)
+        report += f" exact={exact:.6f}"
+        if stats.stderr > 0.0:
+            report += f" z={(stats.estimate - exact) / stats.stderr:.2f}"
+    print(report, file=sys.stderr)
     return 0 if v.decision == "GME-VERIFIED" else 2
 
 

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence, Union
 import numpy as np
 
 from . import qstate
-from .qstate import DensityMatrix, State
+from .qstate import DensityMatrix, GhzDiagonal, State
 
 if TYPE_CHECKING:
     from .adversary import CheatStrategy
@@ -320,7 +320,7 @@ def estimate_pass_probability(
 # exact pass probabilities
 
 
-def exact_pass_probability_theta(rho: DensityMatrix) -> float:
+def exact_pass_probability_theta(rho: DensityMatrix | GhzDiagonal) -> float:
     """Exact pass probability under uniformly random theta assignments:
     ``1/2 + Re rho[0, 2^n - 1]``.
 
@@ -331,12 +331,14 @@ def exact_pass_probability_theta(rho: DensityMatrix) -> float:
     Writing ``N = 2^n - 1``,
     ``F_0 = (rho[0,0] + rho[N,N])/2 + Re rho[0,N]`` and
     ``F_pi = (rho[0,0] + rho[N,N])/2 - Re rho[0,N]``, so
-    ``F_0 - F_pi = 2 Re rho[0,N]``.
+    ``F_0 - F_pi = 2 Re rho[0,N]``.  A ``GhzDiagonal`` record holds
+    ``rho[0,N]`` as its coherence.
     """
-    return 0.5 + float(rho.entries[0, -1].real)
+    corner = rho.coherence if isinstance(rho, GhzDiagonal) else rho.entries[0, -1]
+    return 0.5 + float(corner.real)
 
 
-def exact_pass_probability_xy(rho: DensityMatrix) -> float:
+def exact_pass_probability_xy(rho: DensityMatrix | GhzDiagonal) -> float:
     """Exact pass probability under the xy protocol, the uniform average of
     the per-setting pass probability over all valid xy assignments:
     ``1/2 + Re rho[0, 2^n - 1]``, the same value as the theta protocol.
@@ -355,7 +357,7 @@ def exact_pass_probability_xy(rho: DensityMatrix) -> float:
     return exact_pass_probability_theta(rho)
 
 
-def exact_pass_probability(rho: DensityMatrix, kind: ProtocolKind) -> float:
+def exact_pass_probability(rho: DensityMatrix | GhzDiagonal, kind: ProtocolKind) -> float:
     kind = ProtocolKind(kind)
     if kind is ProtocolKind.THETA:
         return exact_pass_probability_theta(rho)

@@ -17,6 +17,9 @@ measured qubit consumes exactly one uniform ``u`` from the generator, and
 gives outcome 0 when ``u < p0``, the probability of ``|+_t>`` given the
 outcomes before it.  ``sample_outcomes`` draws ``rng.random(n)`` up front and
 ``measure_parties`` one ``rng.random()`` per qubit, which is the same stream.
+On a ``GhzDiagonal`` record every qubit but the last has ``p0 = 1/2``, and
+the last has ``p0 = 1/2 + (-1)^x Re(c e^{i*T})``, with ``x`` the XOR of the
+bits before it, ``c`` the corner coherence and ``T`` the sum of the angles.
 """
 
 from __future__ import annotations
@@ -103,8 +106,7 @@ class DensityMatrix:
         mat = np.asarray(self.entries, dtype=complex)
         if mat.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix, got shape {mat.shape}")
-        # a NaN or infinite entry makes this maximum NaN or infinite
-        if not np.max(np.abs(mat - mat.conj().T)) <= NORM_TOL:
+        if not _is_hermitian(mat):
             _reject(mat, "density matrix", "density matrix is not Hermitian within tolerance")
         tr = float(np.trace(mat).real)
         if not abs(tr - 1.0) <= NORM_TOL:
@@ -121,7 +123,89 @@ class DensityMatrix:
         object.__setattr__(self, "entries", mat)
 
 
-State = Union[PureState, DensityMatrix]
+# rows per block of the Hermitian test: a block's difference stays near a
+# megabyte at n = 10, where the whole matrix's would take 16 MiB
+_HERMITIAN_BLOCK = 64
+
+
+def _is_hermitian(mat: np.ndarray) -> bool:
+    """True when ``mat`` equals its conjugate transpose within 1e-9 entrywise.
+
+    Rows i..i+B are compared with columns i..i+B from column (row) i on, which
+    covers every pair once and the diagonal; a NaN or infinite entry makes a
+    block's maximum NaN or infinite and fails the test.
+    """
+    d = len(mat)
+    if d <= _HERMITIAN_BLOCK:
+        return bool(np.max(np.abs(mat - mat.conj().T)) <= NORM_TOL)
+    for i in range(0, d, _HERMITIAN_BLOCK):
+        j = i + _HERMITIAN_BLOCK
+        if not np.max(np.abs(mat[i:j, i:] - mat[i:, i:j].conj().T)) <= NORM_TOL:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class GhzDiagonal:
+    """An n-qubit density operator that is diagonal except for the corner
+    coherence ``c = rho[0, 2^n - 1]`` (and its conjugate at ``[2^n - 1, 0]``).
+
+    Ideal, dephased and depolarized GHZ states have this form.  The checks
+    and their messages are those of ``DensityMatrix``: finite entries, a real
+    diagonal (within 1e-9, as the Hermitian test reads it), trace 1 within
+    1e-9 and no eigenvalue below -1e-9.  The spectrum is the diagonal entries
+    1..N-1 with ``N = 2^n - 1`` plus the two eigenvalues of
+    ``[[d_0, c], [conj(c), d_N]]``, so positivity is tested exactly, as
+    ``d + 1e-9 > 0`` for each of them, the condition the Cholesky test of
+    ``DensityMatrix`` decides.  The diagonal is stored as real numbers.
+    """
+
+    n: int
+    diagonal: np.ndarray
+    coherence: complex
+
+    def __post_init__(self):
+        if not 1 <= self.n <= MAX_DENSITY_QUBITS:
+            raise ValueError(f"qubit count must be in [1, {MAX_DENSITY_QUBITS}], got {self.n}")
+        diag = np.asarray(self.diagonal, dtype=complex)
+        if diag.shape != (2**self.n,):
+            raise ValueError(f"expected {2**self.n} diagonal entries, got shape {diag.shape}")
+        c = complex(self.coherence)
+        if not (np.isfinite(diag).all() and cmath.isfinite(c)):
+            raise ValueError("density matrix has non-finite entries")
+        if not np.max(np.abs(2.0 * diag.imag)) <= NORM_TOL:
+            raise ValueError("density matrix is not Hermitian within tolerance")
+        tr = float(diag.sum().real)
+        if not abs(tr - 1.0) <= NORM_TOL:
+            raise ValueError(f"density matrix trace is {tr}, expected 1")
+        diag = diag.real.copy()
+        d0, dn = diag[0], diag[-1]
+        corner_low = 0.5 * (d0 + dn) - math.hypot(0.5 * (d0 - dn), abs(c))
+        if not (corner_low + NORM_TOL > 0.0 and diag[1:-1].min(initial=1.0) + NORM_TOL > 0.0):
+            raise ValueError("density matrix has an eigenvalue below -1e-9")
+        diag.setflags(write=False)
+        object.__setattr__(self, "diagonal", diag)
+        object.__setattr__(self, "coherence", c)
+
+    def to_density(self) -> DensityMatrix:
+        mat = np.diag(self.diagonal).astype(complex)
+        mat[0, -1] += self.coherence
+        mat[-1, 0] += self.coherence.conjugate()
+        return DensityMatrix(self.n, mat)
+
+
+def _ghz_diagonal_unchecked(n: int, diagonal: np.ndarray, coherence: complex) -> GhzDiagonal:
+    """Construct without validating; only for records derived from a
+    validated one by a map that keeps the checks (a channel, a measurement)."""
+    diagonal.setflags(write=False)
+    rec = object.__new__(GhzDiagonal)
+    object.__setattr__(rec, "n", n)
+    object.__setattr__(rec, "diagonal", diagonal)
+    object.__setattr__(rec, "coherence", complex(coherence))
+    return rec
+
+
+State = Union[PureState, DensityMatrix, GhzDiagonal]
 
 
 @dataclass(frozen=True)
@@ -164,6 +248,15 @@ def ghz_state(n: int, phase: float = 0.0) -> PureState:
     return PureState(n, amps)
 
 
+def ghz_diagonal(n: int) -> GhzDiagonal:
+    """The n-qubit GHZ state as a record whose ``to_density()`` equals
+    ``ghz_state(n).to_density()`` entry for entry."""
+    corners = ghz_state(n).amplitudes[[0, -1]]
+    diag = np.zeros(2**n)
+    diag[[0, -1]] = (corners * corners.conj()).real
+    return GhzDiagonal(n, diag, corners[0] * corners[1].conj())
+
+
 def plus_state(n: int) -> PureState:
     """The product state |+>^n with uniform real amplitudes."""
     amps = np.full(2**n, 2.0 ** (-n / 2.0), dtype=complex)
@@ -196,9 +289,18 @@ def sample_outcomes(
     Draws ``rng.random(n)`` and measures the qubits in ascending order with
     ``_measure_low_qubits``; the resulting joint distribution is the full Born
     rule over all 2**n outcome strings.  Outcome 0 corresponds to |+_t>.
+    A ``GhzDiagonal`` record takes the closed form in the module docstring,
+    which gives the bits that kernel gives on ``to_density()``.
     """
     # python floats keep the list loop's scalar arithmetic off numpy scalars
     vals = angle_values(angles, state.n).tolist()
+    if isinstance(state, GhzDiagonal):
+        draws = rng.random(state.n).tolist()
+        bits = [0 if u < 0.5 else 1 for u in draws[:-1]]
+        swing = (state.coherence * cmath.exp(1j * sum(vals))).real
+        p0 = 0.5 - swing if sum(bits) % 2 else 0.5 + swing
+        bits.append(0 if draws[-1] < p0 else 1)
+        return bits
     amps = state.amplitudes if isinstance(state, PureState) else state.entries
     return _measure_low_qubits(amps, vals, rng.random(state.n).tolist())[0]
 
@@ -265,24 +367,30 @@ def _measure_low_qubits(
     return bits, a
 
 
-def setting_pass_probability(rho: DensityMatrix, angles: Sequence[float]) -> float:
+def setting_pass_probability(
+    rho: Union[DensityMatrix, GhzDiagonal], angles: Sequence[float]
+) -> float:
     """Exact probability that the outcome parity matches the angle parity.
 
     For angles summing to m*pi this equals
     ``(1 + (-1)^m * Tr[rho * prod_j (cos(t_j) X_j + sin(t_j) Y_j)]) / 2``.
     The product observable only couples each basis state to its bitwise
-    complement, so the trace reduces to a phase-weighted anti-diagonal sum.
+    complement, so the trace reduces to a phase-weighted anti-diagonal sum;
+    on a ``GhzDiagonal`` record only the corners are nonzero, and the sum is
+    ``2 Re(c e^{i*T})`` with ``c = rho[0, 2^n - 1]`` and ``T`` the angle sum.
     """
     vals = angle_values(angles, rho.n)
     total = float(vals.sum())
     m = int(round(total / np.pi))
     if abs(total - m * np.pi) > NORM_TOL:
         raise ValueError("angle sum must be a multiple of pi within 1e-9")
-    n = rho.n
-    signs = 1 - 2 * _bit_table(n)
-    phases = np.exp(1j * (signs @ vals))
-    anti = np.diag(np.fliplr(rho.entries))
-    expectation = float((anti @ phases).real)
+    if isinstance(rho, GhzDiagonal):
+        expectation = 2.0 * (rho.coherence * cmath.exp(1j * total)).real
+    else:
+        signs = 1 - 2 * _bit_table(rho.n)
+        phases = np.exp(1j * (signs @ vals))
+        anti = np.diag(np.fliplr(rho.entries))
+        expectation = float((anti @ phases).real)
     return 0.5 * (1.0 + (-1) ** (m % 2) * expectation)
 
 
@@ -290,8 +398,12 @@ def setting_pass_probability(rho: DensityMatrix, angles: Sequence[float]) -> flo
 # reduced states, fidelity, channels
 
 
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
+def partial_trace(
+    rho: Union[DensityMatrix, GhzDiagonal], keep: Iterable[int]
+) -> DensityMatrix:
     """Trace out all qubits not in ``keep``; kept qubits keep their order."""
+    if isinstance(rho, GhzDiagonal):
+        rho = rho.to_density()
     kept = sorted(set(int(q) for q in keep))
     if not kept:
         raise ValueError("keep must name at least one qubit")
@@ -331,11 +443,12 @@ def fidelity(rho: State, sigma: State) -> float:
     """Squared Uhlmann fidelity ``Tr[sqrt(sqrt(rho) sigma sqrt(rho))]^2``.
 
     Symmetric in its arguments; reduces to ``|<psi|phi>|^2`` for pure inputs.
-    Pure states are accepted and converted to density operators.
+    Pure states and ``GhzDiagonal`` records are accepted and converted to
+    density matrices.
     """
-    if isinstance(rho, PureState):
+    if not isinstance(rho, DensityMatrix):
         rho = rho.to_density()
-    if isinstance(sigma, PureState):
+    if not isinstance(sigma, DensityMatrix):
         sigma = sigma.to_density()
     if rho.n != sigma.n:
         raise ValueError(f"dimension mismatch: {rho.n} vs {sigma.n} qubits")
@@ -346,20 +459,28 @@ def fidelity(rho: State, sigma: State) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def apply_channel(state: State, spec: ChannelSpec) -> DensityMatrix:
-    """Apply a noise channel and return the resulting density matrix.
+def apply_channel(
+    state: Union[DensityMatrix, GhzDiagonal], spec: ChannelSpec
+) -> Union[DensityMatrix, GhzDiagonal]:
+    """Apply a noise channel to a density matrix or a ``GhzDiagonal`` record
+    and return a state of the same class.
 
-    A pure state enters as its projector, which is not validated on its own:
-    only the output is, so preparing a noisy source validates one matrix.
+    On a record, dephasing scales ``c`` by ``1 - p`` and depolarizing maps
+    ``(d, c)`` to ``(v*d + (1-v)/2^n, v*c)``; both keep a valid record
+    valid, so the output is not validated again.
     """
-    if isinstance(state, PureState):
-        mat = np.outer(state.amplitudes, state.amplitudes.conj())
-    else:
-        mat = state.entries.copy()
+    dim = 2**state.n
+    if isinstance(state, GhzDiagonal):
+        if spec.kind == "ghz-dephasing":
+            diag, c = state.diagonal, state.coherence * (1.0 - spec.value)
+        else:
+            diag = spec.value * state.diagonal + (1.0 - spec.value) / dim
+            c = spec.value * state.coherence
+        return _ghz_diagonal_unchecked(state.n, diag, c)
+    mat = state.entries.copy()
     if spec.kind == "ghz-dephasing":
         mat[0, -1] *= 1.0 - spec.value
         mat[-1, 0] *= 1.0 - spec.value
         return DensityMatrix(state.n, mat)
-    dim = 2**state.n
     mixed = spec.value * mat + (1.0 - spec.value) * np.eye(dim) / dim
     return DensityMatrix(state.n, mixed)

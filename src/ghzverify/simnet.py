@@ -24,7 +24,7 @@ from scipy import stats as scipy_stats
 from . import sources
 from .adversary import CheatStrategy
 from .protocol import LOSS, PassStats, ProtocolKind, RoundRecord, round_rng, run_round
-from .qstate import DensityMatrix, PureState
+from .qstate import State
 
 BROADCAST = -1
 
@@ -45,7 +45,7 @@ class SessionConfig:
     rounds: int
     seed: int
     strategy: CheatStrategy | None = None
-    source: Union[sources.SourceModel, PureState, DensityMatrix, None] = None
+    source: Union[sources.SourceModel, State, None] = None
     verifier: int = 0
     lambda_max: float = 0.5
     honest_loss: float = 0.0
@@ -117,13 +117,15 @@ class PartyAudit:
 
 @dataclass(frozen=True)
 class Transcript:
-    """A session's round records plus everything derived from them."""
+    """A session's round records plus everything derived from them, and the
+    prepared source state the rounds were sampled from (None without one)."""
 
     config: SessionConfig
     records: tuple[RoundRecord, ...]
     stats: PassStats
     loss_flags: tuple[bool, ...]
     audits: dict = field(default_factory=dict)
+    state: State | None = None
 
     def messages(self) -> Iterator[dict]:
         """The message log, derived from the records and the seed.
@@ -257,4 +259,5 @@ def run_session(config: SessionConfig) -> Transcript:
         stats=stats,
         loss_flags=flags,
         audits=audits,
+        state=state,
     )

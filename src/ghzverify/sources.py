@@ -8,7 +8,7 @@ import re
 from dataclasses import dataclass, field
 
 from . import qstate
-from .qstate import ChannelSpec, DensityMatrix
+from .qstate import ChannelSpec, DensityMatrix, GhzDiagonal
 
 VARIANTS = (
     "ideal-ghz",
@@ -118,19 +118,21 @@ def calibrate_to_fidelity(n: int, target: float, family: str) -> SourceModel:
     raise ValueError(f"unknown calibration family {family!r}")
 
 
-def prepare(model: SourceModel) -> DensityMatrix:
-    """Build the density matrix a source of the given model distributes."""
+def prepare(model: SourceModel) -> DensityMatrix | GhzDiagonal:
+    """Build the state a source of the given model distributes: a
+    ``GhzDiagonal`` record for the ideal, dephased, depolarized and
+    higher-order families, a density matrix for the others."""
     n = model.n
     if model.variant == "ideal-ghz":
-        return qstate.ghz_state(n).to_density()
-    # the channels take the GHZ state itself, so the noisy matrix is the
+        return qstate.ghz_diagonal(n)
+    # a channel keeps the validated GHZ record valid, so that record is the
     # only one validated
     if model.variant == "dephased-ghz":
         spec = ChannelSpec.ghz_dephasing(model.params["p"])
-        return qstate.apply_channel(qstate.ghz_state(n), spec)
+        return qstate.apply_channel(qstate.ghz_diagonal(n), spec)
     if model.variant == "depolarized-ghz":
         spec = ChannelSpec.depolarizing(model.params["v"])
-        return qstate.apply_channel(qstate.ghz_state(n), spec)
+        return qstate.apply_channel(qstate.ghz_diagonal(n), spec)
     if model.variant == "biseparable-ghz-plus":
         # the unentangled qubit goes to the last (dishonest) party
         return qstate.tensor(qstate.ghz_state(n - 1), qstate.plus_state(1)).to_density()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ghzverify.qstate import DensityMatrix, PureState
+from ghzverify.qstate import DensityMatrix, GhzDiagonal, PureState
 
 
 def random_pure(n: int, rng: np.random.Generator) -> PureState:
@@ -14,6 +14,15 @@ def random_density(n: int, rng: np.random.Generator) -> DensityMatrix:
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     mat = g @ g.conj().T
     return DensityMatrix(n, mat / np.trace(mat).real)
+
+
+def random_ghz_diagonal(n: int, rng: np.random.Generator) -> GhzDiagonal:
+    """A random record: a positive diagonal and a complex corner coherence
+    of any size the diagonal allows."""
+    diag = rng.random(2**n) + 1e-3
+    diag /= diag.sum()
+    size = rng.random() * np.sqrt(diag[0] * diag[-1])
+    return GhzDiagonal(n, diag, size * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
 
 
 def random_valid_theta_angles(n: int, rng: np.random.Generator) -> list[float]:

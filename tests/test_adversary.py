@@ -32,7 +32,7 @@ from ghzverify.protocol import (
 from ghzverify.qstate import ghz_state, plus_state, tensor
 
 import oracles
-from conftest import random_density, random_pure
+from conftest import random_density, random_ghz_diagonal, random_pure
 
 
 def _coalition_last(n, d=1):
@@ -535,6 +535,28 @@ def test_measure_parties_matches_oracle_for_every_coalition(n, rng):
                 assert type(rest) is type(expected_rest)
                 np.testing.assert_allclose(
                     _entries(rest), _entries(expected_rest), rtol=0, atol=1e-12
+                )
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_measure_parties_on_a_record_matches_the_density_path(n, rng):
+    dephased = sources.prepare(sources.SourceModel.dephased(n, 0.3))
+    for coalition in _coalitions(n):
+        d = n - coalition.k
+        for record in (dephased, random_ghz_diagonal(n, rng), random_ghz_diagonal(n, rng)):
+            for _ in range(10):
+                angles = list(rng.uniform(0, np.pi, d))
+                seed = int(rng.integers(2**32))
+                gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+                bits, rest = measure_parties(record, coalition, angles, gen)
+                dense_bits, dense_rest = measure_parties(
+                    record.to_density(), coalition, angles, twin
+                )
+                assert bits == dense_bits
+                assert gen.bit_generator.state == twin.bit_generator.state
+                assert isinstance(rest, qstate.GhzDiagonal)
+                np.testing.assert_allclose(
+                    rest.to_density().entries, dense_rest.entries, rtol=0, atol=1e-12
                 )
 
 

@@ -271,3 +271,32 @@ def test_flags_a_subcommand_does_not_read_are_rejected(argv, flag, capsys):
 def test_bad_lambda_grid_entry_is_named(capsys):
     assert _run("curves", "--lambda-grid", "0,abc", "--rounds", "10") == 1
     assert capsys.readouterr().err == "error: --lambda-grid entry 'abc' is not a number\n"
+
+
+def test_dishonest_count_with_an_honest_strategy_is_rejected(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("dishonest-count = 2\n")
+    expected = "error: --dishonest-count needs a cheating --strategy; the strategy is honest\n"
+    for argv in (
+        ("session", "--dishonest-count", "3", "--out", str(tmp_path / "s")),
+        ("verify", "--dishonest-count", "0"),
+        ("verify", "--config", str(conf)),
+    ):
+        assert _run(*argv, "--rounds", "5") == 1
+        assert capsys.readouterr().err == expected
+    assert not list(tmp_path.glob("s.*"))
+
+
+def test_verify_reports_the_exact_value_and_z_score_for_an_honest_source(capsys):
+    base = ("verify", "--parties", "4", "--rounds", "400", "--seed", "3")
+    assert _run(*base, "--source", "dephased-ghz:p=0.2") == 0
+    out, err = capsys.readouterr()
+    stats = json.loads(out)["stats"]
+    z = (stats["estimate"] - 0.9) / stats["stderr"]
+    assert err.endswith(f"-> GME-VERIFIED exact=0.900000 z={z:.2f}\n")
+    # every round passes, so the stderr is 0 and no z-score is printed
+    assert _run(*base, "--source", "ideal-ghz") == 0
+    assert capsys.readouterr().err.endswith("-> GME-VERIFIED exact=1.000000\n")
+    # a cheating strategy has no exact value to report
+    assert _run(*base, "--strategy", "xy-rotated-bell", "--protocol", "xy") == 2
+    assert capsys.readouterr().err.endswith("-> INCONCLUSIVE\n")

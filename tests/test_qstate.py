@@ -4,12 +4,16 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghzverify import protocol, qstate
+from ghzverify.adversary import Coalition, best_dishonest_fidelity
 from ghzverify.qstate import (
     ChannelSpec,
     DensityMatrix,
+    GhzDiagonal,
     PureState,
     apply_channel,
     fidelity,
+    ghz_diagonal,
     ghz_state,
     partial_trace,
     plus_state,
@@ -19,7 +23,12 @@ from ghzverify.qstate import (
 )
 
 import oracles
-from conftest import random_density, random_pure, random_valid_theta_angles
+from conftest import (
+    random_density,
+    random_ghz_diagonal,
+    random_pure,
+    random_valid_theta_angles,
+)
 
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -114,6 +123,95 @@ def test_positivity_check_matches_eigenvalue_oracle(n, lowest, seed):
         assert str(err.value) == "density matrix has an eigenvalue below -1e-9"
     else:
         DensityMatrix(n, mat)
+
+
+# n = 8 takes the blockwise comparison; there the entry sits past the first
+# block of rows and columns
+@pytest.mark.parametrize("n,low,high", [(2, 1, 3), (8, 70, 200)])
+@pytest.mark.parametrize("bad", [2e-9, np.nan])
+@pytest.mark.parametrize("upper", [True, False])
+def test_hermitian_test_rejects_asymmetry_in_either_triangle(n, low, high, bad, upper):
+    d = 2**n
+    row, col = (low, high) if upper else (high, low)
+    mat = np.eye(d, dtype=complex) / d
+    mat[row, col] += bad
+    with pytest.raises(ValueError) as err:
+        DensityMatrix(n, mat)
+    expected = "is not Hermitian within tolerance" if bad == 2e-9 else "has non-finite entries"
+    assert str(err.value) == f"density matrix {expected}"
+    mat[col, row] += bad
+    if bad == 2e-9:
+        DensityMatrix(n, mat)
+
+
+def _corner_dense(diag, c):
+    """The dense matrix of a record, built without validating it."""
+    mat = np.diag(np.asarray(diag, dtype=complex))
+    mat[0, -1] += c
+    mat[-1, 0] += np.conj(c)
+    return mat
+
+
+def _verdict(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    in_corner=st.booleans(),
+    lowest=PLANTED_MINIMUM,
+    trace_error=st.sampled_from([0.0, 0.5e-9, -0.5e-9, 2e-9, -2e-9, 0.25]),
+    imaginary=st.sampled_from([0.0, 0.2e-9, 2e-9]),
+    bad=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    bad_in_coherence=st.booleans(),
+)
+def test_ghz_diagonal_checks_match_density_matrix(
+    n, seed, in_corner, lowest, trace_error, imaginary, bad, bad_in_coherence
+):
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    in_corner = in_corner or n == 1
+    w = rng.random(d) + 1e-3
+    middle = None if in_corner else int(rng.integers(1, d - 1))
+    if middle is not None:
+        w[middle] = 0.0
+    diag = (w * (1.0 - lowest) / w.sum()).astype(complex)
+    if middle is None:
+        # the corner block [[d0, c], [c*, dN]] has eigenvalues lowest and mu
+        mu = (diag[0] + diag[-1]).real + trace_error
+        cos2 = rng.random()
+        diag[0], diag[-1] = cos2 * lowest + (1 - cos2) * mu, (1 - cos2) * lowest + cos2 * mu
+        c = np.sqrt(cos2 * (1 - cos2)) * (mu - lowest) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    else:
+        # the corner block stays well inside the positive cone
+        diag[middle] = lowest
+        diag[0] += trace_error
+        c = 0.9 * rng.random() * np.sqrt(diag[0].real * diag[-1].real)
+    diag[-1] += 1j * imaginary
+    if bad is not None:
+        if bad_in_coherence:
+            c = complex(bad, 0.0)
+        else:
+            diag[int(rng.integers(d))] = bad
+    expected = _verdict(lambda: DensityMatrix(n, _corner_dense(diag, c)))
+    assert _verdict(lambda: GhzDiagonal(n, diag, c)) == expected
+    planted_bad = (
+        bad is not None or imaginary > 1e-9 or abs(trace_error) > 1e-9 or lowest < -1e-9
+    )
+    assert (expected is not None) == planted_bad
+
+
+def test_ghz_diagonal_rejects_bad_shapes_and_counts():
+    with pytest.raises(ValueError, match="expected 4 diagonal entries"):
+        GhzDiagonal(2, [0.5, 0.5], 0.0)
+    with pytest.raises(ValueError, match="qubit count must be in"):
+        GhzDiagonal(11, np.full(2**11, 2.0**-11), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +320,9 @@ def test_density_sampling_matches_sequential_oracle(n, rng):
 def test_sampling_contract_one_uniform_per_qubit(rng):
     """sample_outcomes consumes exactly rng.random(n), and qubit 0 reads 0
     exactly when its uniform lies below p0."""
-    for state in (ghz_state(3), random_pure(7, rng), random_density(4, rng)):
+    for state in (
+        ghz_state(3), random_pure(7, rng), random_density(4, rng), random_ghz_diagonal(5, rng)
+    ):
         angles = rng.uniform(0, np.pi, state.n)
         gen, twin = np.random.default_rng(11), np.random.default_rng(11)
         sample_outcomes(state, angles, gen)
@@ -234,6 +334,73 @@ def test_sampling_contract_one_uniform_per_qubit(rng):
         u = np.random.default_rng(seed).random()
         bit = sample_outcomes(plus_state(1), [t], np.random.default_rng(seed))[0]
         assert bit == (0 if u < np.cos(t / 2) ** 2 else 1)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("kind", ["theta", "xy"])
+def test_ghz_diagonal_sampling_matches_density_kernel(n, kind, rng):
+    """Shared seeds give the record's closed form and the projection kernel
+    on its dense matrix the same bits."""
+    records = (
+        ghz_diagonal(n),
+        apply_channel(ghz_diagonal(n), ChannelSpec.ghz_dephasing(float(rng.random()))),
+        apply_channel(ghz_diagonal(n), ChannelSpec.depolarizing(float(rng.random()))),
+        random_ghz_diagonal(n, rng),
+    )
+    for record in records:
+        dense = record.to_density().entries
+        for _ in range(max(20, 2 ** (12 - n))):
+            angles = protocol.sample_angles(kind, n, rng).angles
+            seed = int(rng.integers(2**32))
+            bits = sample_outcomes(record, angles, np.random.default_rng(seed))
+            draws = np.random.default_rng(seed).random(n)
+            assert bits == qstate._measure_low_qubits(dense, angles, draws)[0]
+
+
+def _plain(value):
+    """A function's value as a flat array: states become their dense
+    matrices, and lists the concatenation of their items."""
+    if isinstance(value, list):
+        return np.concatenate([_plain(v).ravel() for v in value])
+    if isinstance(value, GhzDiagonal):
+        value = value.to_density()
+    if isinstance(value, DensityMatrix):
+        value = value.entries
+    return np.asarray(value)
+
+
+# each public function that takes a prepared state, on a state and a generator
+RECORD_FUNCTIONS = {
+    "exact_pass_probability_theta": lambda s, g: protocol.exact_pass_probability_theta(s),
+    "exact_pass_probability_xy": lambda s, g: protocol.exact_pass_probability_xy(s),
+    "exact_pass_probability": lambda s, g: [
+        protocol.exact_pass_probability(s, kind) for kind in ("theta", "xy")
+    ],
+    "setting_pass_probability": lambda s, g: [
+        setting_pass_probability(s, protocol.sample_angles(kind, s.n, g).angles)
+        for kind in ("theta", "xy") for _ in range(5)
+    ],
+    "fidelity": lambda s, g: [fidelity(s, ghz_state(s.n)), fidelity(random_density(s.n, g), s)],
+    "partial_trace": lambda s, g: [partial_trace(s, keep).entries for keep in ([0], [0, s.n - 1])],
+    "best_dishonest_fidelity": lambda s, g: [
+        best_dishonest_fidelity(s, Coalition(s.n, dishonest)) for dishonest in ([0], [s.n - 1])
+    ],
+    "apply_channel": lambda s, g: [
+        apply_channel(s, spec)
+        for spec in (ChannelSpec.ghz_dephasing(0.3), ChannelSpec.depolarizing(0.6))
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_FUNCTIONS))
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_public_functions_agree_on_a_record_and_its_matrix(name, n, rng):
+    function = RECORD_FUNCTIONS[name]
+    for record in (ghz_diagonal(n), random_ghz_diagonal(n, rng)):
+        seed = int(rng.integers(2**32))
+        on_record = function(record, np.random.default_rng(seed))
+        on_matrix = function(record.to_density(), np.random.default_rng(seed))
+        np.testing.assert_allclose(_plain(on_record), _plain(on_matrix), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

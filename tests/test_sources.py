@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ghzverify import adversary, qstate
-from ghzverify.qstate import ChannelSpec, DensityMatrix, ghz_state
+from ghzverify.qstate import ChannelSpec, DensityMatrix, GhzDiagonal, ghz_state
 from ghzverify.sources import (
     SOURCE_KEYS,
     VARIANTS,
@@ -18,6 +18,10 @@ from ghzverify.sources import (
 )
 
 
+# the source families that prepare a GhzDiagonal record
+RECORD_VARIANTS = ("ideal-ghz", "dephased-ghz", "depolarized-ghz", "higher-order-calibrated")
+
+
 def test_prepare_yields_valid_density_matrices():
     models = [
         SourceModel.ideal(3),
@@ -29,8 +33,12 @@ def test_prepare_yields_valid_density_matrices():
     ]
     for model in models:
         rho = prepare(model)
-        assert isinstance(rho, DensityMatrix)
+        record = model.variant in RECORD_VARIANTS
+        assert type(rho) is (GhzDiagonal if record else DensityMatrix)
         assert rho.n == model.n
+        if record:
+            # the dense form passes the density-matrix checks too
+            assert rho.to_density().n == model.n
 
 
 def test_ideal_model_has_unit_fidelity():
@@ -240,16 +248,17 @@ def test_model_keys_round_trip_and_reject_unaccepted_parameters(variant, n, x, p
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_prepare_validates_one_density_matrix(variant, monkeypatch):
+    """One validation of either state class per prepared source."""
     validated = []
-    check = DensityMatrix.__post_init__
+    for cls in (DensityMatrix, GhzDiagonal):
 
-    def counted(self):
-        validated.append(self.n)
-        check(self)
+        def counted(self, check=cls.__post_init__):
+            validated.append((type(self), self.n))
+            check(self)
 
-    monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
-    prepare(_FAMILIES[variant](4, 0.3))
-    assert validated == [4]
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    state = prepare(_FAMILIES[variant](4, 0.3))
+    assert validated == [(type(state), 4)]
 
 
 @pytest.mark.parametrize("n", [3, 6, 10])
@@ -261,9 +270,11 @@ def test_noisy_sources_are_bit_identical_to_the_channel_formulas(n):
     dephased[-1, 0] *= 1.0 - 0.2
     depolarized = 0.8 * projector + (1.0 - 0.8) * np.eye(2**n) / 2**n
     for model, spec, expected in (
+        (SourceModel.ideal(n), None, projector),
         (SourceModel.dephased(n, 0.2), ChannelSpec.ghz_dephasing(0.2), dephased),
         (SourceModel.depolarized(n, 0.8), ChannelSpec.depolarizing(0.8), depolarized),
     ):
-        assert np.array_equal(prepare(model).entries, expected)
-        on_density = qstate.apply_channel(ghz_state(n).to_density(), spec)
-        assert np.array_equal(on_density.entries, expected)
+        assert np.array_equal(prepare(model).to_density().entries, expected)
+        if spec is not None:
+            on_density = qstate.apply_channel(ghz_state(n).to_density(), spec)
+            assert np.array_equal(on_density.entries, expected)
