@@ -11,7 +11,6 @@ round-by-round response policies.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
@@ -357,23 +356,13 @@ def measure_parties(
     party order) and return (outcome bits, collapsed honest state).  Draws
     follow the sampling contract in ``qstate``.
 
-    On a ``GhzDiagonal`` record every dishonest bit has ``p0 = 1/2``, since an
-    honest qubit stays unmeasured, and the honest state is again a record:
-    its diagonal is the source diagonal summed over the dishonest qubits and
-    its coherence is ``c e^{i*T} (-1)^x``, with ``T`` the sum of ``angles``
-    and ``x`` the XOR of the bits.
+    A ``GhzDiagonal`` record is measured in closed form by
+    ``qstate.measure_record``, and the honest state is again a record.
     """
     if len(angles) != coalition.n - coalition.k:
         raise ValueError("need one measurement angle per dishonest qubit")
     if isinstance(state, GhzDiagonal):
-        bits = [0 if u < 0.5 else 1 for u in rng.random(len(angles)).tolist()]
-        sign = -1.0 if sum(bits) % 2 else 1.0
-        coherence = sign * state.coherence * cmath.exp(1j * sum(angles))
-        # tensor axis a holds qubit n-1-a; the remaining axes keep the honest
-        # qubits in order
-        axes = tuple(state.n - 1 - q for q in coalition.dishonest)
-        diag = state.diagonal.reshape((2,) * state.n).sum(axis=axes).reshape(-1)
-        return bits, qstate._ghz_diagonal_unchecked(coalition.k, diag, coherence)
+        return qstate.measure_record(state, sorted(coalition.dishonest), angles, rng)
     pure = isinstance(state, PureState)
     order = sorted(coalition.dishonest) + list(coalition.honest)
     arr = _qubit_permutation(state.amplitudes if pure else state.entries, order)

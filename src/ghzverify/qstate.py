@@ -10,7 +10,8 @@ Conventions used throughout the package:
   with outcome bit 0 for ``|+_t>``.  The associated observable is
   ``cos(t) X + sin(t) Y``.
 
-Sampling contract (``sample_outcomes`` and ``adversary.measure_parties``):
+Sampling contract (``sample_outcomes``, ``measure_record`` and
+``adversary.measure_parties``):
 qubits are measured one at a time in ascending order (for
 ``measure_parties``, the dishonest qubits in ascending party order).  Each
 measured qubit consumes exactly one uniform ``u`` from the generator, and
@@ -132,13 +133,11 @@ def _is_hermitian(mat: np.ndarray) -> bool:
     """True when ``mat`` equals its conjugate transpose within 1e-9 entrywise.
 
     Rows i..i+B are compared with columns i..i+B from column (row) i on, which
-    covers every pair once and the diagonal; a NaN or infinite entry makes a
-    block's maximum NaN or infinite and fails the test.
+    covers every pair once and the diagonal; at most B rows this is one
+    comparison of the whole matrix.  A NaN or infinite entry makes a block's
+    maximum NaN or infinite and fails the test.
     """
-    d = len(mat)
-    if d <= _HERMITIAN_BLOCK:
-        return bool(np.max(np.abs(mat - mat.conj().T)) <= NORM_TOL)
-    for i in range(0, d, _HERMITIAN_BLOCK):
+    for i in range(0, len(mat), _HERMITIAN_BLOCK):
         j = i + _HERMITIAN_BLOCK
         if not np.max(np.abs(mat[i:j, i:] - mat[i:, i:j].conj().T)) <= NORM_TOL:
             return False
@@ -303,6 +302,32 @@ def sample_outcomes(
         return bits
     amps = state.amplitudes if isinstance(state, PureState) else state.entries
     return _measure_low_qubits(amps, vals, rng.random(state.n).tolist())[0]
+
+
+def measure_record(
+    record: GhzDiagonal,
+    qubits: Sequence[int],
+    angles: Sequence[float],
+    rng: np.random.Generator,
+) -> tuple[list[int], GhzDiagonal]:
+    """Measure ``qubits`` (ascending, at least one qubit left unmeasured) of a
+    record in the equatorial bases ``angles`` and return (outcome bits,
+    record of the unmeasured qubits, relabelled from 0 in order).
+
+    With a qubit left unmeasured every bit has ``p0 = 1/2``, so each is
+    ``u < 1/2`` of one ``rng.random()``, as the sampling contract asks.  The
+    remaining diagonal is the record's summed over the measured qubits and
+    its coherence is ``c e^{i*T} (-1)^x``, with ``T`` the sum of ``angles``
+    and ``x`` the XOR of the bits; both keep a valid record valid.
+    """
+    bits = [0 if u < 0.5 else 1 for u in rng.random(len(angles)).tolist()]
+    sign = -1.0 if sum(bits) % 2 else 1.0
+    coherence = sign * record.coherence * cmath.exp(1j * sum(angles))
+    # tensor axis a holds qubit n-1-a; the remaining axes keep the unmeasured
+    # qubits in order
+    axes = tuple(record.n - 1 - q for q in qubits)
+    diag = record.diagonal.reshape((2,) * record.n).sum(axis=axes).reshape(-1)
+    return bits, _ghz_diagonal_unchecked(record.n - len(qubits), diag, coherence)
 
 
 # below this dimension plain python complex arithmetic beats numpy dispatch;

@@ -125,8 +125,8 @@ def test_positivity_check_matches_eigenvalue_oracle(n, lowest, seed):
         DensityMatrix(n, mat)
 
 
-# n = 8 takes the blockwise comparison; there the entry sits past the first
-# block of rows and columns
+# at n = 8 the comparison runs in several blocks of rows; there the entry
+# sits past the first block of rows and columns
 @pytest.mark.parametrize("n,low,high", [(2, 1, 3), (8, 70, 200)])
 @pytest.mark.parametrize("bad", [2e-9, np.nan])
 @pytest.mark.parametrize("upper", [True, False])
@@ -355,6 +355,28 @@ def test_ghz_diagonal_sampling_matches_density_kernel(n, kind, rng):
             bits = sample_outcomes(record, angles, np.random.default_rng(seed))
             draws = np.random.default_rng(seed).random(n)
             assert bits == qstate._measure_low_qubits(dense, angles, draws)[0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_measure_record_matches_density_kernel_on_low_qubits(n, rng):
+    """Measuring qubits 0..m-1 of a record gives the kernel's bits on its
+    dense matrix, the same draws, and the kernel's remaining state."""
+    for record in (ghz_diagonal(n), random_ghz_diagonal(n, rng)):
+        dense = record.to_density().entries
+        for m in range(1, n):
+            for _ in range(10):
+                angles = list(rng.uniform(0, np.pi, m))
+                seed = int(rng.integers(2**32))
+                gen = np.random.default_rng(seed)
+                bits, rest = qstate.measure_record(record, range(m), angles, gen)
+                draws = np.random.default_rng(seed).random(m)
+                dense_bits, dense_rest = qstate._measure_low_qubits(dense, angles, draws)
+                assert bits == dense_bits
+                assert gen.random() == np.random.default_rng(seed).random(m + 1)[m]
+                assert isinstance(rest, GhzDiagonal) and rest.n == n - m
+                np.testing.assert_allclose(
+                    rest.to_density().entries, dense_rest, rtol=0, atol=1e-12
+                )
 
 
 def _plain(value):
