@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from . import qstate
-from .protocol import LOSS
 from .qstate import DensityMatrix, GhzDiagonal, PureState, State
 from .sources import key_number, key_params, reject_unaccepted, split_key
 
@@ -76,17 +75,6 @@ class GhzDecomposition:
     overlap: complex
 
 
-def _qubit_permutation(arr: np.ndarray, order: Sequence[int]) -> np.ndarray:
-    """Relabel qubit order[i] as qubit i of a state vector (rank 1) or a
-    density matrix (rank 2)."""
-    n = len(order)
-    # tensor axis a of each index group holds qubit n-1-a
-    axes = [n - 1 - old for old in reversed(order)]
-    if arr.ndim == 2:
-        axes += [n + a for a in axes]
-    return arr.reshape((2,) * (arr.ndim * n)).transpose(axes).reshape(arr.shape)
-
-
 def honest_first_vector(psi: PureState, coalition: Coalition) -> np.ndarray:
     """Amplitudes reindexed so honest parties occupy the high qubits.
 
@@ -94,7 +82,7 @@ def honest_first_vector(psi: PureState, coalition: Coalition) -> np.ndarray:
     dishonest basis index, each group keeping ascending party order.
     """
     order = sorted(coalition.dishonest) + list(coalition.honest)
-    return _qubit_permutation(psi.amplitudes, order)
+    return qstate.permute_qubits(psi.amplitudes, order)
 
 
 def _honest_matrix(psi: PureState, coalition: Coalition) -> np.ndarray:
@@ -246,15 +234,6 @@ def xy_cheat_pass_curve(lam: float) -> float:
 # concrete strategies
 
 
-class SideInfo(NamedTuple):
-    """One round's coalition data: the GHZ phase of the honest parties'
-    state, the loss rule the coalition answers by, and that state."""
-
-    phase: float
-    loss_mode: str  # "none" | "xy-basis" | "arc"
-    honest_state: State
-
-
 @dataclass(frozen=True)
 class PhaseArm:
     """A table of GHZ phases (offsets from theta_prime), one drawn uniformly
@@ -299,75 +278,81 @@ class CheatStrategy:
         )
         return f"{self.name}:{inner}" if inner else self.name
 
-    def sample_side_info(self, rng: np.random.Generator, source: State | None) -> SideInfo:
-        """Prepare one round, drawing as ``make_strategy`` documents."""
-        if self.measures_source and source is None:
-            raise ValueError(f"{self.name} needs a source state to measure")
-        arm = self.arms[0]
-        if len(self.arms) > 1 and not rng.random() < 2.0 * self.lam:
-            arm = self.arms[1]
-        phases = arm.phases
-        i = rng.integers(0, len(phases)) if len(phases) > 1 else 0
-        phase = self.theta_prime + phases[i]
+    def draw_side(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The arm (m,) and the GHZ phase ``phi`` (m,) of m rounds, drawing as
+        ``make_strategy`` documents: an arm, a phase index and a mask, each
+        an (m,) draw made only where the strategy has a choice."""
+        arm = np.zeros(m, dtype=np.int64)
+        if len(self.arms) > 1:
+            arm[rng.random(m) >= 2.0 * self.lam] = 1
+        sizes = np.array([len(a.phases) for a in self.arms])
+        table = np.zeros((len(self.arms), sizes.max()))
+        for i, a in enumerate(self.arms):
+            table[i, : sizes[i]] = a.phases
+        index = rng.integers(0, sizes[arm]) if sizes.max() > 1 else np.zeros(m, dtype=np.int64)
+        phase = self.theta_prime + table[arm, index]
         if self.masked:
-            phase = (phase + rng.uniform(0.0, math.pi)) % (2.0 * math.pi)
-        k = self.n_parties - self.dishonest_count
-        if not self.measures_source:
-            return SideInfo(phase, arm.loss_mode, qstate.ghz_state(k, phase))
-        # measuring the first dishonest qubit at -phi (mod pi) and the others
-        # at 0 leaves GHZ_k(phi) up to a flip by pi per outcome 1 and per
-        # mod-pi wraparound of that angle
-        target = (-phase) % (2.0 * math.pi)
-        meas = [target % math.pi] + [0.0] * (self.dishonest_count - 1)
-        wrap = round((target - meas[0]) / math.pi)
-        coalition = Coalition(self.n_parties, range(k, self.n_parties))
-        bits, honest_state = measure_parties(source, coalition, meas, rng)
-        phase = (phase + ((sum(bits) + wrap) % 2) * math.pi) % (2.0 * math.pi)
-        return SideInfo(phase, arm.loss_mode, honest_state)
+            phase = (phase + rng.uniform(0.0, math.pi, m)) % (2.0 * math.pi)
+        return arm, phase
 
-    def respond(self, side: SideInfo, angles: tuple[float, ...]) -> Union[int, str]:
-        """Answer the likelier parity, or declare loss.
+    def play(
+        self,
+        source: State | None,
+        arm: np.ndarray,
+        phase: np.ndarray,
+        angles: np.ndarray,
+        draws: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Outcome bits (m, n) of the honest parties and the coalition, and
+        the coalition's declared losses (m,), for rounds with the given arms,
+        phases, angles (m, n) and measurement uniforms (m, n).
 
-        With the honest parties holding a rotated GHZ state of phase ``phi``
-        and the coalition asked angles summing to ``t``, answering bit
-        ``[cos(t + phi) < 0]`` passes with probability
+        The honest parties measure ``GHZ_k(phi)``, a record with coherence
+        ``e^{-i*phi}/2``, with ``draws[:, :k]``.  A strategy that
+        ``measures_source`` instead measures its first qubit of the source
+        at ``-phi`` (mod pi) and its others at 0, then the honest qubits, with
+        ``draws[:, :d]`` and ``draws[:, d:]``: that leaves ``GHZ_k(phi)`` up
+        to a flip by pi per outcome 1 and per mod-pi wraparound of the first
+        angle, and the coalition answers by the flipped phase.
+
+        With requested angles summing to ``t``, the coalition answers bit
+        ``[cos(t + phi) < 0]``, which passes with probability
         ``(1 + |cos(t + phi)|)/2``.  Loss modes: "xy-basis" declares loss
-        whenever the request is not aligned with the state (|cos| below 1/2),
-        "arc" declares loss on a half-open arc of width lam*pi centred on the
-        alignment minimum.
+        whenever the request is not aligned with the state (|cos| below
+        1/2), "arc" declares loss on a half-open arc of width lam*pi centred
+        on the alignment minimum.
         """
-        t = float(sum(angles))
-        alignment = math.cos(t + side.phase)
-        if side.loss_mode == "xy-basis":
-            if abs(alignment) < 0.5:
-                return LOSS
-        elif side.loss_mode == "arc":
-            offset = (t + side.phase) % math.pi - math.pi / 2.0
-            if -self.lam * math.pi / 2.0 <= offset < self.lam * math.pi / 2.0:
-                return LOSS
-        return 0 if alignment >= 0.0 else 1
-
-
-def measure_parties(
-    state: State, coalition: Coalition, angles: Sequence[float], rng: np.random.Generator
-) -> tuple[list[int], State]:
-    """Measure the dishonest parties' qubits of an n-party state in the
-    equatorial bases given by ``angles`` (one per dishonest qubit, ascending
-    party order) and return (outcome bits, collapsed honest state).  Draws
-    follow the sampling contract in ``qstate``.
-
-    A ``GhzDiagonal`` record is measured in closed form by
-    ``qstate.measure_record``, and the honest state is again a record.
-    """
-    if len(angles) != coalition.n - coalition.k:
-        raise ValueError("need one measurement angle per dishonest qubit")
-    if isinstance(state, GhzDiagonal):
-        return qstate.measure_record(state, sorted(coalition.dishonest), angles, rng)
-    pure = isinstance(state, PureState)
-    order = sorted(coalition.dishonest) + list(coalition.honest)
-    arr = _qubit_permutation(state.amplitudes if pure else state.entries, order)
-    bits, rest = qstate._measure_low_qubits(arr, angles, rng.random(len(angles)))
-    return bits, (PureState if pure else DensityMatrix)(coalition.k, rest)
+        m, n = angles.shape
+        d = self.dishonest_count
+        k = n - d
+        bits = np.zeros((m, n), dtype=np.int8)
+        if self.measures_source:
+            if source is None:
+                raise ValueError(f"{self.name} needs a source state to measure")
+            target = (-phase) % (2.0 * math.pi)
+            meas = np.zeros((m, d))
+            meas[:, 0] = target % math.pi
+            wrap = np.rint((target - meas[:, 0]) / math.pi)
+            order = list(range(k, n)) + list(range(k))
+            seq = qstate.sample_rows(source, np.hstack([meas, angles[:, :k]]), draws, order)
+            bits[:, :k] = seq[:, d:]
+            flips = (seq[:, :d].sum(axis=1) + wrap) % 2
+            phase = (phase + flips * math.pi) % (2.0 * math.pi)
+        else:
+            coherence = 0.5 * np.exp(-1j * phase)
+            bits[:, :k] = qstate.sample_record(coherence, angles[:, :k], draws[:, :k])
+        total = angles[:, k:].sum(axis=1) + phase
+        alignment = np.cos(total)
+        lost = np.zeros(m, dtype=bool)
+        for i, a in enumerate(self.arms):
+            if a.loss_mode == "xy-basis":
+                lost |= (arm == i) & (np.abs(alignment) < 0.5)
+            elif a.loss_mode == "arc":
+                offset = total % math.pi - math.pi / 2.0
+                half = self.lam * math.pi / 2.0
+                lost |= (arm == i) & (-half <= offset) & (offset < half)
+        bits[:, k] = alignment < 0.0
+        return bits, lost
 
 
 _XY_LOSS50 = PhaseArm(_BELL_PHASES, "xy-basis")
@@ -407,36 +392,37 @@ def make_strategy(
     """Build a named cheating strategy for a coalition of the given size.
 
     Available strategies (k = number of honest parties), with the draws
-    ``sample_side_info`` makes per round, in order:
+    ``CheatStrategy.draw_side`` makes for a block of m rounds, in order:
 
     * ``xy-perfect-loss50`` -- the source sends one of four coordinated
       Bell-type states uniformly at random; the coalition answers only when
       its requested basis matches, declaring loss otherwise.  Passes every
       valid round at 50% declared loss, with basis-balanced answers and
-      losses.  Draws ``integers(0, 4)``.
+      losses.  Draws ``integers(0, 4, m)``.
     * ``xy-naive-loss`` -- the unmixed version of the above (always the same
       state, loss always on the mismatched basis); detectable by the audit.
       Draws nothing.
     * ``xy-rotated-bell`` -- pi/4-rotated state with a random multiple-of-pi/2
       masking offset; never declares loss and passes at cos^2(pi/8).  Draws
-      ``integers(0, 4)``.
+      ``integers(0, 4, m)``.
     * ``xy-mixed`` (lam) -- probabilistic mixture: with probability 2*lam play
-      xy-perfect-loss50, otherwise xy-rotated-bell.  Draws ``random()``, then
-      ``integers(0, 4)`` for the arm it picked.
+      xy-perfect-loss50, otherwise xy-rotated-bell.  Draws ``random(m)``
+      (arm 0 below 2*lam), then ``integers(0, sizes[arm])``, a phase index
+      per row in its arm's table of 4.
     * ``theta-rotated-bell`` (lam, theta_prime) -- rotated state with a fresh
       uniform masking rotation each round; declares loss on the width-lam*pi
       arc of requested angles where the pass probability is lowest, so
       declared-loss angles stay uniform over rounds.  Draws
-      ``uniform(0, pi)``.
+      ``uniform(0, pi, m)``.
     * ``projective-cheat`` (lam, theta_prime) -- measures the coalition's
       qubits of the (possibly noisy) source state to steer the honest parties
       into a rotated non-GME state, then plays theta-rotated-bell's rule.
-      Draws ``uniform(0, pi)``, then one uniform per dishonest qubit through
-      ``measure_parties``.
+      Draws ``uniform(0, pi, m)``; its dishonest qubits take the first d of
+      each row's measurement uniforms (``play``).
     * ``product-guesser`` (theta_prime) -- fixed rotated state, no loss,
       always answers the likelier parity.  Draws nothing.
 
-    ``respond`` draws nothing.  ``lam`` is required where listed; passing a
+    ``play`` draws nothing.  ``lam`` is required where listed; passing a
     parameter a strategy does not take is an error.
     """
     syntax = _syntax(name)

@@ -141,6 +141,21 @@ def _run_session(args) -> simnet.Transcript:
     return simnet.run_session(config)
 
 
+def _self_check(transcript: simnet.Transcript) -> str:
+    """`` exact=<p> z=<z>`` for an honest strategy, with ``z`` left out when
+    the stderr is 0; empty for a cheating strategy, which has no exact value.
+    Honest loss is independent of the outcomes, so the exact value holds for
+    the valid rounds."""
+    if transcript.config.strategy is not None:
+        return ""
+    stats = transcript.stats
+    exact = protocol.exact_pass_probability(transcript.state, transcript.config.kind)
+    check = f" exact={exact:.6f}"
+    if stats.stderr > 0.0:
+        check += f" z={(stats.estimate - exact) / stats.stderr:.2f}"
+    return check
+
+
 def cmd_verify(args) -> int:
     transcript = _run_session(args)
     stats = transcript.stats
@@ -161,14 +176,7 @@ def cmd_verify(args) -> int:
         f"verify: estimate={stats.estimate:.6f} +- {stats.stderr:.6f} "
         f"threshold={v.threshold:.6f} -> {v.decision}"
     )
-    if transcript.config.strategy is None:
-        # self-check: honest loss is independent of the outcomes, so the
-        # exact value holds for the valid rounds
-        exact = protocol.exact_pass_probability(transcript.state, args.protocol)
-        report += f" exact={exact:.6f}"
-        if stats.stderr > 0.0:
-            report += f" z={(stats.estimate - exact) / stats.stderr:.2f}"
-    print(report, file=sys.stderr)
+    print(report + _self_check(transcript), file=sys.stderr)
     return 0 if v.decision == "GME-VERIFIED" else 2
 
 
@@ -234,17 +242,15 @@ def _profile_point(theta_d: float, theta_prime: float, args) -> tuple[float, flo
     strat = adversary.make_strategy(
         "product-guesser", n_parties=args.parties, theta_prime=(-theta_prime) % (2 * math.pi)
     )
-    records = [
-        protocol.run_round(
-            None,
-            strat,
-            ProtocolKind.THETA,
-            np.random.default_rng((args.seed, 303, round(theta_d * 1e9), i)),
-            last_angle=theta_d,
-        )
-        for i in range(args.rounds)
-    ]
-    st = protocol.PassStats.from_records(records)
+    rounds = protocol.run_rounds(
+        None,
+        strat,
+        ProtocolKind.THETA,
+        args.rounds,
+        np.random.default_rng((args.seed, 303, round(theta_d * 1e9))),
+        last_angle=theta_d,
+    )
+    st = protocol.PassStats.from_records(rounds)
     return st.estimate, st.stderr
 
 
@@ -287,7 +293,7 @@ def cmd_session(args) -> int:
     print(
         f"session: estimate={transcript.stats.estimate:.6f} "
         f"loss_rates={[f'{r:.3f}' for r in transcript.stats.loss_rates]} "
-        f"audit_flags={flagged}",
+        f"audit_flags={flagged}" + _self_check(transcript),
         file=sys.stderr,
     )
     return 0
@@ -316,6 +322,8 @@ def main(argv=None) -> int:
         if known.config:
             _apply_config_file(known.config, commands)
         args = parser.parse_args(argv)
+        if args.seed < 0:
+            raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
         handler = {
             "verify": cmd_verify,
             "curves": cmd_curves,

@@ -6,6 +6,11 @@ measurement at an angle chosen by the Verifier (angles sum to a multiple of
 pi), and passes when the XOR of the reported outcome bits equals the parity
 of that multiple.  Rounds with a declared loss are aborted and excluded from
 the pass-rate denominator.
+
+Rounds run in blocks of ``B`` rows with one random stream per block,
+``(seed, block)``; ``run_block`` states the order of a block's draws.  Angles,
+side information, uniforms, outcomes and pass bits are arrays over the rows
+(``Rounds``), and a ``RoundRecord`` is built only when a row is read.
 """
 
 from __future__ import annotations
@@ -88,6 +93,42 @@ class RoundRecord:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
 
+@dataclass(frozen=True, eq=False)
+class Rounds(Sequence[RoundRecord]):
+    """The rounds of a run as arrays, one row per round.
+
+    ``angles`` (m, n) and ``parity`` (m,) are the assignments, ``bits``
+    (m, n) the outcome bits (0 for the coalition members that answer
+    nothing), ``lost`` (m, n) the declared losses, which stand for the bits
+    beneath them in records, and ``passed`` (m,) the pass bits, which count
+    only in rounds without loss.  Indexing builds the ``RoundRecord`` of a
+    row, numbered from ``start``; a slice gives a tuple of them.
+    """
+
+    kind: ProtocolKind
+    angles: np.ndarray
+    parity: np.ndarray
+    bits: np.ndarray
+    lost: np.ndarray
+    passed: np.ndarray
+    start: int = 0
+
+    def __len__(self) -> int:
+        return len(self.angles)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        i = range(len(self))[i]
+        lost = self.lost[i].tolist()
+        outcomes = tuple(LOSS if l else b for b, l in zip(self.bits[i].tolist(), lost))
+        assignment = AngleAssignment(
+            tuple(self.angles[i].tolist()), self.kind, int(self.parity[i])
+        )
+        passed = None if any(lost) else int(self.passed[i])
+        return RoundRecord(self.start + i, assignment, outcomes, passed)
+
+
 @dataclass(frozen=True)
 class PassStats:
     """Aggregated pass statistics over a batch of rounds."""
@@ -99,24 +140,17 @@ class PassStats:
     loss_rates: tuple[float, ...]
 
     @classmethod
-    def from_records(cls, records: Sequence[RoundRecord]) -> "PassStats":
-        if not records:
+    def from_records(cls, records: Rounds) -> "PassStats":
+        if not len(records):
             raise ValueError("no rounds to aggregate")
-        n = records[0].assignment.n
-        losses = [0] * n
-        valid = passes = 0
-        for rec in records:
-            for j, o in enumerate(rec.outcomes):
-                if o == LOSS:
-                    losses[j] += 1
-            if rec.passed is not None:
-                valid += 1
-                passes += rec.passed
+        valid_rows = ~records.lost.any(axis=1)
+        valid = int(valid_rows.sum())
         if valid == 0:
             raise ValueError("pass probability is undefined: every round had loss")
+        passes = int(records.passed[valid_rows].sum())
         est = passes / valid
         stderr = float(np.sqrt(est * (1.0 - est) / valid))
-        rates = tuple(l / len(records) for l in losses)
+        rates = tuple(l / len(records) for l in records.lost.sum(axis=0).tolist())
         return cls(valid, passes, est, stderr, rates)
 
     def to_json_dict(self) -> dict:
@@ -130,82 +164,117 @@ class PassStats:
 
 
 # ---------------------------------------------------------------------------
-# angle sampling and the parity test
+# angle sampling
 
 
-def _assignment_trusted(
-    angles: tuple[float, ...], kind: ProtocolKind, parity: int
-) -> AngleAssignment:
-    """Construct without revalidating; only for values built to the invariant.
-
-    The sampler produces millions of assignments per run; its output is
-    invariant-checked by property tests instead of per instance.
-    """
-    asg = object.__new__(AngleAssignment)
-    object.__setattr__(asg, "angles", angles)
-    object.__setattr__(asg, "kind", kind)
-    object.__setattr__(asg, "parity", parity)
-    return asg
+def _completion(partial: np.ndarray) -> np.ndarray:
+    """The angles in [0, pi) that bring ``partial`` to multiples of pi."""
+    last = np.mod(-partial, np.pi)
+    return np.where(last == np.pi, 0.0, last)  # the remainder can round up to pi
 
 
-def _completion(partial: float) -> float:
-    """The angle in [0, pi) that brings ``partial`` to a multiple of pi."""
-    last = float((-partial) % np.pi)
-    return 0.0 if last == np.pi else last  # the remainder can round up to pi
-
-
-def sample_angles(
-    kind: ProtocolKind, n: int, rng: np.random.Generator, *, last_angle: float | None = None
-) -> AngleAssignment:
-    """Draw one valid assignment; the last party's angle completes the sum.
-
-    theta kind: the first n-1 angles are i.i.d. uniform on [0, pi).
-    xy kind: the first n-1 angles are i.i.d. uniform on {0, pi/2} and the last
-    one forces an even count of pi/2 entries.
-    ``last_angle`` in [0, pi) pins the last angle of a theta assignment:
-    parties 0..n-3 draw ``rng.uniform(0, pi, n-2)``, party n-2 completes the
-    sum, and the assignment is built through the validating constructor.
-    """
+def _angle_block(
+    kind: ProtocolKind, n: int, m: int, rng: np.random.Generator, last_angle: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Angles (m, n) and parity bits (m,) of m assignments; the draws are
+    the first step of the block layout in ``run_block``."""
     if n < 2:
         raise ValueError(f"need at least 2 parties, got {n}")
-    kind = ProtocolKind(kind)
     if last_angle is not None:
         if kind is not ProtocolKind.THETA:
             raise ValueError("last_angle pins a theta assignment; the xy kind takes none")
         if not 0.0 <= last_angle < np.pi:
             raise ValueError(f"last_angle must lie in [0, pi), got {last_angle}")
-        free = rng.uniform(0.0, np.pi, n - 2)
-        completion = _completion(free.sum() + last_angle)
-        angles = tuple(float(a) for a in free) + (completion, float(last_angle))
-        return AngleAssignment(angles, kind, int(round(sum(angles) / np.pi)) % 2)
-    if kind is ProtocolKind.THETA:
-        free = rng.uniform(0.0, np.pi, n - 1)
-        last = _completion(free.sum())
-        angles = tuple(float(a) for a in free) + (last,)
-        total = free.sum() + last
+        free = rng.uniform(0.0, np.pi, (m, n - 2))
+        completion = _completion(free.sum(axis=1) + last_angle)
+        pinned = np.full(m, float(last_angle))
+        angles = np.column_stack([free, completion, pinned])
+        turns = angles.sum(axis=1) / np.pi
+    elif kind is ProtocolKind.THETA:
+        free = rng.uniform(0.0, np.pi, (m, n - 1))
+        partial = free.sum(axis=1)
+        last = _completion(partial)
+        angles = np.column_stack([free, last])
+        turns = (partial + last) / np.pi
     else:
-        free = rng.integers(0, 2, n - 1)
-        last_bit = int(free.sum()) % 2
-        angles = tuple(float(b) * (np.pi / 2) for b in free) + (last_bit * (np.pi / 2),)
-        total = (int(free.sum()) + last_bit) * (np.pi / 2)
-    parity = int(round(total / np.pi)) % 2
-    return _assignment_trusted(angles, kind, parity)
-
-
-def parity_test(assignment: AngleAssignment, outcomes: Sequence[int]) -> int:
-    """1 when the XOR of the outcome bits equals the assignment parity."""
-    acc = 0
-    for o in outcomes:
-        if o == LOSS:
-            raise ValueError("parity test is undefined when a loss was declared")
-        if o not in (0, 1):
-            raise ValueError(f"outcomes must be bits, got {o!r}")
-        acc ^= o
-    return 1 if acc == assignment.parity else 0
+        free = rng.integers(0, 2, (m, n - 1))
+        count = free.sum(axis=1)
+        angles = np.column_stack([free, count % 2]) * (np.pi / 2)
+        turns = (count + count % 2) / 2
+    return angles, np.rint(turns).astype(np.int64) % 2
 
 
 # ---------------------------------------------------------------------------
 # rounds
+
+# rounds per block: each block of a run draws from its own stream
+B = 4096
+
+
+def _parties(source: State | None, strategy: CheatStrategy | None) -> tuple[int, int]:
+    """(n, k): the party count and the number of honest parties."""
+    if strategy is None:
+        if source is None:
+            raise ValueError("an all-honest round needs a source state")
+        return source.n, source.n
+    n = strategy.n_parties
+    if source is not None and source.n != n:
+        raise ValueError(f"the source has {source.n} qubits but the strategy is for {n} parties")
+    return n, n - strategy.dishonest_count
+
+
+def run_block(
+    source: State | None,
+    strategy: CheatStrategy | None,
+    kind: ProtocolKind,
+    m: int,
+    rng: np.random.Generator,
+    *,
+    honest_loss: float = 0.0,
+    last_angle: float | None = None,
+    start: int = 0,
+) -> Rounds:
+    """Execute m single-shot rounds on the draws of one generator.
+
+    With ``strategy`` None every party is honest and measures its qubit of
+    the source state.  Otherwise the strategy is played by the last
+    ``strategy.dishonest_count`` of its ``strategy.n_parties`` parties: it
+    supplies the state of the honest parties ``0..k-1`` (measuring its qubits
+    of the source if it ``measures_source``), its first member answers for
+    the coalition (possibly with LOSS) and the others report 0; a source given
+    with a strategy must have one qubit per party.
+    ``honest_loss`` in [0, 1) is an i.i.d. loss probability applied to honest
+    parties, independent of their outcomes.
+
+    Draw layout, in this order:
+
+    1. angles: theta ``rng.uniform(0, pi, (m, n-1))``, the last party
+       completing each row's sum; xy ``rng.integers(0, 2, (m, n-1))`` for
+       angles ``{0, pi/2}``, the last forcing an even count of pi/2.  A
+       pinned ``last_angle`` (theta only) draws ``rng.uniform(0, pi,
+       (m, n-2))`` for parties 0..n-3 and party n-2 completes the sum.
+    2. with a strategy, its side information (``CheatStrategy.draw_side``):
+       arm, phase index and mask, each an (m,) draw where the strategy has one.
+    3. measurement uniforms ``rng.random((m, n))``, column j for the j-th
+       qubit measured (``qstate.sample_rows``).
+    4. with ``honest_loss`` > 0, ``rng.random((m, k)) < honest_loss`` for the
+       honest parties' losses.
+    """
+    if not 0.0 <= honest_loss < 1.0:
+        raise ValueError(f"honest_loss must lie in [0, 1), got {honest_loss}")
+    kind = ProtocolKind(kind)
+    n, k = _parties(source, strategy)
+    angles, parity = _angle_block(kind, n, m, rng, last_angle)
+    lost = np.zeros((m, n), dtype=bool)
+    if strategy is None:
+        bits = qstate.sample_rows(source, angles, rng.random((m, n)))
+    else:
+        arm, phase = strategy.draw_side(rng, m)
+        bits, lost[:, k] = strategy.play(source, arm, phase, angles, rng.random((m, n)))
+    if honest_loss > 0.0:
+        lost[:, :k] = rng.random((m, k)) < honest_loss
+    passed = (bits.sum(axis=1) % 2 == parity).view(np.int8)
+    return Rounds(kind, angles, parity, bits, lost, passed, start)
 
 
 def run_round(
@@ -218,57 +287,12 @@ def run_round(
     index: int = 0,
     last_angle: float | None = None,
 ) -> RoundRecord:
-    """Execute one single-shot round and return its record.
-
-    With ``strategy`` None every party is honest and measures its qubit of
-    the source state.  Otherwise the strategy is played by the last
-    ``strategy.dishonest_count`` of its ``strategy.n_parties`` parties: it
-    supplies the state of the honest parties ``0..k-1`` (measuring its qubits
-    of the source if it ``measures_source``), its first member answers for
-    the coalition (possibly with LOSS) and the others report 0; a source given
-    with a strategy must have one qubit per party.
-    ``honest_loss`` in [0, 1) is an i.i.d. loss probability applied to honest
-    parties, independent of their outcomes.
-    ``last_angle`` pins the last party's theta angle: parties 0..n-3 draw
-    ``rng.uniform(0, pi, n-2)`` and party n-2 completes the sum.
-    """
-    if not 0.0 <= honest_loss < 1.0:
-        raise ValueError(f"honest_loss must lie in [0, 1), got {honest_loss}")
-    if strategy is None:
-        if source is None:
-            raise ValueError("an all-honest round needs a source state")
-        n = k = source.n
-    else:
-        n = strategy.n_parties
-        k = n - strategy.dishonest_count
-        if source is not None and source.n != n:
-            raise ValueError(
-                f"the source has {source.n} qubits but the strategy is for {n} parties"
-            )
-    assignment = sample_angles(kind, n, rng, last_angle=last_angle)
-
-    outcomes: list[Union[int, str]]
-    if strategy is None:
-        outcomes = qstate.sample_outcomes(source, assignment.angles, rng)
-    else:
-        side = strategy.sample_side_info(rng, source)
-        outcomes = qstate.sample_outcomes(side.honest_state, assignment.angles[:k], rng)
-        outcomes.append(strategy.respond(side, assignment.angles[k:]))
-        outcomes += [0] * (n - k - 1)
-
-    if honest_loss > 0.0:
-        for j, drop in enumerate(rng.random(k) < honest_loss):
-            if drop:
-                outcomes[j] = LOSS
-
-    lossy = any(o == LOSS for o in outcomes)
-    passed = None if lossy else parity_test(assignment, outcomes)
-    return RoundRecord(index, assignment, tuple(outcomes), passed)
-
-
-def round_rng(seed: int, index: int) -> np.random.Generator:
-    """The per-round random stream: deterministic in (seed, round index)."""
-    return np.random.default_rng((seed, index))
+    """One round: ``run_block`` with one row, recorded as round ``index``."""
+    rows = run_block(
+        source, strategy, kind, 1, rng, honest_loss=honest_loss, last_angle=last_angle,
+        start=index,
+    )
+    return rows[0]
 
 
 def base_seed(rng: Union[int, np.random.Generator]) -> int:
@@ -285,17 +309,27 @@ def run_rounds(
     rng: Union[int, np.random.Generator],
     *,
     honest_loss: float = 0.0,
-) -> list[RoundRecord]:
-    """Run ``rounds`` independent rounds with per-round derived streams."""
+    last_angle: float | None = None,
+) -> Rounds:
+    """Run ``rounds`` independent rounds in blocks of ``B``: block b holds
+    rounds ``b*B`` onwards and draws from the stream ``(seed, b)`` as
+    ``run_block`` lays out, with ``seed`` the integer ``rng`` or a 63-bit
+    integer drawn from the generator ``rng``."""
     if rounds < 1:
         raise ValueError("need at least one round")
     seed = base_seed(rng)
-    return [
-        run_round(
-            source, strategy, kind, round_rng(seed, i), honest_loss=honest_loss, index=i
+    blocks = [
+        run_block(
+            source, strategy, kind, min(B, rounds - lo), np.random.default_rng((seed, b)),
+            honest_loss=honest_loss, last_angle=last_angle,
         )
-        for i in range(rounds)
+        for b, lo in enumerate(range(0, rounds, B))
     ]
+    if len(blocks) == 1:
+        return blocks[0]
+    columns = ("angles", "parity", "bits", "lost", "passed")
+    arrays = (np.concatenate([getattr(r, c) for r in blocks]) for c in columns)
+    return Rounds(blocks[0].kind, *arrays)
 
 
 def estimate_pass_probability(

@@ -10,17 +10,16 @@ Conventions used throughout the package:
   with outcome bit 0 for ``|+_t>``.  The associated observable is
   ``cos(t) X + sin(t) Y``.
 
-Sampling contract (``sample_outcomes``, ``measure_record`` and
-``adversary.measure_parties``):
-qubits are measured one at a time in ascending order (for
-``measure_parties``, the dishonest qubits in ascending party order).  Each
-measured qubit consumes exactly one uniform ``u`` from the generator, and
+Sampling contract (``sample_rows`` and ``sample_record``): each row of a
+block of rounds measures the qubits one at a time, in ascending order or in
+the order the caller gives (the coalition's qubits first for
+``projective-cheat``).  Each measured qubit consumes exactly one uniform
+``u``, column j of the ``(m, n)`` uniforms for the j-th qubit measured, and
 gives outcome 0 when ``u < p0``, the probability of ``|+_t>`` given the
-outcomes before it.  ``sample_outcomes`` draws ``rng.random(n)`` up front and
-``measure_parties`` one ``rng.random()`` per qubit, which is the same stream.
-On a ``GhzDiagonal`` record every qubit but the last has ``p0 = 1/2``, and
-the last has ``p0 = 1/2 + (-1)^x Re(c e^{i*T})``, with ``x`` the XOR of the
-bits before it, ``c`` the corner coherence and ``T`` the sum of the angles.
+outcomes before it.  On a ``GhzDiagonal`` record every qubit but the last
+measured has ``p0 = 1/2``, and the last has
+``p0 = 1/2 + (-1)^x Re(c e^{i*T})``, with ``x`` the XOR of the bits before
+it, ``c`` the corner coherence and ``T`` the sum of the angles.
 """
 
 from __future__ import annotations
@@ -39,14 +38,17 @@ MAX_PURE_QUBITS = 20
 MAX_DENSITY_QUBITS = 10
 
 
-def angle_values(angles: Sequence[float], n: int) -> np.ndarray:
-    """Normalize a sequence of angles to a float array, validating the range."""
-    if len(angles) != n:
-        raise ValueError(f"expected {n} angles, got {len(angles)}")
-    # one test per angle, so that a NaN fails wherever it sits
-    if not all(0.0 <= a < np.pi for a in angles):
+def angle_values(angles: Sequence[float] | np.ndarray, n: int) -> np.ndarray:
+    """Angles as a float array of any rank whose last axis holds ``n``
+    angles, each validated to lie in [0, pi)."""
+    vals = np.asarray(angles, dtype=float)
+    count = vals.shape[-1] if vals.ndim else 0
+    if count != n:
+        raise ValueError(f"expected {n} angles, got {count}")
+    # comparisons, so that a NaN fails wherever it sits
+    if not ((vals >= 0.0) & (vals < np.pi)).all():
         raise ValueError("measurement angles must lie in [0, pi)")
-    return np.asarray(angles, dtype=float)
+    return vals
 
 
 @dataclass(frozen=True)
@@ -195,7 +197,7 @@ class GhzDiagonal:
 
 def _ghz_diagonal_unchecked(n: int, diagonal: np.ndarray, coherence: complex) -> GhzDiagonal:
     """Construct without validating; only for records derived from a
-    validated one by a map that keeps the checks (a channel, a measurement)."""
+    validated one by a map that keeps the checks (a channel)."""
     diagonal.setflags(write=False)
     rec = object.__new__(GhzDiagonal)
     object.__setattr__(rec, "n", n)
@@ -280,116 +282,102 @@ def _bit_table(n: int) -> np.ndarray:
     return bits
 
 
-def sample_outcomes(
-    state: State, angles: Sequence[float], rng: np.random.Generator
-) -> list[int]:
-    """Sample one measurement outcome bit per qubit in the |+-_t> bases.
+def permute_qubits(arr: np.ndarray, order: Sequence[int]) -> np.ndarray:
+    """Relabel qubit ``order[i]`` as qubit ``i`` of a state vector (rank 1)
+    or a density matrix (rank 2)."""
+    n = len(order)
+    # tensor axis a of each index group holds qubit n-1-a
+    axes = [n - 1 - old for old in reversed(order)]
+    if arr.ndim == 2:
+        axes += [n + a for a in axes]
+    return arr.reshape((2,) * (arr.ndim * n)).transpose(axes).reshape(arr.shape)
 
-    Draws ``rng.random(n)`` and measures the qubits in ascending order with
-    ``_measure_low_qubits``; the resulting joint distribution is the full Born
-    rule over all 2**n outcome strings.  Outcome 0 corresponds to |+_t>.
-    A ``GhzDiagonal`` record takes the closed form in the module docstring,
-    which gives the bits that kernel gives on ``to_density()``.
+
+def sample_record(coherence, angles: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Outcome bits (m, q) of measuring all q qubits of GHZ-diagonal records,
+    one record and one row of ``angles`` and ``draws`` (both (m, q)) per
+    round, in the order of the columns.
+
+    ``coherence`` is the corner coherence, one value or one per row.  Every
+    bit but the last is ``u < 1/2``; the last has
+    ``p0 = 1/2 + (-1)^x Re(c e^{i*T})``, with ``x`` the XOR of the bits
+    before it and ``T`` the row's angle sum (module docstring).  The
+    measurement order does not matter to this form.
     """
-    # python floats keep the list loop's scalar arithmetic off numpy scalars
-    vals = angle_values(angles, state.n).tolist()
+    bits = draws >= 0.5
+    swing = (coherence * np.exp(1j * angles.sum(axis=1))).real
+    odd = bits[:, :-1].sum(axis=1) % 2 == 1
+    bits[:, -1] = draws[:, -1] >= 0.5 + np.where(odd, -swing, swing)
+    return bits.view(np.int8)
+
+
+# bytes of starting state per chunk of rows in the projection kernel: a
+# 10-qubit density matrix (16 MiB) or a 20-qubit vector goes one row at a time
+_CHUNK_BYTES = 1 << 23
+
+
+def sample_rows(
+    state: State, angles: np.ndarray, draws: np.ndarray, order: Sequence[int] | None = None
+) -> np.ndarray:
+    """Outcome bits (m, n) of measuring every qubit of ``state`` once per row
+    of ``angles`` and ``draws`` (both (m, n)), as the sampling contract in
+    the module docstring states: column j is the j-th qubit measured, qubit
+    ``order[j]`` (default: qubit j), and ``draws[:, j]`` is its uniform.
+
+    A ``GhzDiagonal`` record takes ``sample_record``.  A vector or a density
+    matrix is projected one qubit at a time for all rows of a chunk at
+    once; the chunks, at most ``_CHUNK_BYTES`` of starting state each, change
+    how much is computed at once but no row's bits.
+    """
+    angles = angle_values(angles, state.n)
     if isinstance(state, GhzDiagonal):
-        draws = rng.random(state.n).tolist()
-        bits = [0 if u < 0.5 else 1 for u in draws[:-1]]
-        swing = (state.coherence * cmath.exp(1j * sum(vals))).real
-        p0 = 0.5 - swing if sum(bits) % 2 else 0.5 + swing
-        bits.append(0 if draws[-1] < p0 else 1)
-        return bits
-    amps = state.amplitudes if isinstance(state, PureState) else state.entries
-    return _measure_low_qubits(amps, vals, rng.random(state.n).tolist())[0]
+        return sample_record(state.coherence, angles, draws)
+    arr = state.amplitudes if isinstance(state, PureState) else state.entries
+    if order is not None:
+        arr = permute_qubits(arr, order)
+    bits = np.empty(angles.shape, dtype=np.int8)
+    step = max(1, _CHUNK_BYTES // arr.nbytes)
+    for lo in range(0, len(angles), step):
+        rows = slice(lo, lo + step)
+        bits[rows] = _project_rows(arr, angles[rows], draws[rows])
+    return bits
 
 
-def measure_record(
-    record: GhzDiagonal,
-    qubits: Sequence[int],
-    angles: Sequence[float],
-    rng: np.random.Generator,
-) -> tuple[list[int], GhzDiagonal]:
-    """Measure ``qubits`` (ascending, at least one qubit left unmeasured) of a
-    record in the equatorial bases ``angles`` and return (outcome bits,
-    record of the unmeasured qubits, relabelled from 0 in order).
+def _project_rows(arr: np.ndarray, angles: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Measure the qubits of a state vector or density matrix in ascending
+    order, one row of ``angles`` and ``draws`` per copy of the state.
 
-    With a qubit left unmeasured every bit has ``p0 = 1/2``, so each is
-    ``u < 1/2`` of one ``rng.random()``, as the sampling contract asks.  The
-    remaining diagonal is the record's summed over the measured qubits and
-    its coherence is ``c e^{i*T} (-1)^x``, with ``T`` the sum of ``angles``
-    and ``x`` the XOR of the bits; both keep a valid record valid.
+    Projecting qubit 0 onto |+-_t> leaves ``low +- cross`` up to
+    normalization: ``low = a[0::2]`` and ``cross = e^{-it} a[1::2]`` for a
+    vector, and ``low = r00 + r11`` and ``cross = e^{it} r01 + e^{-it} r10``
+    for the qubit-0 blocks of a density matrix.  The first step broadcasts
+    the shared state over the rows; each later one holds a state per row.
     """
-    bits = [0 if u < 0.5 else 1 for u in rng.random(len(angles)).tolist()]
-    sign = -1.0 if sum(bits) % 2 else 1.0
-    coherence = sign * record.coherence * cmath.exp(1j * sum(angles))
-    # tensor axis a holds qubit n-1-a; the remaining axes keep the unmeasured
-    # qubits in order
-    axes = tuple(record.n - 1 - q for q in qubits)
-    diag = record.diagonal.reshape((2,) * record.n).sum(axis=axes).reshape(-1)
-    return bits, _ghz_diagonal_unchecked(record.n - len(qubits), diag, coherence)
-
-
-# below this dimension plain python complex arithmetic beats numpy dispatch;
-# Monte Carlo runs spend most of their time here
-_SMALL_STATE_DIM = 64
-
-
-def _measure_low_qubits(
-    state: np.ndarray, angles: Sequence[float], draws: Sequence[float]
-) -> tuple[list[int], Union[np.ndarray, list[complex]]]:
-    """Measure qubits 0..m-1 (m = len(angles)) of a state vector or a density
-    matrix, in ascending order, as the sampling contract states; ``draws[j]``
-    is qubit j's uniform.  Returns the bits and the normalized state of the
-    unmeasured qubits, relabelled from 0.
-
-    Projecting qubit 0 onto |+-_t> leaves ``low +- cross`` up to normalization:
-    ``low = a[0::2]`` and ``cross = e^{-it} a[1::2]`` for a vector, and
-    ``low = r00 + r11`` and ``cross = e^{it} r01 + e^{-it} r10`` for the
-    qubit-0 blocks of a density matrix.  Vectors of at most
-    ``_SMALL_STATE_DIM`` amplitudes run as python lists, and their remaining
-    state is returned as a list.
-    """
-    bits: list[int] = []
-    if state.ndim == 1 and len(state) <= _SMALL_STATE_DIM:
-        a = state.tolist()
-        for t, u in zip(angles, draws):
-            phase = cmath.exp(-1j * t)
-            half = range(0, len(a), 2)
-            branch0 = [a[i] + phase * a[i + 1] for i in half]
-            p0 = 0.5 * sum(x.real * x.real + x.imag * x.imag for x in branch0)
-            if u < p0:
-                bits.append(0)
-                scale = 1.0 / math.sqrt(2.0 * p0)
-                a = [x * scale for x in branch0]
-            else:
-                bits.append(1)
-                scale = 1.0 / math.sqrt(max(2.0 * (1.0 - p0), 1e-300))
-                a = [(a[i] - phase * a[i + 1]) * scale for i in half]
-        return bits, a
-    a = state
-    for t, u in zip(angles, draws):
-        phase = cmath.exp(-1j * t)
-        if a.ndim == 1:
-            low, cross = a[0::2], phase * a[1::2]
+    one_dim = arr.ndim == 1
+    a = arr[None]
+    bits = np.empty(angles.shape, dtype=np.int8)
+    for j in range(angles.shape[1]):
+        phase = np.exp(-1j * angles[:, j])
+        if one_dim:
+            low, cross = a[:, 0::2], phase[:, None] * a[:, 1::2]
         else:
-            low = a[0::2, 0::2] + a[1::2, 1::2]
-            cross = phase.conjugate() * a[0::2, 1::2]
-            cross += phase * a[1::2, 0::2]
-        # branch is a fresh array: the outcome-1 branch and the normalization
-        # reuse its memory, which saves megabyte allocations at n = 10
+            low = a[:, 0::2, 0::2] + a[:, 1::2, 1::2]
+            cross = phase.conj()[:, None, None] * a[:, 0::2, 1::2]
+            cross += phase[:, None, None] * a[:, 1::2, 0::2]
         branch = low + cross
         # weight is 2 * p0 here and 2 * (1 - p0) for outcome 1
-        weight = float((np.vdot(branch, branch) if a.ndim == 1 else np.trace(branch)).real)
-        if u < 0.5 * weight:
-            bits.append(0)
+        if one_dim:
+            weight = (branch.real**2 + branch.imag**2).sum(axis=1)
         else:
-            bits.append(1)
-            weight = max(2.0 - weight, 1e-300)
-            np.subtract(low, cross, out=branch)
-        branch /= math.sqrt(weight) if a.ndim == 1 else weight
+            weight = np.trace(branch, axis1=1, axis2=2).real
+        one = draws[:, j] >= 0.5 * weight
+        bits[:, j] = one
+        shape = (-1,) + (1,) * (branch.ndim - 1)
+        np.subtract(low, cross, out=branch, where=one.reshape(shape))
+        weight = np.where(one, np.maximum(2.0 - weight, 1e-300), weight)
+        branch /= (np.sqrt(weight) if one_dim else weight).reshape(shape)
         a = branch
-    return bits, a
+    return bits
 
 
 def setting_pass_probability(

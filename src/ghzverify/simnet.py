@@ -3,27 +3,28 @@ an ideal classical network, with loss caps and cheat-detection audits.
 
 Each round the Verifier samples an assignment, sends one angle per party,
 collects one outcome (or loss declaration) per party, and scores the round.
-Outcome sampling uses the same per-round streams as the protocol module, so a
-session's statistics coincide with ``protocol.estimate_pass_probability``
-under the same seed, and the Verifier's scoring depends only on the set of
-collected responses, not their order.  A session stores only its round
-records: the message log is derived from the records and the seed when it is
-written (``Transcript.messages``), with each round's delivery order drawn
-from a dedicated seeded stream.
+A session runs its rounds through ``protocol.run_rounds`` with its seed, so
+its statistics coincide with ``protocol.estimate_pass_probability`` under
+the same seed, and the Verifier's scoring depends only on the set of
+collected responses, not their order.  A session stores its rounds as
+arrays (``protocol.Rounds``); statistics, loss flags and audits are computed
+from them, and the round records and the message log are derived when they
+are written (``Transcript.records_jsonl``, ``Transcript.messages``), with
+each round's delivery order drawn from a dedicated seeded stream.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Union
 
 import numpy as np
 from scipy import stats as scipy_stats
 
 from . import sources
 from .adversary import CheatStrategy
-from .protocol import LOSS, PassStats, ProtocolKind, RoundRecord, round_rng, run_round
+from .protocol import LOSS, PassStats, ProtocolKind, Rounds, run_rounds
 from .qstate import State
 
 BROADCAST = -1
@@ -117,18 +118,19 @@ class PartyAudit:
 
 @dataclass(frozen=True)
 class Transcript:
-    """A session's round records plus everything derived from them, and the
-    prepared source state the rounds were sampled from (None without one)."""
+    """A session's rounds plus everything derived from them, and the
+    prepared source state the rounds were sampled from (None without one).
+    Reading ``records`` builds each round's ``RoundRecord``."""
 
     config: SessionConfig
-    records: tuple[RoundRecord, ...]
+    records: Rounds
     stats: PassStats
     loss_flags: tuple[bool, ...]
     audits: dict = field(default_factory=dict)
     state: State | None = None
 
     def messages(self) -> Iterator[dict]:
-        """The message log, derived from the records and the seed.
+        """The message log, derived from the rounds and the seed.
 
         Per round: the Verifier's angle messages, then the parties' outcome
         messages, each in an order permuted by the round's network stream
@@ -136,16 +138,19 @@ class Transcript:
         declared loss.
         """
         verifier = self.config.verifier
-        for rec in self.records:
-            i, n = rec.index, rec.assignment.n
+        rounds = self.records
+        n = rounds.angles.shape[1]
+        rows = zip(rounds.angles.tolist(), rounds.bits.tolist(), rounds.lost.tolist())
+        for i, (angles, bits, lost) in enumerate(rows):
             net = np.random.default_rng((self.config.seed, i, 0xA11CE))
             for j in net.permutation(n).tolist():
                 yield {"type": "angle", "round": i, "party": j,
-                       "theta": rec.assignment.angles[j], "sender": verifier, "receiver": j}
+                       "theta": angles[j], "sender": verifier, "receiver": j}
             for j in net.permutation(n).tolist():
                 yield {"type": "outcome", "round": i, "party": j,
-                       "outcome": rec.outcomes[j], "sender": j, "receiver": verifier}
-            if rec.passed is None:
+                       "outcome": LOSS if lost[j] else bits[j], "sender": j,
+                       "receiver": verifier}
+            if any(lost):
                 yield {"type": "abort", "round": i, "reason": "loss-declared",
                        "sender": verifier, "receiver": BROADCAST}
 
@@ -177,25 +182,16 @@ class Transcript:
 
 
 def _audit_party(
-    records: Sequence[RoundRecord], kind: ProtocolKind, party: int
+    angles: np.ndarray, lost: np.ndarray, kind: ProtocolKind, party: int
 ) -> PartyAudit:
-    lost_angles = []
-    kept_angles = []
-    for rec in records:
-        angle = rec.assignment.angles[party]
-        if rec.outcomes[party] == LOSS:
-            lost_angles.append(angle)
-        else:
-            kept_angles.append(angle)
-    losses = len(lost_angles)
+    losses = int(lost.sum())
     if losses < AUDIT_MIN_LOSSES:
         return PartyAudit(party, losses, "insufficient-data")
     if kind is ProtocolKind.XY:
-        # independence of declared loss and requested basis
+        # independence of declared loss and requested basis: rows basis 0 and
+        # pi/2, columns lost and kept
         table = np.zeros((2, 2))
-        for angles, col in ((lost_angles, 0), (kept_angles, 1)):
-            for a in angles:
-                table[int(a > np.pi / 4), col] += 1
+        np.add.at(table, ((angles > np.pi / 4).astype(int), (~lost).astype(int)), 1)
         if table.sum(axis=0).min() == 0 or table.sum(axis=1).min() == 0:
             return PartyAudit(party, losses, "ok", "chi-square", 1.0)
         result = scipy_stats.chi2_contingency(table, correction=False)
@@ -203,13 +199,13 @@ def _audit_party(
         status = "flagged" if p < AUDIT_SIGNIFICANCE else "ok"
         return PartyAudit(party, losses, status, "chi-square", p)
     # uniformity of the angles on which loss was declared
-    ks = scipy_stats.kstest(lost_angles, scipy_stats.uniform(loc=0.0, scale=np.pi).cdf)
+    ks = scipy_stats.kstest(angles[lost], scipy_stats.uniform(loc=0.0, scale=np.pi).cdf)
     p = float(ks.pvalue)
     status = "flagged" if p < AUDIT_SIGNIFICANCE else "ok"
     return PartyAudit(party, losses, status, "kolmogorov-smirnov", p)
 
 
-def audit_records(records: Sequence[RoundRecord], kind: ProtocolKind) -> dict:
+def audit_records(records: Rounds, kind: ProtocolKind) -> dict:
     """Per-party loss-pattern tests at 1% significance.
 
     xy sessions get a chi-square independence test of loss against requested
@@ -218,16 +214,18 @@ def audit_records(records: Sequence[RoundRecord], kind: ProtocolKind) -> dict:
     reported as insufficient data.
     """
     kind = ProtocolKind(kind)
-    n = records[0].assignment.n if records else 0
-    return {party: _audit_party(records, kind, party) for party in range(n)}
+    return {
+        party: _audit_party(records.angles[:, party], records.lost[:, party], kind, party)
+        for party in range(records.angles.shape[1])
+    }
 
 
 def run_session(config: SessionConfig) -> Transcript:
     """Execute a full session and return its transcript.
 
-    The per-round quantum sampling uses the protocol module's per-round
-    streams, so the resulting PassStats match a direct Monte Carlo estimate
-    with the same seed.  At session end each party's loss rate is checked
+    The rounds are ``protocol.run_rounds`` with the session's seed, so the
+    resulting PassStats match a direct Monte Carlo estimate with the same
+    seed.  At session end each party's loss rate is checked
     against the cap: a party exceeding lambda_max by more than three binomial
     standard deviations is flagged.  Loss-pattern audits run for every party.
     """
@@ -236,26 +234,22 @@ def run_session(config: SessionConfig) -> Transcript:
         if isinstance(config.source, sources.SourceModel)
         else config.source
     )
-    records: list[RoundRecord] = []
-    for i in range(config.rounds):
-        rec = run_round(
-            state,
-            config.strategy,
-            config.kind,
-            round_rng(config.seed, i),
-            honest_loss=config.honest_loss,
-            index=i,
-        )
-        records.append(rec)
-
-    stats = PassStats.from_records(records)
+    rounds = run_rounds(
+        state,
+        config.strategy,
+        config.kind,
+        config.rounds,
+        config.seed,
+        honest_loss=config.honest_loss,
+    )
+    stats = PassStats.from_records(rounds)
     cap = config.lambda_max
     spread = 3.0 * float(np.sqrt(cap * (1.0 - cap) / config.rounds))
     flags = tuple(bool(rate > cap + spread) for rate in stats.loss_rates)
-    audits = audit_records(records, config.kind)
+    audits = audit_records(rounds, config.kind)
     return Transcript(
         config=config,
-        records=tuple(records),
+        records=rounds,
         stats=stats,
         loss_flags=flags,
         audits=audits,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ghzverify import protocol
 from ghzverify.qstate import DensityMatrix, GhzDiagonal, PureState
 
 
@@ -28,6 +29,14 @@ def random_ghz_diagonal(n: int, rng: np.random.Generator) -> GhzDiagonal:
 def random_valid_theta_angles(n: int, rng: np.random.Generator) -> list[float]:
     free = rng.uniform(0.0, np.pi, n - 1)
     return list(free) + [float((-free.sum()) % np.pi)]
+
+
+def block_assignment(kind, n: int, rng, *, last_angle: float | None = None):
+    """One assignment drawn as the angle step of a one-row block of
+    ``protocol.run_block``."""
+    kind = protocol.ProtocolKind(kind)
+    angles, parity = protocol._angle_block(kind, n, 1, rng, last_angle)
+    return protocol.AngleAssignment(tuple(angles[0].tolist()), kind, int(parity[0]))
 
 
 @pytest.fixture

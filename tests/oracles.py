@@ -17,9 +17,17 @@ The cheating strategies are written as one pair of closures each, and the
 session message log as message objects built for every round; on a shared
 seed both must give the package's records, generator states and bytes.
 
-The dishonest-angle profile's rounds are drawn and scored by hand, as the
-command line once did; on a shared seed they must give the package's
-estimates from ``run_round`` with a pinned last angle.
+The per-round engine (``run_round``) plays one round at a time from one
+generator, with the sequential samplers and the closure strategies, and
+scores it with ``parity_test``, as the package did before it ran blocks of
+rounds as arrays.  ``draw_block``
+replays a block's draws in the documented layout and ``row_script`` feeds
+one row's draws to the per-round engine through a ``ScriptedRng``, so
+``run_rounds`` gives the package's records row by row.
+
+The dishonest-angle profile's rounds are drawn and scored by hand on the
+block layout; on a shared seed they must give the package's estimates from
+``run_rounds`` with a pinned last angle.
 """
 
 import cmath
@@ -30,9 +38,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ghzverify import adversary, protocol, qstate
+from ghzverify import adversary, protocol, qstate, sources
 from ghzverify.protocol import LOSS
-from ghzverify.qstate import DensityMatrix, PureState
+from ghzverify.qstate import DensityMatrix, GhzDiagonal, PureState
 
 SMALL_STATE_DIM = 64
 
@@ -76,7 +84,11 @@ def has_eigenvalue_below_floor(mat):
 
 
 def sample_outcomes(state, angles, rng):
+    """One shot of every qubit, drawing ``rng.random(n)`` up front; a
+    ``GhzDiagonal`` record is sampled through its dense matrix."""
     vals = qstate.angle_values(angles, state.n)
+    if isinstance(state, GhzDiagonal):
+        state = state.to_density()
     if isinstance(state, DensityMatrix):
         return sample_density(state.entries, vals, rng)
     if len(state.amplitudes) <= SMALL_STATE_DIM:
@@ -158,6 +170,10 @@ def _dishonest_first_axes(coalition):
 
 
 def measure_parties(state, coalition, angles, rng):
+    """Measure the dishonest qubits, one ``rng.random()`` each, and return
+    (bits, collapsed honest state); a record goes through its dense matrix."""
+    if isinstance(state, GhzDiagonal):
+        state = state.to_density()
     if isinstance(state, PureState):
         return _measure_parties_pure(state, coalition, angles, rng)
     return _measure_parties_density(state, coalition, angles, rng)
@@ -237,30 +253,211 @@ def xy_optimal_pass_probability(psi, coalition):
 
 
 # ---------------------------------------------------------------------------
+# the per-round engine and the block draw layout
+
+
+class ScriptedRng:
+    """Serves a fixed list of draws, in order, to whichever generator method
+    asks; ``size`` None takes one value."""
+
+    def __init__(self, values):
+        self._values = list(values)
+
+    def _take(self, size):
+        if size is None:
+            return self._values.pop(0)
+        count = int(np.prod(size))
+        out = np.array(self._values[:count]).reshape(size)
+        del self._values[:count]
+        return out
+
+    def random(self, size=None):
+        return self._take(size)
+
+    def uniform(self, low, high, size=None):
+        return self._take(size)
+
+    def integers(self, low, high, size=None):
+        return self._take(size)
+
+    def exhausted(self):
+        return not self._values
+
+
+def _completion(partial):
+    last = float((-partial) % np.pi)
+    return 0.0 if last == np.pi else last
+
+
+def parity_test(assignment, outcomes):
+    """1 when the XOR of the outcome bits equals the assignment parity: the
+    Verifier's score of one round."""
+    acc = 0
+    for o in outcomes:
+        if o == LOSS:
+            raise ValueError("parity test is undefined when a loss was declared")
+        if o not in (0, 1):
+            raise ValueError(f"outcomes must be bits, got {o!r}")
+        acc ^= o
+    return 1 if acc == assignment.parity else 0
+
+
+def sample_angles(kind, n, rng, last_angle=None):
+    """One assignment drawn with one generator call, as rounds once did."""
+    kind = protocol.ProtocolKind(kind)
+    if last_angle is not None:
+        free = rng.uniform(0.0, np.pi, n - 2)
+        angles = tuple(free.tolist()) + (_completion(free.sum() + last_angle), float(last_angle))
+    elif kind is protocol.ProtocolKind.THETA:
+        free = rng.uniform(0.0, np.pi, n - 1)
+        angles = tuple(free.tolist()) + (_completion(free.sum()),)
+    else:
+        free = rng.integers(0, 2, n - 1)
+        last = (int(free.sum()) % 2) * (np.pi / 2)
+        angles = tuple(float(b) * (np.pi / 2) for b in free) + (last,)
+    return protocol.AngleAssignment(angles, kind, int(round(sum(angles) / np.pi)) % 2)
+
+
+def run_round(source, strategy, kind, rng, *, honest_loss=0.0, index=0, last_angle=None):
+    """The per-round engine: angles, the closure strategy's side information
+    (its honest state and answer), one uniform per measured qubit, then the
+    honest losses, all from one generator, scored by ``parity_test``."""
+    if strategy is None:
+        n = k = source.n
+    else:
+        n = strategy.n_parties
+        k = n - strategy.dishonest_count
+    assignment = sample_angles(kind, n, rng, last_angle)
+    if strategy is None:
+        outcomes = sample_outcomes(source, assignment.angles, rng)
+    else:
+        side = strategy.sample_side_info(rng, source)
+        outcomes = sample_outcomes(side.honest_state, assignment.angles[:k], rng)
+        outcomes.append(strategy.respond(side, assignment.angles[k:]))
+        outcomes += [0] * (n - k - 1)
+    if honest_loss > 0.0:
+        for j, drop in enumerate(rng.random(k) < honest_loss):
+            if drop:
+                outcomes[j] = LOSS
+    lossy = any(o == LOSS for o in outcomes)
+    passed = None if lossy else parity_test(assignment, outcomes)
+    return protocol.RoundRecord(index, assignment, tuple(outcomes), passed)
+
+
+def draw_block(rng, strategy, kind, n, m, honest_loss=0.0, last_angle=None):
+    """A block's draws, made in the order ``protocol.run_block`` documents;
+    ``strategy`` is the package's strategy (None when all are honest)."""
+    draws = {}
+    if last_angle is not None:
+        draws["free"] = rng.uniform(0.0, np.pi, (m, n - 2))
+    elif protocol.ProtocolKind(kind) is protocol.ProtocolKind.THETA:
+        draws["free"] = rng.uniform(0.0, np.pi, (m, n - 1))
+    else:
+        draws["free"] = rng.integers(0, 2, (m, n - 1))
+    k = n
+    if strategy is not None:
+        k = n - strategy.dishonest_count
+        arm = np.zeros(m, dtype=int)
+        if len(strategy.arms) > 1:
+            draws["arm"] = rng.random(m)
+            arm = (draws["arm"] >= 2.0 * strategy.lam).astype(int)
+        sizes = np.array([len(a.phases) for a in strategy.arms])
+        if sizes.max() > 1:
+            draws["index"] = rng.integers(0, sizes[arm])
+        if strategy.masked:
+            draws["mask"] = rng.uniform(0.0, np.pi, m)
+    draws["u"] = rng.random((m, n))
+    if honest_loss > 0.0:
+        draws["loss"] = rng.random((m, k))
+    return draws
+
+
+def row_script(draws, r, strategy):
+    """Row r's draws in the order the per-round engine asks for them: a
+    strategy that prepares the honest state uses the first k uniforms only."""
+    values = draws["free"][r].tolist()
+    n = draws["u"].shape[1]
+    used = n
+    if strategy is not None:
+        arm = 0
+        if "arm" in draws:
+            values.append(draws["arm"][r])
+            arm = int(draws["arm"][r] >= 2.0 * strategy.lam)
+        if len(strategy.arms[arm].phases) > 1:
+            values.append(int(draws["index"][r]))
+        if "mask" in draws:
+            values.append(draws["mask"][r])
+        if not strategy.measures_source:
+            used = n - strategy.dishonest_count
+    values += draws["u"][r, :used].tolist()
+    if "loss" in draws:
+        values += draws["loss"][r].tolist()
+    return values
+
+
+def oracle_strategy(strategy):
+    """The closure pair for a package strategy made by ``make_strategy``."""
+    params = {}
+    if "lam" in sources.key_params(adversary.STRATEGIES[strategy.name][0]):
+        params["lam"] = strategy.lam
+    if "theta-prime" in sources.key_params(adversary.STRATEGIES[strategy.name][0]):
+        params["theta_prime"] = strategy.theta_prime
+    return make_strategy(strategy.name, n_parties=strategy.n_parties,
+                         dishonest_count=strategy.dishonest_count, **params)
+
+
+def run_rounds(source, strategy, kind, rounds, seed, *, honest_loss=0.0, last_angle=None,
+               oracle=None):
+    """``protocol.run_rounds`` row by row: each block's draws on the stream
+    ``(seed, block)``, each row fed to ``run_round`` with ``oracle`` (the
+    closure pair of ``strategy`` by default) playing the coalition."""
+    n = source.n if strategy is None else strategy.n_parties
+    if strategy is not None and oracle is None:
+        oracle = oracle_strategy(strategy)
+    records = []
+    for b, lo in enumerate(range(0, rounds, protocol.B)):
+        m = min(protocol.B, rounds - lo)
+        draws = draw_block(np.random.default_rng((seed, b)), strategy, kind, n, m,
+                           honest_loss, last_angle)
+        for r in range(m):
+            script = ScriptedRng(row_script(draws, r, strategy))
+            records.append(run_round(source, oracle, kind, script, honest_loss=honest_loss,
+                                     index=lo + r, last_angle=last_angle))
+            assert script.exhausted()
+    return records
+
+
+# ---------------------------------------------------------------------------
 # the dishonest-angle profile drawn by hand
 
 
 def profile_point(theta_d, theta_prime, n, rounds, seed):
     """Pass rate and standard error of ``rounds`` product-guesser rounds with
-    the last party's angle pinned to ``theta_d``: parties 0..n-3 draw their
-    angles, party n-2 completes the sum, and the round is scored directly."""
-    strat = adversary.make_strategy(
-        "product-guesser", n_parties=n, theta_prime=(-theta_prime) % (2 * math.pi)
-    )
+    the last party's angle pinned to ``theta_d``: each block of the point's
+    stream draws the free angles of parties 0..n-3 and the measurement
+    uniforms, party n-2 completes the sum, and the rounds are scored
+    directly."""
+    strat = make_strategy("product-guesser", n_parties=n,
+                          theta_prime=(-theta_prime) % (2 * math.pi))
+    point = np.random.default_rng((seed, 303, round(theta_d * 1e9)))
+    base = int(point.integers(0, 2**63))
     passes = 0
-    for i in range(rounds):
-        rng = np.random.default_rng((seed, 303, round(theta_d * 1e9), i))
-        free = rng.uniform(0.0, np.pi, n - 2)
-        completion = (-(free.sum() + theta_d)) % np.pi
-        angles = tuple(free) + (float(completion), float(theta_d))
-        total = sum(angles)
-        assignment = protocol.AngleAssignment(
-            angles, protocol.ProtocolKind.THETA, int(round(total / np.pi)) % 2
-        )
-        side = strat.sample_side_info(rng, None)
-        bits = qstate.sample_outcomes(side.honest_state, angles[:-1], rng)
-        bits.append(strat.respond(side, (theta_d,)))
-        passes += protocol.parity_test(assignment, bits)
+    for b, lo in enumerate(range(0, rounds, protocol.B)):
+        m = min(protocol.B, rounds - lo)
+        rng = np.random.default_rng((base, b))
+        free = rng.uniform(0.0, np.pi, (m, n - 2))
+        uniforms = rng.random((m, n))
+        for r in range(m):
+            completion = (-(free[r].sum() + theta_d)) % np.pi
+            angles = tuple(free[r].tolist()) + (float(completion), float(theta_d))
+            assignment = protocol.AngleAssignment(
+                angles, protocol.ProtocolKind.THETA, int(round(sum(angles) / np.pi)) % 2
+            )
+            side = strat.sample_side_info(None, None)
+            bits = sample_outcomes(side.honest_state, angles[:-1],
+                                   ScriptedRng(uniforms[r, : n - 1].tolist()))
+            bits.append(strat.respond(side, (theta_d,)))
+            passes += parity_test(assignment, bits)
     est = passes / rounds
     return est, math.sqrt(est * (1.0 - est) / rounds)
 
@@ -366,7 +563,7 @@ def make_strategy(name, *, n_parties, dishonest_count=1, lam=None, theta_prime=N
             target = (tp + mask) % (2.0 * math.pi)
             meas = [(-target) % (2.0 * math.pi) % math.pi] + [0.0] * (dishonest_count - 1)
             wrap = round((((-target) % (2.0 * math.pi)) - meas[0]) / math.pi)
-            bits, honest_state = adversary.measure_parties(source, coalition, meas, rng)
+            bits, honest_state = measure_parties(source, coalition, meas, rng)
             flips = (sum(bits) + wrap) % 2
             phase = (target + flips * math.pi) % (2.0 * math.pi)
             return SideInfo(_RoundLabel(phase, "arc", lam), honest_state)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from ghzverify import adversary, qstate, sources
+from ghzverify import adversary, protocol, qstate, sources
 from ghzverify.adversary import (
     XY_OPTIMUM,
     Coalition,
@@ -17,7 +17,6 @@ from ghzverify.adversary import (
     helstrom_guess_probability,
     honest_first_vector,
     make_strategy,
-    measure_parties,
     theta_cheat_pass_curve,
     xy_cheat_pass_curve,
     xy_optimal_pass_probability,
@@ -330,43 +329,78 @@ def test_strategy_matches_closure_oracle(name, n, d):
     oracle = oracles.make_strategy(name, n_parties=n, dishonest_count=d, **kwargs)
     assert strat.target_loss_rate == oracle.target_loss_rate
     for kind, seed in ((ProtocolKind.THETA, 101 + n + d), (ProtocolKind.XY, 202 + n + d)):
-        assert run_rounds(source, strat, kind, 150, seed) == run_rounds(
-            source, oracle, kind, 150, seed
+        assert list(run_rounds(source, strat, kind, 150, seed)) == oracles.run_rounds(
+            source, strat, kind, 150, seed, oracle=oracle
         )
         gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         for i in range(100):
             rec = run_round(source, strat, kind, gen, index=i)
-            expected = run_round(source, oracle, kind, twin, index=i)
+            script = oracles.row_script(oracles.draw_block(twin, strat, kind, n, 1), 0, strat)
+            expected = oracles.run_round(source, oracle, kind, oracles.ScriptedRng(script), index=i)
             assert rec == expected
         assert gen.bit_generator.state == twin.bit_generator.state
 
 
-def _bell_phase(twin):
-    return (0.0, np.pi, np.pi / 2, 3 * np.pi / 2)[twin.integers(0, 4)]
+def _row_sources(n, rng):
+    return {
+        "record": sources.prepare(sources.SourceModel.dephased(n, 0.3)),
+        "pure": random_pure(n, rng),
+        "dense": random_density(n, rng),
+    }
 
 
-def _rotated_phase(twin):
-    return np.pi / 4 + twin.integers(0, 4) * np.pi / 2
+@pytest.mark.parametrize("name", [None] + sorted(STRATEGY_PARAMS))
+@pytest.mark.parametrize("n,d", [(3, 1), (3, 2), (4, 1), (4, 2)])
+@pytest.mark.parametrize("honest_loss", [0.0, 0.1])
+def test_every_row_matches_the_per_round_engine(name, n, d, honest_loss, rng):
+    """Each row of a block is the per-round engine's round on that row's
+    draws: the same angles, bits, answer, losses and pass bit."""
+    strat = None
+    if name is not None:
+        strat = make_strategy(name, n_parties=n, dishonest_count=d, **STRATEGY_PARAMS[name])
+    for label, source in _row_sources(n, rng).items():
+        for kind in ProtocolKind:
+            seed = int(rng.integers(2**32))
+            rows = list(run_rounds(source, strat, kind, 60, seed, honest_loss=honest_loss))
+            expected = oracles.run_rounds(source, strat, kind, 60, seed, honest_loss=honest_loss)
+            assert rows == expected, (label, kind)
 
 
-def _projective_draws(twin, d):
-    twin.uniform(0.0, np.pi)
-    twin.random(d)  # measure_parties: one uniform per dishonest qubit
-    return None  # the measurement outcomes decide the phase
+def test_rows_match_the_per_round_engine_across_blocks():
+    strat = make_strategy("theta-rotated-bell", n_parties=3, lam=0.3, theta_prime=0.4)
+    rounds = protocol.B + 5
+    rows = run_rounds(None, strat, ProtocolKind.THETA, rounds, 7, honest_loss=0.1)
+    assert list(rows) == oracles.run_rounds(None, strat, ProtocolKind.THETA, rounds, 7,
+                                            honest_loss=0.1)
+    assert rows[-1].index == rounds - 1
 
 
-# the draws sample_side_info makes per round, replayed on a twin generator;
-# each returns the phase those draws select
+def _bell_phase(twin, m):
+    return np.array([0.0, np.pi, np.pi / 2, 3 * np.pi / 2])[twin.integers(0, 4, m)]
+
+
+def _rotated_phase(index):
+    return np.pi / 4 + index * np.pi / 2
+
+
+def _mixed_phase(twin, m):
+    first = twin.random(m) < 2 * 0.2
+    index = twin.integers(0, 4, m)
+    bell = np.array([0.0, np.pi, np.pi / 2, 3 * np.pi / 2])[index]
+    return np.where(first, bell, _rotated_phase(index))
+
+
+# the draws draw_side makes for a block of m rounds, replayed on a twin
+# generator; each returns the phases those draws select (for
+# projective-cheat, before its measurement flips them)
 DRAW_CONTRACT = {
-    "xy-perfect-loss50": lambda twin, d: _bell_phase(twin),
-    "xy-naive-loss": lambda twin, d: 0.0,
-    "xy-rotated-bell": lambda twin, d: _rotated_phase(twin),
-    "xy-mixed": lambda twin, d: (
-        _bell_phase(twin) if twin.random() < 2 * 0.2 else _rotated_phase(twin)
-    ),
-    "theta-rotated-bell": lambda twin, d: (0.4 + twin.uniform(0.0, np.pi)) % (2 * np.pi),
-    "projective-cheat": _projective_draws,
-    "product-guesser": lambda twin, d: 0.785,
+    "xy-perfect-loss50": _bell_phase,
+    "xy-naive-loss": lambda twin, m: np.zeros(m),
+    "xy-rotated-bell": lambda twin, m: _rotated_phase(twin.integers(0, 4, m)),
+    "xy-mixed": _mixed_phase,
+    "theta-rotated-bell": lambda twin, m: (0.4 + twin.uniform(0.0, np.pi, m)) % (2 * np.pi),
+    "projective-cheat": lambda twin, m: (0.7 + twin.uniform(0.0, np.pi, m)) % (2 * np.pi),
+    "product-guesser": lambda twin, m: np.full(m, 0.785),
 }
 
 
@@ -376,13 +410,14 @@ def test_strategy_draw_contract(name):
         source = sources.prepare(sources.SourceModel.dephased(n, 0.3))
         strat = make_strategy(name, n_parties=n, dishonest_count=d, **STRATEGY_PARAMS[name])
         gen, twin = np.random.default_rng(9), np.random.default_rng(9)
-        for _ in range(40):
-            side = strat.sample_side_info(gen, source)
-            phase = DRAW_CONTRACT[name](twin, d)
+        for m in (1, 40):
+            arm, phase = strat.draw_side(gen, m)
+            expected = DRAW_CONTRACT[name](twin, m)
             assert gen.bit_generator.state == twin.bit_generator.state
-            if phase is not None:
-                assert side.phase == phase
-            strat.respond(side, (0.3,) * d)
+            assert phase.tolist() == expected.tolist()
+            draws = gen.random((m, n))
+            twin.random((m, n))
+            strat.play(source, arm, phase, np.full((m, n), 0.3), draws)
             assert gen.bit_generator.state == twin.bit_generator.state
 
 
@@ -456,24 +491,34 @@ def test_two_party_coalition_acts_as_one_responder():
 
 def test_strategy_respond_is_deterministic(rng):
     strat = make_strategy("theta-rotated-bell", n_parties=3, lam=0.2)
-    side = strat.sample_side_info(rng, None)
-    angles = (1.234,)
-    assert strat.respond(side, angles) == strat.respond(side, angles)
+    arm, phase = strat.draw_side(rng, 50)
+    angles = np.full((50, 3), 1.234)
+    draws = rng.random((50, 3))
+    first = strat.play(None, arm, phase, angles, draws)
+    again = strat.play(None, arm, phase, angles, draws)
+    for a, b in zip(first, again):
+        np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
 # projective measurement cheat
 
 
+def _dishonest_first(coalition):
+    return sorted(coalition.dishonest) + list(coalition.honest)
+
+
 def test_measure_parties_collapses_ideal_ghz(rng):
-    coalition = _coalition_last(3)
-    for _ in range(20):
-        chi = float(rng.uniform(0, np.pi))
-        bits, collapsed = measure_parties(ghz_state(3), coalition, [chi], rng)
-        expected = ghz_state(2, -chi + bits[0] * np.pi)
-        # compare up to global phase via overlap
-        overlap = abs(np.vdot(collapsed.amplitudes, expected.amplitudes)) ** 2
-        assert overlap == pytest.approx(1.0, abs=1e-9)
+    # measuring qubit 2 of GHZ_3 at chi leaves GHZ_2(-chi + b*pi), so honest
+    # angles summing to m*pi - chi give the honest parity (m + b) mod 2
+    rows = 200
+    chi = rng.uniform(0, np.pi, rows)
+    t0 = rng.uniform(0, np.pi, rows)
+    t1 = (-chi - t0) % np.pi
+    m = np.rint((chi + t0 + t1) / np.pi)
+    angles = np.column_stack([chi, t0, t1])
+    bits = qstate.sample_rows(ghz_state(3), angles, rng.random((rows, 3)), [2, 0, 1])
+    np.testing.assert_array_equal((bits[:, 1] + bits[:, 2]) % 2, (m + bits[:, 0]) % 2)
 
 
 def test_projective_cheat_on_ideal_ghz_matches_curve():
@@ -487,8 +532,8 @@ def test_projective_cheat_on_ideal_ghz_matches_curve():
 
 def test_projective_cheat_requires_source(rng):
     strat = make_strategy("projective-cheat", n_parties=3, lam=0.0)
-    with pytest.raises(ValueError):
-        strat.sample_side_info(rng, None)
+    with pytest.raises(ValueError, match="projective-cheat needs a source state to measure"):
+        run_round(None, strat, ProtocolKind.THETA, rng)
 
 
 def test_noisy_projection_underperforms_clean_biseparable():
@@ -513,58 +558,47 @@ def _coalitions(n):
             yield Coalition(n, dishonest)
 
 
-def _entries(state):
-    return state.amplitudes if isinstance(state, qstate.PureState) else state.entries
-
-
 @pytest.mark.parametrize("n", [3, 4])
 def test_measure_parties_matches_oracle_for_every_coalition(n, rng):
+    """Measuring the dishonest qubits first, then the honest ones, gives the
+    bits of the oracle's measurement and of the oracle sampler on the state
+    it leaves."""
+    rows = 10
     for coalition in _coalitions(n):
         d = n - coalition.k
-        for _ in range(10):
-            for state in (random_pure(n, rng), random_density(n, rng)):
-                angles = list(rng.uniform(0, np.pi, d))
-                seed = int(rng.integers(2**32))
-                bits, rest = measure_parties(
-                    state, coalition, angles, np.random.default_rng(seed)
-                )
-                expected_bits, expected_rest = oracles.measure_parties(
-                    state, coalition, angles, np.random.default_rng(seed)
-                )
-                assert bits == expected_bits
-                assert type(rest) is type(expected_rest)
-                np.testing.assert_allclose(
-                    _entries(rest), _entries(expected_rest), rtol=0, atol=1e-12
-                )
+        order = _dishonest_first(coalition)
+        for state in (random_pure(n, rng), random_density(n, rng)):
+            angles = rng.uniform(0, np.pi, (rows, n))
+            draws = rng.random((rows, n))
+            bits = qstate.sample_rows(state, angles, draws, order)
+            for r in range(rows):
+                script = oracles.ScriptedRng(draws[r].tolist())
+                expected, rest = oracles.measure_parties(state, coalition, angles[r, :d], script)
+                expected += oracles.sample_outcomes(rest, angles[r, d:], script)
+                assert bits[r].tolist() == expected
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_measure_parties_on_a_record_matches_the_density_path(n, rng):
     dephased = sources.prepare(sources.SourceModel.dephased(n, 0.3))
     for coalition in _coalitions(n):
-        d = n - coalition.k
+        order = _dishonest_first(coalition)
         for record in (dephased, random_ghz_diagonal(n, rng), random_ghz_diagonal(n, rng)):
-            for _ in range(10):
-                angles = list(rng.uniform(0, np.pi, d))
-                seed = int(rng.integers(2**32))
-                gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-                bits, rest = measure_parties(record, coalition, angles, gen)
-                dense_bits, dense_rest = measure_parties(
-                    record.to_density(), coalition, angles, twin
-                )
-                assert bits == dense_bits
-                assert gen.bit_generator.state == twin.bit_generator.state
-                assert isinstance(rest, qstate.GhzDiagonal)
-                np.testing.assert_allclose(
-                    rest.to_density().entries, dense_rest.entries, rtol=0, atol=1e-12
-                )
+            angles = rng.uniform(0, np.pi, (10, n))
+            draws = rng.random((10, n))
+            np.testing.assert_array_equal(
+                qstate.sample_rows(record, angles, draws, order),
+                qstate.sample_rows(record.to_density(), angles, draws, order),
+            )
 
 
 def test_measure_parties_consumes_one_uniform_per_dishonest_qubit(rng):
-    for coalition in (Coalition(3, [1]), Coalition(4, [0, 2]), Coalition(4, [1, 2, 3])):
-        d = coalition.n - coalition.k
-        for state in (random_pure(coalition.n, rng), random_density(coalition.n, rng)):
+    # projective-cheat's rounds draw the layout's uniforms and nothing more:
+    # one per dishonest qubit, then one per honest qubit
+    for n, d in ((3, 1), (4, 2), (4, 3)):
+        strat = make_strategy("projective-cheat", n_parties=n, dishonest_count=d, lam=0.2)
+        for state in (random_pure(n, rng), random_density(n, rng)):
             gen, twin = np.random.default_rng(5), np.random.default_rng(5)
-            measure_parties(state, coalition, list(rng.uniform(0, np.pi, d)), gen)
-            twin.random(d)
+            protocol.run_block(state, strat, ProtocolKind.THETA, 7, gen)
+            oracles.draw_block(twin, strat, ProtocolKind.THETA, n, 7)
             assert gen.bit_generator.state == twin.bit_generator.state

@@ -300,3 +300,32 @@ def test_verify_reports_the_exact_value_and_z_score_for_an_honest_source(capsys)
     # a cheating strategy has no exact value to report
     assert _run(*base, "--strategy", "xy-rotated-bell", "--protocol", "xy") == 2
     assert capsys.readouterr().err.endswith("-> INCONCLUSIVE\n")
+
+
+def test_negative_seed_is_named(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("seed = -1\n")
+    expected = "error: --seed must be a non-negative integer, got -1\n"
+    for command in ("verify", "curves", "dishonest-angle-profile", "session"):
+        out = str(tmp_path / command)
+        for argv in ((command, "--seed", "-1"), (command, "--config", str(conf))):
+            assert _run(*argv, "--rounds", "5", "--out", out) == 1
+            assert capsys.readouterr().err == expected
+    assert not list(tmp_path.glob("verify*")) and not list(tmp_path.glob("session*"))
+
+
+def test_session_reports_the_exact_value_and_z_score_for_an_honest_source(tmp_path, capsys):
+    prefix = tmp_path / "run"
+    base = ("session", "--parties", "4", "--rounds", "400", "--seed", "3", "--out", str(prefix))
+    assert _run(*base, "--source", "dephased-ghz:p=0.2") == 0
+    stats = json.loads((tmp_path / "run.summary.json").read_text())["stats"]
+    z = (stats["estimate"] - 0.9) / stats["stderr"]
+    assert capsys.readouterr().err.endswith(f"audit_flags=[] exact=0.900000 z={z:.2f}\n")
+    files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert all(b"exact" not in data for data in files.values())
+    # every round passes, so the stderr is 0 and no z-score is printed
+    assert _run(*base, "--source", "ideal-ghz") == 0
+    assert capsys.readouterr().err.endswith("audit_flags=[] exact=1.000000\n")
+    # a cheating strategy has no exact value to report
+    assert _run(*base, "--strategy", "xy-rotated-bell", "--protocol", "xy") == 0
+    assert capsys.readouterr().err.endswith("audit_flags=[]\n")

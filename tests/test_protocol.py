@@ -17,33 +17,14 @@ from ghzverify.protocol import (
     estimate_pass_probability,
     exact_pass_probability_theta,
     exact_pass_probability_xy,
-    parity_test,
+    run_block,
     run_round,
     run_rounds,
-    sample_angles,
 )
 from ghzverify.qstate import ghz_state, setting_pass_probability
 
 import oracles
-from conftest import random_density, random_pure
-
-
-class _ScriptedRng:
-    """Replays fixed draws for the sampler; anything else is unexpected."""
-
-    def __init__(self, uniforms=(), ints=()):
-        self._uniforms = list(uniforms)
-        self._ints = list(ints)
-
-    def uniform(self, low, high, size):
-        out = np.array(self._uniforms[:size])
-        del self._uniforms[:size]
-        return out
-
-    def integers(self, low, high, size):
-        out = np.array(self._ints[:size])
-        del self._ints[:size]
-        return out
+from conftest import block_assignment, random_density, random_ghz_diagonal, random_pure
 
 
 # ---------------------------------------------------------------------------
@@ -51,40 +32,40 @@ class _ScriptedRng:
 
 
 def test_xy_completion_even_count():
-    asg = sample_angles(ProtocolKind.XY, 3, _ScriptedRng(ints=[0, 0]))
+    asg = block_assignment(ProtocolKind.XY, 3, oracles.ScriptedRng([0, 0]))
     assert asg.angles == (0.0, 0.0, 0.0)
     assert asg.parity == 0
 
 
 def test_xy_completion_odd_count_forces_half_pi():
-    asg = sample_angles(ProtocolKind.XY, 3, _ScriptedRng(ints=[1, 0]))
+    asg = block_assignment(ProtocolKind.XY, 3, oracles.ScriptedRng([1, 0]))
     assert asg.angles == (np.pi / 2, 0.0, np.pi / 2)
     assert asg.parity == 1
 
 
 def test_theta_completion():
-    asg = sample_angles(ProtocolKind.THETA, 3, _ScriptedRng(uniforms=[0.5, 1.0]))
+    asg = block_assignment(ProtocolKind.THETA, 3, oracles.ScriptedRng([0.5, 1.0]))
     assert asg.angles[2] == pytest.approx((-1.5) % np.pi)
     assert asg.parity == 1  # 0.5 + 1.0 + (pi - 1.5) = pi
 
 
 def test_theta_completion_that_rounds_to_pi_is_zero():
     # -1e-17 % pi rounds to pi, which is not a valid angle
-    asg = sample_angles(ProtocolKind.THETA, 2, _ScriptedRng(uniforms=[1e-17]))
+    asg = block_assignment(ProtocolKind.THETA, 2, oracles.ScriptedRng([1e-17]))
     assert asg.angles == (1e-17, 0.0)
     assert asg.parity == 0
 
 
 def test_sample_angles_rejects_single_party(rng):
     with pytest.raises(ValueError):
-        sample_angles(ProtocolKind.THETA, 1, rng)
+        block_assignment(ProtocolKind.THETA, 1, rng)
 
 
 def test_theta_sampler_constraint_and_marginals(rng):
     draws = 20_000
     free = np.empty((draws, 3))
     for i in range(draws):
-        asg = sample_angles(ProtocolKind.THETA, 4, rng)
+        asg = block_assignment(ProtocolKind.THETA, 4, rng)
         total = sum(asg.angles)
         assert abs(total - round(total / np.pi) * np.pi) < 1e-9
         free[i] = asg.angles[:3]
@@ -98,14 +79,14 @@ def test_sampler_output_survives_full_validation(rng):
     # rebuild sampled assignments through the validating constructor
     for kind, n in ((ProtocolKind.THETA, 3), (ProtocolKind.THETA, 5), (ProtocolKind.XY, 4)):
         for _ in range(500):
-            asg = sample_angles(kind, n, rng)
+            asg = block_assignment(kind, n, rng)
             rebuilt = AngleAssignment(asg.angles, asg.kind, asg.parity)
             assert rebuilt == asg
 
 
 def test_xy_sampler_always_even_half_pi_count(rng):
     for _ in range(2000):
-        asg = sample_angles(ProtocolKind.XY, 5, rng)
+        asg = block_assignment(ProtocolKind.XY, 5, rng)
         assert sum(a > 0 for a in asg.angles) % 2 == 0
 
 
@@ -114,24 +95,126 @@ def test_xy_sampler_always_even_half_pi_count(rng):
     n=st.integers(2, 8),
     theta=st.floats(0.0, np.pi, exclude_max=True),
     seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 6),
 )
-def test_pinned_last_angle_layout(n, theta, seed):
+def test_pinned_last_angle_layout(n, theta, seed, rows):
     rng = np.random.default_rng(seed)
     twin = copy.deepcopy(rng)
-    asg = sample_angles(ProtocolKind.THETA, n, rng, last_angle=theta)
-    assert asg.angles[-1] == theta
-    assert asg.angles[:-2] == tuple(twin.uniform(0.0, np.pi, n - 2))
+    block = run_block(qstate.ghz_diagonal(n), None, ProtocolKind.THETA, rows, rng,
+                      last_angle=theta)
+    free = twin.uniform(0.0, np.pi, (rows, n - 2))
+    twin.random((rows, n))  # the measurement uniforms follow the angles
     assert rng.bit_generator.state == twin.bit_generator.state
-    total = sum(asg.angles)
-    m = round(total / np.pi)
-    assert abs(total - m * np.pi) <= 1e-9
-    assert asg.parity == m % 2
-    assert 0.0 <= asg.angles[-2] < np.pi
+    for r, asg in enumerate(rec.assignment for rec in block):
+        assert asg.angles[-1] == theta
+        assert asg.angles[:-2] == tuple(free[r])
+        total = sum(asg.angles)
+        m = round(total / np.pi)
+        assert abs(total - m * np.pi) <= 1e-9
+        assert asg.parity == m % 2
+        assert 0.0 <= asg.angles[-2] < np.pi
+
+
+STRATEGY_PARAMS = {
+    "xy-perfect-loss50": {},
+    "xy-naive-loss": {},
+    "xy-rotated-bell": {},
+    "xy-mixed": {"lam": 0.2},
+    "theta-rotated-bell": {"lam": 0.3, "theta_prime": 0.4},
+    "projective-cheat": {"lam": 0.2, "theta_prime": 0.7},
+    "product-guesser": {"theta_prime": 0.785},
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["theta", "xy", "pinned"]),
+    name=st.sampled_from([None] + sorted(STRATEGY_PARAMS)),
+    n=st.integers(2, 6),
+    d=st.integers(1, 5),
+    rows=st.integers(1, 40),
+    honest_loss=st.sampled_from([0.0, 0.1]),
+    theta=st.floats(0.0, np.pi, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_draw_layout(kind, name, n, d, rows, honest_loss, theta, seed):
+    """A twin generator replays a block's draws in the documented order:
+    the angles, the strategy's side information, the measurement uniforms
+    and the honest losses."""
+    last_angle = theta if kind == "pinned" else None
+    kind = ProtocolKind.XY if kind == "xy" else ProtocolKind.THETA
+    strat = None
+    if name is not None:
+        d = min(d, n - 1)
+        strat = adversary.make_strategy(name, n_parties=n, dishonest_count=d,
+                                        **STRATEGY_PARAMS[name])
+    source = qstate.apply_channel(qstate.ghz_diagonal(n), qstate.ChannelSpec.ghz_dephasing(0.3))
+    rng = np.random.default_rng(seed)
+    twin = copy.deepcopy(rng)
+    block = run_block(source, strat, kind, rows, rng, honest_loss=honest_loss,
+                      last_angle=last_angle)
+    draws = oracles.draw_block(twin, strat, kind, n, rows, honest_loss, last_angle)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    free = draws["free"]
+    width = free.shape[1]
+    if kind is ProtocolKind.XY:
+        np.testing.assert_array_equal(block.angles[:, :width], free * (np.pi / 2))
+        assert np.all(block.angles.sum(axis=1) / (np.pi / 2) % 2 == 0)
+    else:
+        np.testing.assert_array_equal(block.angles[:, :width], free)
+    if last_angle is not None:
+        assert np.all(block.angles[:, -1] == last_angle)
+    assert np.all((block.angles >= 0.0) & (block.angles < np.pi))
+    turns = block.angles.sum(axis=1) / np.pi
+    assert np.all(np.abs(turns - np.rint(turns)) <= 1e-9 / np.pi)
+    np.testing.assert_array_equal(block.parity, np.rint(turns) % 2)
+    k = n if strat is None else n - d
+    expected_lost = np.zeros((rows, k), dtype=bool)
+    if honest_loss:
+        expected_lost = draws["loss"] < honest_loss
+    np.testing.assert_array_equal(block.lost[:, :k], expected_lost)
+
+
+def test_block_completion_that_rounds_to_pi_is_zero():
+    # -1e-17 % pi rounds to pi, which is not a valid angle: the theta
+    # completion and the pinned one both give 0 instead
+    for n, last_angle, free in ((2, None, [1e-17, 0.5]), (3, 0.0, [1e-17, 0.5])):
+        script = oracles.ScriptedRng(free + [0.25] * 2 * n)
+        block = run_block(qstate.ghz_diagonal(n), None, ProtocolKind.THETA, 2, script,
+                          last_angle=last_angle)
+        assert script.exhausted()
+        assert block.angles[0, n - 1 if last_angle is None else n - 2] == 0.0
+        assert block[0].assignment.parity == 0
+        assert block[1].assignment.angles[0] == 0.5
+
+
+def test_chunks_change_no_bits(rng):
+    """States that take several chunks give the bits of one row at a time."""
+    for state in (random_density(8, rng), random_pure(17, rng)):
+        arr = state.entries if isinstance(state, qstate.DensityMatrix) else state.amplitudes
+        rows = 3 * (qstate._CHUNK_BYTES // arr.nbytes) + 1
+        assert rows > 3
+        angles = rng.uniform(0.0, np.pi, (rows, state.n))
+        draws = rng.random((rows, state.n))
+        bits = qstate.sample_rows(state, angles, draws)
+        for r in range(rows):
+            single = qstate.sample_rows(state, angles[r : r + 1], draws[r : r + 1])
+            np.testing.assert_array_equal(bits[r], single[0])
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+def test_record_estimate_matches_exact_value(n, kind, rng):
+    record = random_ghz_diagonal(n, rng)
+    exact = exact_pass_probability_theta(record)
+    stats = estimate_pass_probability(record, None, kind, 200_000, 40 + n)
+    assert abs(stats.estimate - exact) < 4 * stats.stderr
+    assert stats.valid == 200_000
 
 
 def test_pinned_last_angle_is_theta_only(rng):
     for call in (
-        lambda: sample_angles(ProtocolKind.XY, 3, rng, last_angle=0.0),
+        lambda: block_assignment(ProtocolKind.XY, 3, rng, last_angle=0.0),
         lambda: run_round(ghz_state(3), None, ProtocolKind.XY, rng, last_angle=0.0),
     ):
         with pytest.raises(ValueError) as err:
@@ -139,7 +222,7 @@ def test_pinned_last_angle_is_theta_only(rng):
         assert str(err.value) == "last_angle pins a theta assignment; the xy kind takes none"
     for bad in (-0.1, np.pi, np.nan):
         with pytest.raises(ValueError) as err:
-            sample_angles(ProtocolKind.THETA, 3, rng, last_angle=bad)
+            block_assignment(ProtocolKind.THETA, 3, rng, last_angle=bad)
         assert str(err.value) == f"last_angle must lie in [0, pi), got {bad}"
 
 
@@ -169,13 +252,13 @@ def test_assignment_rejects_non_xy_angles():
 def test_parity_test(parity, outcomes, expected):
     angles = (np.pi / 2, np.pi / 2, 0.0) if parity else (0.0, 0.0, 0.0)
     asg = AngleAssignment(angles, ProtocolKind.XY, parity)
-    assert parity_test(asg, outcomes) == expected
+    assert oracles.parity_test(asg, outcomes) == expected
 
 
 def test_parity_test_rejects_loss():
     asg = AngleAssignment((0.0, 0.0), ProtocolKind.XY, 0)
     with pytest.raises(ValueError):
-        parity_test(asg, (0, LOSS))
+        oracles.parity_test(asg, (0, LOSS))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzverify import protocol, qstate
+from ghzverify import protocol
 from ghzverify.adversary import Coalition, best_dishonest_fidelity
 from ghzverify.qstate import (
     ChannelSpec,
@@ -17,13 +17,14 @@ from ghzverify.qstate import (
     ghz_state,
     partial_trace,
     plus_state,
-    sample_outcomes,
+    sample_rows,
     setting_pass_probability,
     tensor,
 )
 
 import oracles
 from conftest import (
+    block_assignment,
     random_density,
     random_ghz_diagonal,
     random_pure,
@@ -32,6 +33,13 @@ from conftest import (
 
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+
+def sample_outcomes(state, angles, rng):
+    """One shot of every qubit: ``sample_rows`` on one row of
+    ``rng.random((1, n))``."""
+    row = np.asarray(angles, dtype=float).reshape(1, -1)
+    return sample_rows(state, row, rng.random((1, state.n)))[0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +277,7 @@ def test_sequential_sampling_matches_joint_born_rule(rng):
 
 
 def test_sampling_beyond_small_state_cutoff(rng):
-    # seven qubits take the vectorized path; the GHZ parity stays deterministic
+    # at seven qubits the GHZ parity stays deterministic
     # and a random state's first-qubit marginal matches the Born rule
     ghz7 = ghz_state(7)
     for _ in range(300):
@@ -302,7 +310,7 @@ def _oracle_cases(n, rng, count):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_pure_sampling_matches_sequential_oracle(n, rng):
-    # n = 7 and 8 lie above the 64-amplitude list-loop cutoff
+    # the oracle takes its list path up to 64 amplitudes and numpy above
     for angles, seed, ghz in _oracle_cases(n, rng, 150):
         state = ghz or random_pure(n, rng)
         expected = oracles.sample_outcomes(state, angles, np.random.default_rng(seed))
@@ -318,65 +326,58 @@ def test_density_sampling_matches_sequential_oracle(n, rng):
 
 
 def test_sampling_contract_one_uniform_per_qubit(rng):
-    """sample_outcomes consumes exactly rng.random(n), and qubit 0 reads 0
-    exactly when its uniform lies below p0."""
+    """An honest block consumes its angles and exactly rng.random((m, n)),
+    and qubit 0 reads 0 exactly when its uniform lies below p0."""
     for state in (
         ghz_state(3), random_pure(7, rng), random_density(4, rng), random_ghz_diagonal(5, rng)
     ):
-        angles = rng.uniform(0, np.pi, state.n)
         gen, twin = np.random.default_rng(11), np.random.default_rng(11)
-        sample_outcomes(state, angles, gen)
-        twin.random(state.n)
+        protocol.run_block(state, None, "theta", 20, gen)
+        twin.uniform(0.0, np.pi, (20, state.n - 1))
+        twin.random((20, state.n))
         assert gen.bit_generator.state == twin.bit_generator.state
     # |+_t> on |+> has p0 = cos^2(t/2)
-    for seed in range(200):
-        t = float(rng.uniform(0, np.pi))
-        u = np.random.default_rng(seed).random()
-        bit = sample_outcomes(plus_state(1), [t], np.random.default_rng(seed))[0]
-        assert bit == (0 if u < np.cos(t / 2) ** 2 else 1)
+    t = rng.uniform(0, np.pi, (200, 1))
+    u = rng.random((200, 1))
+    bits = sample_rows(plus_state(1), t, u)
+    np.testing.assert_array_equal(bits, np.where(u < np.cos(t / 2) ** 2, 0, 1))
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 @pytest.mark.parametrize("kind", ["theta", "xy"])
 def test_ghz_diagonal_sampling_matches_density_kernel(n, kind, rng):
-    """Shared seeds give the record's closed form and the projection kernel
-    on its dense matrix the same bits."""
+    """Shared uniforms give the record's closed form and the projection
+    kernel on its dense matrix the same bits."""
     records = (
         ghz_diagonal(n),
         apply_channel(ghz_diagonal(n), ChannelSpec.ghz_dephasing(float(rng.random()))),
         apply_channel(ghz_diagonal(n), ChannelSpec.depolarizing(float(rng.random()))),
         random_ghz_diagonal(n, rng),
     )
+    rows = max(20, 2 ** (12 - n))
     for record in records:
-        dense = record.to_density().entries
-        for _ in range(max(20, 2 ** (12 - n))):
-            angles = protocol.sample_angles(kind, n, rng).angles
-            seed = int(rng.integers(2**32))
-            bits = sample_outcomes(record, angles, np.random.default_rng(seed))
-            draws = np.random.default_rng(seed).random(n)
-            assert bits == qstate._measure_low_qubits(dense, angles, draws)[0]
+        angles = np.array([block_assignment(kind, n, rng).angles for _ in range(rows)])
+        draws = rng.random((rows, n))
+        np.testing.assert_array_equal(
+            sample_rows(record, angles, draws), sample_rows(record.to_density(), angles, draws)
+        )
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_measure_record_matches_density_kernel_on_low_qubits(n, rng):
-    """Measuring qubits 0..m-1 of a record gives the kernel's bits on its
-    dense matrix, the same draws, and the kernel's remaining state."""
+    """Measuring qubits 0..m-1 of a record last, after the others, gives the
+    kernel's bits on its dense matrix in that order: the closed form holds
+    in any qubit order."""
     for record in (ghz_diagonal(n), random_ghz_diagonal(n, rng)):
-        dense = record.to_density().entries
+        dense = record.to_density()
         for m in range(1, n):
-            for _ in range(10):
-                angles = list(rng.uniform(0, np.pi, m))
-                seed = int(rng.integers(2**32))
-                gen = np.random.default_rng(seed)
-                bits, rest = qstate.measure_record(record, range(m), angles, gen)
-                draws = np.random.default_rng(seed).random(m)
-                dense_bits, dense_rest = qstate._measure_low_qubits(dense, angles, draws)
-                assert bits == dense_bits
-                assert gen.random() == np.random.default_rng(seed).random(m + 1)[m]
-                assert isinstance(rest, GhzDiagonal) and rest.n == n - m
-                np.testing.assert_allclose(
-                    rest.to_density().entries, dense_rest, rtol=0, atol=1e-12
-                )
+            order = list(range(m, n)) + list(range(m))
+            angles = rng.uniform(0, np.pi, (10, n))
+            draws = rng.random((10, n))
+            np.testing.assert_array_equal(
+                sample_rows(record, angles, draws, order),
+                sample_rows(dense, angles, draws, order),
+            )
 
 
 def _plain(value):
@@ -399,7 +400,7 @@ RECORD_FUNCTIONS = {
         protocol.exact_pass_probability(s, kind) for kind in ("theta", "xy")
     ],
     "setting_pass_probability": lambda s, g: [
-        setting_pass_probability(s, protocol.sample_angles(kind, s.n, g).angles)
+        setting_pass_probability(s, block_assignment(kind, s.n, g).angles)
         for kind in ("theta", "xy") for _ in range(5)
     ],
     "fidelity": lambda s, g: [fidelity(s, ghz_state(s.n)), fidelity(random_density(s.n, g), s)],
@@ -500,10 +501,9 @@ def test_setting_pass_matches_empirical_frequency(rng):
         angles = random_valid_theta_angles(3, rng)
         exact = setting_pass_probability(rho, angles)
         m = round(sum(angles) / np.pi) % 2
-        hits = 0
-        for _ in range(shots):
-            bits = sample_outcomes(rho, angles, rng)
-            hits += (sum(bits) % 2) == m
+        # one row per shot: the uniforms are those of shots one-row calls
+        bits = sample_rows(rho, np.tile(angles, (shots, 1)), rng.random((shots, 3)))
+        hits = int(np.sum(bits.sum(axis=1) % 2 == m))
         assert abs(hits / shots - exact) < 4 / np.sqrt(shots)
 
 

@@ -174,7 +174,7 @@ def test_round_scoring_is_order_independent(rng):
             if any(o == LOSS for o in outcomes):
                 assert rec.passed is None
             else:
-                assert protocol.parity_test(rec.assignment, outcomes) == rec.passed
+                assert oracles.parity_test(rec.assignment, outcomes) == rec.passed
 
 
 def test_abort_message_emitted_on_loss():
@@ -199,3 +199,13 @@ def test_summary_is_json_parseable():
     assert doc["config"]["protocol"] == "xy"
     assert doc["stats"]["valid_rounds"] == 120
     assert not doc["loss_cap"]["violated"]
+
+
+def test_slicing_records_gives_the_records_of_the_rows():
+    records = run_session(_config(rounds=12, honest_loss=0.2)).records
+    rows = [records[i] for i in range(len(records))]
+    assert [rec.index for rec in rows] == list(range(12))
+    for part in (slice(None, 5), slice(-3, None), slice(9, 2, -2), slice(4, 4)):
+        assert records[part] == tuple(rows[part])
+    with pytest.raises(TypeError):
+        records[[0, 1]]
