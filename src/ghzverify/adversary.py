@@ -2,11 +2,14 @@
 
 The coalition (which may include the source) tries to convince the Verifier
 while holding a state whose honest part is not genuinely multipartite
-entangled.  Its best move against a given honest angle is a Helstrom
-measurement distinguishing the two components of the honest state along the
-rotated-GHZ directions; the closed forms here quantify that, and the strategy
-constructors turn the optimal plays (including loss declaration) into
-round-by-round response policies.
+entangled.  Two quantities bound it: its best guess of the honest parity,
+a Helstrom measurement on its share against a given honest angle, and the
+best GHZ fidelity its local operations can reach.  Both depend on the state
+only through three entries of the honest reduced state, its corner block on
+the all-0 and all-1 honest strings, which ``_corner`` reads without forming
+the reduced state; the closed forms here are functions of those entries.
+The strategy constructors turn the optimal plays (including loss
+declaration) into round-by-round response policies.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
+from scipy import special
 
 from . import qstate
 from .qstate import DensityMatrix, GhzDiagonal, PureState, State
@@ -54,88 +58,56 @@ class Coalition:
         return self.n - len(self.dishonest)
 
 
-@dataclass(frozen=True)
-class GhzDecomposition:
-    """Split of a pure state against the honest-side rotated-GHZ directions.
+def _corner(state: State, coalition: Coalition) -> tuple[float, float, complex]:
+    """The corner block ``(r00, rNN, x)`` of the honest reduced state.
 
-    With honest parties grouped first, the state reads
-    ``|G_t>|psi_t> + |G_{t+pi}>|psi_{t+pi}> + |chi>`` where the honest part of
-    ``chi`` is orthogonal to both rotated GHZ vectors.  ``p`` and ``q`` are
-    the squared norms of the two dishonest-side vectors and ``overlap`` their
-    inner product.
+    With ``0`` and ``N`` the all-0 and all-1 strings of the honest parties,
+    these are ``rho_H[0, 0]``, ``rho_H[N, N]`` and ``rho_H[N, 0]`` of the
+    honest reduced state ``rho_H``.  Let ``H`` be the mask of the honest
+    qubits and ``L`` the 2^d indices whose honest bits are 0 (every subset of
+    the dishonest bits).  Tracing out the coalition sums over ``s`` in ``L``:
+    ``r00 = sum rho[s, s]``, ``rNN = sum rho[s|H, s|H]`` and
+    ``x = sum rho[s|H, s]``.  For a vector, with ``a = psi[L]`` and
+    ``b = psi[L|H]``, they are ``|a|^2``, ``|b|^2`` and ``<a|b>``.  A
+    ``GhzDiagonal`` record is off-diagonal only at ``[0, 2^n - 1]`` and its
+    mirror, which lie in the block only when every party is honest; ``x`` is
+    then the conjugated coherence, and 0 otherwise.
     """
-
-    theta: float
-    coalition: Coalition
-    psi_theta: np.ndarray
-    psi_theta_pi: np.ndarray
-    chi: np.ndarray
-    p_theta: float
-    q_theta: float
-    overlap: complex
-
-
-def honest_first_vector(psi: PureState, coalition: Coalition) -> np.ndarray:
-    """Amplitudes reindexed so honest parties occupy the high qubits.
-
-    The result reshapes to (2**k, 2**d): row = honest basis index, column =
-    dishonest basis index, each group keeping ascending party order.
-    """
-    order = sorted(coalition.dishonest) + list(coalition.honest)
-    return qstate.permute_qubits(psi.amplitudes, order)
-
-
-def _honest_matrix(psi: PureState, coalition: Coalition) -> np.ndarray:
-    vec = honest_first_vector(psi, coalition)
-    return vec.reshape(2**coalition.k, -1)
-
-
-def decompose_vs_ghz(psi: PureState, coalition: Coalition, theta: float) -> GhzDecomposition:
-    """Project the honest subsystem onto the two rotated-GHZ directions."""
-    if psi.n != coalition.n:
-        raise ValueError("state arity does not match the coalition")
-    mat = _honest_matrix(psi, coalition)
-    a = mat[0, :]
-    b = mat[-1, :]
-    phase = np.exp(-1j * theta)
-    psi_t = (a + phase * b) / np.sqrt(2.0)
-    psi_tp = (a - phase * b) / np.sqrt(2.0)
-    k = coalition.k
-    g0 = qstate.ghz_state(k, theta).amplitudes
-    g1 = qstate.ghz_state(k, theta + np.pi).amplitudes
-    chi = mat.reshape(-1) - np.kron(g0, psi_t) - np.kron(g1, psi_tp)
-    return GhzDecomposition(
-        theta=float(theta),
-        coalition=coalition,
-        psi_theta=psi_t,
-        psi_theta_pi=psi_tp,
-        chi=chi,
-        p_theta=float(np.vdot(psi_t, psi_t).real),
-        q_theta=float(np.vdot(psi_tp, psi_tp).real),
-        overlap=complex(np.vdot(psi_t, psi_tp)),
-    )
-
-
-def helstrom_guess_probability(decomp: GhzDecomposition) -> float:
-    """Optimal probability of guessing the honest parity from the dishonest
-    share: ``1/2 + sqrt((p+q)^2 - 4|overlap|^2)/2``."""
-    radicand = (decomp.p_theta + decomp.q_theta) ** 2 - 4.0 * abs(decomp.overlap) ** 2
-    if radicand < -1e-12:
-        raise ValueError(f"negative Helstrom radicand {radicand}: corrupted decomposition")
-    return 0.5 + 0.5 * math.sqrt(max(radicand, 0.0))
-
-
-def _reduced_honest_density(state: State, coalition: Coalition) -> DensityMatrix:
+    if state.n != coalition.n:
+        raise ValueError(f"state has {state.n} qubits but the coalition has {coalition.n} parties")
+    low = np.zeros(1, dtype=np.int64)
+    for j in coalition.dishonest:
+        low = np.concatenate([low, low + (1 << j)])
+    high = low + sum(1 << j for j in coalition.honest)
     if isinstance(state, PureState):
-        mat = _honest_matrix(state, coalition)
-        return DensityMatrix(coalition.k, mat @ mat.conj().T)
-    return qstate.partial_trace(state, coalition.honest)
+        a, b = state.amplitudes[low], state.amplitudes[high]
+        return float(np.vdot(a, a).real), float(np.vdot(b, b).real), complex(np.vdot(a, b))
+    if isinstance(state, GhzDiagonal):
+        x = 0j if coalition.dishonest else state.coherence.conjugate()
+        return float(state.diagonal[low].sum()), float(state.diagonal[high].sum()), x
+    rho = state.entries
+    r00, rnn = rho[low, low].sum().real, rho[high, high].sum().real
+    return float(r00), float(rnn), complex(rho[high, low].sum())
 
 
-def _ghz_reduced(k: int) -> DensityMatrix:
-    mat = np.zeros((2**k, 2**k), dtype=complex)
-    mat[0, 0] = mat[-1, -1] = 0.5
-    return DensityMatrix(k, mat)
+def _radicand(product: float, square: float) -> float:
+    """``product - square``, or 0 when that is below ``4*eps*product``.
+
+    Every radicand here is ``r00*rNN`` less a square that Cauchy-Schwarz
+    bounds by it, and it is exactly 0 for a rank-1 corner block (every party
+    honest, say), where rounding leaves a remainder of order eps*product
+    whose square root is of order 1e-9; as ``qstate._clip_spectrum`` does
+    for eigenvalues, such a remainder, or a negative one, is set to 0.
+    """
+    radicand = product - square
+    return radicand if radicand > 4.0 * np.finfo(float).eps * product else 0.0
+
+
+def _pure_corner(psi: PureState, coalition: Coalition, caller: str) -> tuple[float, float, complex]:
+    """``_corner`` of a pure state; the Helstrom closed forms need one."""
+    if not isinstance(psi, PureState):
+        raise TypeError(f"{caller} needs a PureState, got {type(psi).__name__}")
+    return _corner(psi, coalition)
 
 
 LabeledMixture = Sequence[tuple[float, State]]
@@ -147,6 +119,14 @@ def best_dishonest_fidelity(
     """Fidelity to the ideal GHZ state maximized over the coalition's local
     operations: the fidelity between the reduced honest states.
 
+    The ideal reduced state ``sigma = (|0><0| + |N><N|)/2`` has rank 2, so
+    ``sqrt(sigma) rho_H sqrt(sigma)`` is half the corner block
+    ``M = [[r00, conj(x)], [x, rNN]]`` (``_corner``) and
+    ``F = Tr[sqrt(M/2)]^2 = (tr M + 2 sqrt(det M))/2``, that is
+    ``(r00 + rNN)/2 + sqrt(r00*rNN - |x|^2)``.  ``sigma`` is the honest
+    reduced state of the GHZ state whenever the coalition is not empty;
+    without a coalition the value is still taken against ``sigma``.
+
     A labeled mixture ``[(weight, state), ...]`` models a source that also
     hands the coalition a classical label; the value is then the
     weight-averaged optimum over the components.
@@ -154,40 +134,34 @@ def best_dishonest_fidelity(
     if not isinstance(state, (PureState, DensityMatrix, GhzDiagonal)):
         parts = list(state)
         weights = np.array([w for w, _ in parts], dtype=float)
-        if abs(weights.sum() - 1.0) > 1e-9 or np.any(weights < 0):
+        # written as `not (...)` so that a NaN or infinite weight fails too
+        if not (abs(weights.sum() - 1.0) <= 1e-9 and (weights >= 0).all()):
             raise ValueError("mixture weights must be nonnegative and sum to 1")
         return float(
             sum(w * best_dishonest_fidelity(s, coalition) for w, s in parts)
         )
-    reduced = _reduced_honest_density(state, coalition)
-    return qstate.fidelity(reduced, _ghz_reduced(coalition.k))
+    r00, rnn, x = _corner(state, coalition)
+    return 0.5 * (r00 + rnn) + math.sqrt(_radicand(r00 * rnn, abs(x) ** 2))
 
 
-def averaged_guess_probability(
-    psi: PureState, coalition: Coalition, grid: int = 10_000
-) -> float:
+def averaged_guess_probability(psi: PureState, coalition: Coalition) -> float:
     """Average of the Helstrom guess probability over a uniform honest angle.
 
-    Evaluated by the trapezoid rule on ``grid`` intervals over [0, pi]; the
-    integrand is pi-periodic and smooth, so the quadrature error is far below
-    the statistical tolerances used elsewhere.
+    At honest angle ``t`` the guess is
+    ``G(t) = 1/2 + sqrt(r00*rNN - Im(e^{-it} x)^2)`` (see
+    ``xy_optimal_pass_probability``).  With ``x = |x| e^{i*phi}`` the square
+    is ``|x|^2 sin^2(phi - t)``, so over t uniform on [0, pi]
+    ``mean sqrt(P - |x|^2 sin^2 u) = (2/pi) sqrt(P) E(|x|^2/P)``, with
+    ``P = r00*rNN`` and ``E`` the complete elliptic integral of the second
+    kind in the parameter convention of ``scipy.special.ellipe``.  The value
+    is 1/2 when ``P = 0``.
     """
-    if grid < 1_000:
-        raise ValueError("grid must be at least 1000 points")
-    mat = _honest_matrix(psi, coalition)
-    a = mat[0, :]
-    b = mat[-1, :]
-    norm_a = float(np.vdot(a, a).real)
-    norm_b = float(np.vdot(b, b).real)
-    cross = complex(np.vdot(a, b))
-    thetas = np.linspace(0.0, np.pi, grid + 1)
-    # p+q is theta-independent; the overlap rotates with the honest angle
-    total = 0.5 * (norm_a + norm_b)
-    rotating = np.exp(-1j * thetas) * cross
-    overlap_sq = (0.5 * (norm_a - norm_b)) ** 2 + rotating.imag**2
-    radicand = np.clip((2.0 * total) ** 2 - 4.0 * overlap_sq, 0.0, None)
-    values = 0.5 + 0.5 * np.sqrt(radicand)
-    return float(np.trapezoid(values, thetas) / np.pi)
+    r00, rnn, x = _pure_corner(psi, coalition, "averaged_guess_probability")
+    product = r00 * rnn
+    if product == 0.0:
+        return 0.5
+    m = 1.0 - _radicand(product, abs(x) ** 2) / product
+    return float(0.5 + 2.0 / math.pi * math.sqrt(product) * special.ellipe(m))
 
 
 def xy_optimal_pass_probability(psi: PureState, coalition: Coalition) -> float:
@@ -195,18 +169,26 @@ def xy_optimal_pass_probability(psi: PureState, coalition: Coalition) -> float:
     the optimal guess for every setting: the average Helstrom guess
     probability over the 2**(n-1) valid xy assignments.
 
+    Helstrom guess at honest angle ``t``: projecting the honest parties onto
+    ``GHZ_k(t)`` and ``GHZ_k(t + pi)`` leaves the coalition
+    ``u = (a + e^{-it} b)/sqrt(2)`` and ``v = (a - e^{-it} b)/sqrt(2)``
+    (``a``, ``b`` as in ``_corner``), and the best guess of which it holds is
+    ``1/2 + ||uu* - vv*||_1 / 2`` with
+    ``||uu* - vv*||_1^2 = (|u|^2 + |v|^2)^2 - 4|<u|v>|^2``.  Here
+    ``|u|^2 + |v|^2 = r00 + rNN`` and
+    ``<u|v> = (r00 - rNN)/2 - i Im(e^{-it} x)``, so the guess is
+    ``G(t) = 1/2 + sqrt(r00*rNN - Im(e^{-it} x)^2)``.
+
     A setting enters only through its honest angle sum mod pi: 0 or pi/2 for
     an even or odd count of honest pi/2 angles.  Valid settings are the n-bit
     strings of even weight, so with a dishonest party to complete the parity
     the honest bits are uniform over all 2**k strings, and the average is
-    ``(H(0) + H(pi/2))/2`` with ``H`` the Helstrom guess probability at that
-    honest angle.  Without dishonest parties the honest count is always even.
+    ``(G(0) + G(pi/2))/2``, where ``Im(e^{-it} x)`` is ``Im x`` and
+    ``-Re x``.  Without dishonest parties the honest count is always even.
     """
-    honest_angles = (0.0, math.pi / 2) if coalition.dishonest else (0.0,)
-    values = [
-        helstrom_guess_probability(decompose_vs_ghz(psi, coalition, t)) for t in honest_angles
-    ]
-    return float(np.mean(values))
+    r00, rnn, x = _pure_corner(psi, coalition, "xy_optimal_pass_probability")
+    parts = (x.imag, x.real) if coalition.dishonest else (x.imag,)
+    return float(np.mean([0.5 + math.sqrt(_radicand(r00 * rnn, v * v)) for v in parts]))
 
 
 # ---------------------------------------------------------------------------

@@ -296,9 +296,11 @@ def run_round(
 
 
 def base_seed(rng: Union[int, np.random.Generator]) -> int:
-    if isinstance(rng, (int, np.integer)):
-        return int(rng)
-    return int(rng.integers(0, 2**63))
+    if isinstance(rng, np.random.Generator):
+        return int(rng.integers(0, 2**63))
+    if not (isinstance(rng, (int, np.integer)) and rng >= 0):
+        raise ValueError(f"seed must be a non-negative integer or a numpy Generator, got {rng!r}")
+    return int(rng)
 
 
 def run_rounds(

@@ -28,7 +28,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NoReturn, Sequence, Union
+from typing import NoReturn, Sequence, Union
 
 import numpy as np
 from scipy.linalg.lapack import zpotrf
@@ -408,31 +408,7 @@ def setting_pass_probability(
 
 
 # ---------------------------------------------------------------------------
-# reduced states, fidelity, channels
-
-
-def partial_trace(
-    rho: Union[DensityMatrix, GhzDiagonal], keep: Iterable[int]
-) -> DensityMatrix:
-    """Trace out all qubits not in ``keep``; kept qubits keep their order."""
-    if isinstance(rho, GhzDiagonal):
-        rho = rho.to_density()
-    kept = sorted(set(int(q) for q in keep))
-    if not kept:
-        raise ValueError("keep must name at least one qubit")
-    if kept[0] < 0 or kept[-1] >= rho.n:
-        raise ValueError(f"keep indices must lie in [0, {rho.n - 1}]")
-    n = rho.n
-    traced = [q for q in range(n) if q not in kept]
-    k, t = len(kept), len(traced)
-    tensor_form = rho.entries.reshape((2,) * (2 * n))
-    # axis a of the row (col) group corresponds to qubit n-1-a
-    row_axes = [n - 1 - q for q in reversed(kept)] + [n - 1 - q for q in reversed(traced)]
-    col_axes = [n + a for a in row_axes]
-    reordered = tensor_form.transpose(row_axes + col_axes)
-    blocks = reordered.reshape(2**k, 2**t, 2**k, 2**t)
-    reduced = np.einsum("aibi->ab", blocks)
-    return DensityMatrix(k, reduced)
+# fidelity, channels
 
 
 def _clip_spectrum(w: np.ndarray) -> np.ndarray:

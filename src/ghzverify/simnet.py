@@ -55,6 +55,8 @@ class SessionConfig:
         object.__setattr__(self, "kind", ProtocolKind(self.kind))
         if self.rounds < 1:
             raise ValueError("need at least one round")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0.0 <= self.lambda_max < 1.0:
             raise ValueError("lambda_max must lie in [0, 1)")
         if self.strategy is not None and self.strategy.n_parties != self.n_parties:

@@ -5,7 +5,11 @@ separate sequential samplers for pure states (python lists and numpy) and
 density matrices, separate pure and density versions of the coalition's
 projective measurement, the exact pass probabilities as GHZ-projector
 overlaps and as a sum over the 2**(n-1) xy settings, and the xy-optimal
-cheat as a sum over those settings.  Each sampler draws its uniforms as the
+cheat as a sum over those settings.  The coalition analysis is done the long
+way: a partial trace and ``qstate.fidelity`` for the best fidelity, and the
+rotated-GHZ decomposition with its Helstrom guess, averaged over a uniform
+honest angle by a trapezoid or by adaptive quadrature, where the package
+reads three entries of the state.  Each sampler draws its uniforms as the
 sampling contract in ``ghzverify.qstate`` prescribes, so on a shared seed it
 must return the same bits as the package.  Basis states, the maximally mixed
 state and the list of xy settings are built here as test inputs.
@@ -37,6 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy import integrate
 
 from ghzverify import adversary, protocol, qstate, sources
 from ghzverify.protocol import LOSS
@@ -247,9 +252,147 @@ def xy_optimal_pass_probability(psi, coalition):
     values = []
     for setting in xy_valid_settings(coalition.n):
         honest_angle = sum(setting[j] for j in coalition.honest) % np.pi
-        decomp = adversary.decompose_vs_ghz(psi, coalition, honest_angle)
-        values.append(adversary.helstrom_guess_probability(decomp))
+        decomp = decompose_vs_ghz(psi, coalition, honest_angle)
+        values.append(helstrom_guess_probability(decomp))
     return float(np.mean(values))
+
+
+# ---------------------------------------------------------------------------
+# coalition analysis through the GHZ decomposition and the reduced state
+
+
+def partial_trace(rho, keep):
+    """Trace out all qubits not in ``keep``; kept qubits keep their order."""
+    if isinstance(rho, GhzDiagonal):
+        rho = rho.to_density()
+    kept = sorted(set(int(q) for q in keep))
+    if not kept:
+        raise ValueError("keep must name at least one qubit")
+    if kept[0] < 0 or kept[-1] >= rho.n:
+        raise ValueError(f"keep indices must lie in [0, {rho.n - 1}]")
+    n = rho.n
+    traced = [q for q in range(n) if q not in kept]
+    k, t = len(kept), len(traced)
+    tensor_form = rho.entries.reshape((2,) * (2 * n))
+    # axis a of the row (col) group corresponds to qubit n-1-a
+    row_axes = [n - 1 - q for q in reversed(kept)] + [n - 1 - q for q in reversed(traced)]
+    col_axes = [n + a for a in row_axes]
+    reordered = tensor_form.transpose(row_axes + col_axes)
+    blocks = reordered.reshape(2**k, 2**t, 2**k, 2**t)
+    reduced = np.einsum("aibi->ab", blocks)
+    return DensityMatrix(k, reduced)
+
+
+@dataclass(frozen=True)
+class GhzDecomposition:
+    """Split of a pure state against the honest-side rotated-GHZ directions.
+
+    With honest parties grouped first, the state reads
+    ``|G_t>|psi_t> + |G_{t+pi}>|psi_{t+pi}> + |chi>`` where the honest part of
+    ``chi`` is orthogonal to both rotated GHZ vectors.  ``p`` and ``q`` are
+    the squared norms of the two dishonest-side vectors and ``overlap`` their
+    inner product.
+    """
+
+    theta: float
+    coalition: adversary.Coalition
+    psi_theta: np.ndarray
+    psi_theta_pi: np.ndarray
+    chi: np.ndarray
+    p_theta: float
+    q_theta: float
+    overlap: complex
+
+
+def honest_first_vector(psi, coalition):
+    """Amplitudes reindexed so honest parties occupy the high qubits.
+
+    The result reshapes to (2**k, 2**d): row = honest basis index, column =
+    dishonest basis index, each group keeping ascending party order.
+    """
+    order = sorted(coalition.dishonest) + list(coalition.honest)
+    return qstate.permute_qubits(psi.amplitudes, order)
+
+
+def _honest_matrix(psi, coalition):
+    return honest_first_vector(psi, coalition).reshape(2**coalition.k, -1)
+
+
+def decompose_vs_ghz(psi, coalition, theta):
+    """Project the honest subsystem onto the two rotated-GHZ directions."""
+    if psi.n != coalition.n:
+        raise ValueError("state arity does not match the coalition")
+    mat = _honest_matrix(psi, coalition)
+    a = mat[0, :]
+    b = mat[-1, :]
+    phase = np.exp(-1j * theta)
+    psi_t = (a + phase * b) / np.sqrt(2.0)
+    psi_tp = (a - phase * b) / np.sqrt(2.0)
+    k = coalition.k
+    g0 = qstate.ghz_state(k, theta).amplitudes
+    g1 = qstate.ghz_state(k, theta + np.pi).amplitudes
+    chi = mat.reshape(-1) - np.kron(g0, psi_t) - np.kron(g1, psi_tp)
+    return GhzDecomposition(
+        theta=float(theta),
+        coalition=coalition,
+        psi_theta=psi_t,
+        psi_theta_pi=psi_tp,
+        chi=chi,
+        p_theta=float(np.vdot(psi_t, psi_t).real),
+        q_theta=float(np.vdot(psi_tp, psi_tp).real),
+        overlap=complex(np.vdot(psi_t, psi_tp)),
+    )
+
+
+def helstrom_guess_probability(decomp):
+    """Optimal probability of guessing the honest parity from the dishonest
+    share: ``1/2 + sqrt((p+q)^2 - 4|overlap|^2)/2``."""
+    radicand = (decomp.p_theta + decomp.q_theta) ** 2 - 4.0 * abs(decomp.overlap) ** 2
+    if radicand < -1e-12:
+        raise ValueError(f"negative Helstrom radicand {radicand}: corrupted decomposition")
+    return 0.5 + 0.5 * math.sqrt(max(radicand, 0.0))
+
+
+def averaged_guess_probability(psi, coalition, grid):
+    """The Helstrom guess averaged over a uniform honest angle by the
+    trapezoid rule on ``grid`` intervals over [0, pi], each point through
+    the decomposition."""
+    thetas = np.linspace(0.0, np.pi, grid + 1)
+    values = [helstrom_guess_probability(decompose_vs_ghz(psi, coalition, t)) for t in thetas]
+    return float(np.trapezoid(values, thetas) / np.pi)
+
+
+def averaged_guess_by_quadrature(psi, coalition):
+    """The same average by adaptive quadrature, split where ``p = q``.
+
+    ``p - q`` is ``2 Re(e^{-it} <a|b>)`` with ``a`` and ``b`` the honest
+    all-0 and all-1 rows, so it vanishes at one angle in [0, pi).  With every
+    party honest the guess has a kink there, which the trapezoid converges
+    on only as the square of its step; the split keeps the quadrature exact
+    to rounding.
+    """
+    def pointwise(t):
+        return helstrom_guess_probability(decompose_vs_ghz(psi, coalition, t))
+
+    decomps = [decompose_vs_ghz(psi, coalition, t) for t in (0.0, np.pi / 2)]
+    re, im = (0.5 * (d.p_theta - d.q_theta) for d in decomps)
+    kink = (math.atan2(im, re) + np.pi / 2) % np.pi
+    total = sum(
+        integrate.quad(pointwise, lo, hi, epsabs=1e-13, epsrel=0.0, limit=200)[0]
+        for lo, hi in ((0.0, kink), (kink, np.pi))
+    )
+    return total / np.pi
+
+
+def best_dishonest_fidelity(state, coalition):
+    """Uhlmann fidelity, by ``qstate.fidelity``, of the honest reduced state
+    (``partial_trace``) with ``(|0><0| + |N><N|)/2`` on the honest qubits."""
+    if isinstance(state, PureState):
+        state = state.to_density()
+    reduced = partial_trace(state, coalition.honest)
+    ideal = np.zeros((2**coalition.k, 2**coalition.k), dtype=complex)
+    ideal[0, 0] = ideal[-1, -1] = 0.5
+    return qstate.fidelity(reduced, DensityMatrix(coalition.k, ideal))
 
 
 # ---------------------------------------------------------------------------

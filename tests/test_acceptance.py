@@ -111,7 +111,7 @@ def test_criterion_04_dishonest_guessing_bound():
         coalition = adversary.Coalition(n, range(k, n))
         for _ in range(20):
             psi = random_pure(n, rng)
-            guess = adversary.averaged_guess_probability(psi, coalition, grid=10_000)
+            guess = adversary.averaged_guess_probability(psi, coalition)
             bound = 0.75 + 0.25 * adversary.best_dishonest_fidelity(psi, coalition)
             worst = max(worst, guess - bound)
             assert guess <= bound + 1e-6

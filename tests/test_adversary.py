@@ -13,9 +13,6 @@ from ghzverify.adversary import (
     Coalition,
     averaged_guess_probability,
     best_dishonest_fidelity,
-    decompose_vs_ghz,
-    helstrom_guess_probability,
-    honest_first_vector,
     make_strategy,
     theta_cheat_pass_curve,
     xy_cheat_pass_curve,
@@ -62,27 +59,27 @@ def test_coalition_partition():
 def test_decompose_ideal_ghz_any_angle(rng):
     psi = ghz_state(4)
     for theta in rng.uniform(0, np.pi, 5):
-        d = decompose_vs_ghz(psi, _coalition_last(4, 2), theta)
+        d = oracles.decompose_vs_ghz(psi, _coalition_last(4, 2), theta)
         assert d.p_theta == pytest.approx(0.5, abs=1e-12)
         assert d.q_theta == pytest.approx(0.5, abs=1e-12)
         assert abs(d.overlap) == pytest.approx(0.0, abs=1e-12)
         assert np.linalg.norm(d.chi) == pytest.approx(0.0, abs=1e-12)
-        assert helstrom_guess_probability(d) == pytest.approx(1.0, abs=1e-12)
+        assert oracles.helstrom_guess_probability(d) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_decompose_all_zeros_state():
     psi = oracles.basis_state(3, 0)
-    d = decompose_vs_ghz(psi, _coalition_last(3), 0.0)
+    d = oracles.decompose_vs_ghz(psi, _coalition_last(3), 0.0)
     assert d.p_theta == pytest.approx(0.5, abs=1e-12)
     assert d.q_theta == pytest.approx(0.5, abs=1e-12)
     assert abs(d.overlap) == pytest.approx(0.5, abs=1e-12)
     assert np.linalg.norm(d.chi) == pytest.approx(0.0, abs=1e-12)
-    assert helstrom_guess_probability(d) == pytest.approx(0.5, abs=1e-12)
+    assert oracles.helstrom_guess_probability(d) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_decompose_product_plus_state_has_residual():
     psi = plus_state(4)
-    d = decompose_vs_ghz(psi, _coalition_last(4), 0.0)
+    d = oracles.decompose_vs_ghz(psi, _coalition_last(4), 0.0)
     # the honest |+>^3 component leaks outside the two GHZ directions
     assert np.vdot(d.chi, d.chi).real > 0.1
 
@@ -94,13 +91,13 @@ def test_decomposition_reconstructs_state(rng):
         coalition = Coalition(n, rng.choice(n, size=d_count, replace=False))
         psi = random_pure(n, rng)
         theta = float(rng.uniform(0, np.pi))
-        dec = decompose_vs_ghz(psi, coalition, theta)
+        dec = oracles.decompose_vs_ghz(psi, coalition, theta)
         norm_budget = dec.p_theta + dec.q_theta + float(np.vdot(dec.chi, dec.chi).real)
         assert norm_budget == pytest.approx(1.0, abs=1e-9)
         g0 = ghz_state(coalition.k, theta).amplitudes
         g1 = ghz_state(coalition.k, theta + np.pi).amplitudes
         rebuilt = np.kron(g0, dec.psi_theta) + np.kron(g1, dec.psi_theta_pi) + dec.chi
-        assert np.allclose(rebuilt, honest_first_vector(psi, coalition), atol=1e-9)
+        assert np.allclose(rebuilt, oracles.honest_first_vector(psi, coalition), atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +109,12 @@ def test_helstrom_closed_form_matches_trace_norm_oracle(rng):
         n = int(rng.integers(2, 5))
         coalition = _coalition_last(n, int(rng.integers(1, n)))
         psi = random_pure(n, rng)
-        dec = decompose_vs_ghz(psi, coalition, float(rng.uniform(0, np.pi)))
+        dec = oracles.decompose_vs_ghz(psi, coalition, float(rng.uniform(0, np.pi)))
         diff = np.outer(dec.psi_theta, dec.psi_theta.conj()) - np.outer(
             dec.psi_theta_pi, dec.psi_theta_pi.conj()
         )
         trace_norm = np.abs(np.linalg.eigvalsh(diff)).sum()
-        assert helstrom_guess_probability(dec) == pytest.approx(
+        assert oracles.helstrom_guess_probability(dec) == pytest.approx(
             0.5 + 0.5 * trace_norm, abs=1e-9
         )
 
@@ -137,20 +134,84 @@ def test_averaged_guess_rotated_bell_reaches_theta_cheat_optimum():
 def test_averaged_guess_equals_pointwise_composition(rng):
     psi = random_pure(3, rng)
     coalition = _coalition_last(3)
-    grid = 1000
-    thetas = np.linspace(0, np.pi, grid + 1)
-    pointwise = [
-        helstrom_guess_probability(decompose_vs_ghz(psi, coalition, t)) for t in thetas
+    expected = oracles.averaged_guess_probability(psi, coalition, grid=1000)
+    assert averaged_guess_probability(psi, coalition) == pytest.approx(expected, abs=1e-12)
+
+
+def test_averaged_guess_rotated_bell_is_the_theta_cheat_optimum_exactly():
+    psi = tensor(ghz_state(2, np.pi / 4), plus_state(1))
+    value = averaged_guess_probability(psi, _coalition_last(3))
+    assert value == pytest.approx(0.5 + 1 / np.pi, abs=1e-12)
+
+
+def _every_coalition(n):
+    return [
+        Coalition(n, dishonest)
+        for d in range(n) for dishonest in itertools.combinations(range(n), d)
     ]
-    expected = np.trapezoid(pointwise, thetas) / np.pi
-    assert averaged_guess_probability(psi, coalition, grid=grid) == pytest.approx(
-        expected, abs=1e-12
-    )
 
 
-def test_averaged_guess_rejects_coarse_grid(rng):
-    with pytest.raises(ValueError):
-        averaged_guess_probability(ghz_state(2), _coalition_last(2), grid=10)
+@pytest.mark.parametrize("n", range(2, 8))
+def test_closed_forms_match_the_decomposition_and_partial_trace_oracles(n, rng):
+    psi, rho = random_pure(n, rng), random_density(n, rng)
+    for coalition in _every_coalition(n):
+        assert best_dishonest_fidelity(psi, coalition) == pytest.approx(
+            oracles.best_dishonest_fidelity(psi, coalition), abs=1e-12
+        )
+        assert best_dishonest_fidelity(rho, coalition) == pytest.approx(
+            oracles.best_dishonest_fidelity(rho, coalition), abs=1e-12
+        )
+        honest_angles = (0.0, np.pi / 2) if coalition.dishonest else (0.0,)
+        helstrom = [
+            oracles.helstrom_guess_probability(oracles.decompose_vs_ghz(psi, coalition, t))
+            for t in honest_angles
+        ]
+        assert xy_optimal_pass_probability(psi, coalition) == pytest.approx(
+            np.mean(helstrom), abs=1e-12
+        )
+        assert averaged_guess_probability(psi, coalition) == pytest.approx(
+            oracles.averaged_guess_by_quadrature(psi, coalition), abs=1e-12
+        )
+
+
+@pytest.mark.parametrize("n", [3, 4, 10])
+def test_best_fidelity_of_a_record_matches_its_matrix(n, rng):
+    record = random_ghz_diagonal(n, rng)
+    dense = record.to_density()
+    coalitions = _every_coalition(n) if n < 10 else [
+        Coalition(n, dishonest) for dishonest in ([4], [n - 1], range(1, n), range(n - 1))
+    ]
+    for coalition in coalitions:
+        assert best_dishonest_fidelity(record, coalition) == pytest.approx(
+            best_dishonest_fidelity(dense, coalition), abs=1e-12
+        )
+
+
+def test_coalition_analysis_rejects_a_state_of_another_arity():
+    message = "state has 2 qubits but the coalition has 3 parties"
+    coalition = Coalition(3, [2])
+    for state in (ghz_state(2), ghz_state(2).to_density(), qstate.ghz_diagonal(2)):
+        with pytest.raises(ValueError, match=message):
+            best_dishonest_fidelity(state, coalition)
+    for function in (averaged_guess_probability, xy_optimal_pass_probability):
+        with pytest.raises(ValueError, match=message):
+            function(ghz_state(2), coalition)
+
+
+def test_helstrom_closed_forms_reject_mixed_states_by_name():
+    coalition = _coalition_last(3)
+    for state in (ghz_state(3).to_density(), qstate.ghz_diagonal(3)):
+        for function in (averaged_guess_probability, xy_optimal_pass_probability):
+            expected = f"{function.__name__} needs a PureState, got {type(state).__name__}"
+            with pytest.raises(TypeError, match=expected):
+                function(state, coalition)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_best_fidelity_rejects_non_finite_mixture_weights(bad):
+    mixture = [(bad, ghz_state(3)), (1.0, ghz_state(3))]
+    with pytest.raises(ValueError, match="mixture weights must be nonnegative and sum to 1"):
+        best_dishonest_fidelity(mixture, _coalition_last(3))
 
 
 def test_dishonest_bound_on_random_states(rng):
@@ -185,8 +246,8 @@ def test_best_dishonest_fidelity_pure_path_matches_partial_trace(rng):
         psi = random_pure(3, rng)
         coalition = Coalition(3, [1])
         direct = best_dishonest_fidelity(psi, coalition)
-        reduced = qstate.partial_trace(psi.to_density(), coalition.honest)
-        sigma = qstate.partial_trace(ghz_state(3).to_density(), coalition.honest)
+        reduced = oracles.partial_trace(psi.to_density(), coalition.honest)
+        sigma = oracles.partial_trace(ghz_state(3).to_density(), coalition.honest)
         assert direct == pytest.approx(qstate.fidelity(reduced, sigma), abs=1e-9)
 
 

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -389,6 +390,13 @@ def test_estimate_is_seed_deterministic():
     a = estimate_pass_probability(rho, None, ProtocolKind.XY, 300, 11)
     b = estimate_pass_probability(rho, None, ProtocolKind.XY, 300, 11)
     assert a == b
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+def test_bad_seed_is_named(seed):
+    expected = f"seed must be a non-negative integer or a numpy Generator, got {seed!r}"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        estimate_pass_probability(qstate.ghz_state(3), None, ProtocolKind.THETA, 10, seed)
 
 
 def test_honest_loss_rounds_are_excluded_without_bias():

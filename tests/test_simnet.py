@@ -52,6 +52,12 @@ def test_session_config_validation():
         )
 
 
+@pytest.mark.parametrize("seed", [-5, 1.5])
+def test_session_config_rejects_a_bad_seed(seed):
+    with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+        _config(seed=seed)
+
+
 def test_session_config_places_the_strategy_on_the_last_parties():
     strat = adversary.make_strategy(
         "theta-rotated-bell", n_parties=4, dishonest_count=2, lam=0.3, theta_prime=0.5
