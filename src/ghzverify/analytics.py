@@ -80,6 +80,12 @@ def gme_threshold(kind: ProtocolKind, trust: TrustModel, lam: float = 0.0) -> fl
     return xy_cheat_pass_curve(lam)
 
 
+def check_sigma(sigma: float) -> None:
+    """Reject a negative or non-finite sigma by name."""
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma must be a non-negative finite number, got {sigma}")
+
+
 def verdict(
     stats: PassStats,
     kind: ProtocolKind,
@@ -90,6 +96,7 @@ def verdict(
     """GME-VERIFIED iff the estimate clears the threshold by sigma stderrs."""
     if stats.valid < 1:
         raise ValueError("verdict needs at least one valid round")
+    check_sigma(sigma)
     threshold = gme_threshold(kind, trust, lam)
     gap = stats.estimate - threshold
     if stats.stderr > 0.0:

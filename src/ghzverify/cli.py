@@ -9,8 +9,10 @@ configs reproduce output files byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import shutil
 import sys
 from pathlib import Path
 
@@ -56,7 +58,12 @@ def _apply_config_file(path: str, commands: dict[str, _Parser]) -> None:
         for act in command._actions:
             if act.dest not in ("help", "config"):
                 actions.setdefault(act.dest, []).append((command, act))
-    for raw in Path(path).read_text().splitlines():
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise CliError(f"config file {path}: cannot be read: {reason}") from None
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -81,11 +88,13 @@ def _apply_config_file(path: str, commands: dict[str, _Parser]) -> None:
 
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     """One parser per subcommand, each taking only the flags it reads."""
-    parser = _Parser(prog="ghzverify")
+    # each add_argument builds a help formatter, which asks the terminal size if given no width
+    fmt = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = _Parser(prog="ghzverify", formatter_class=fmt)
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
     for name in ("verify", "curves", "dishonest-angle-profile", "session"):
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, formatter_class=fmt)
         p.add_argument("--config", help="key=value defaults file; flags override")
         p.add_argument("--seed", type=int, default=7)
         p.add_argument("--rounds", type=int, default=6000)
@@ -315,15 +324,15 @@ def _emit_rows(rows: list[dict], columns: tuple[str, ...], args):
 def main(argv=None) -> int:
     parser, commands = build_parser()
     try:
-        # two-phase parse so --config supplies defaults that flags override
-        probe = _Parser(add_help=False)
-        probe.add_argument("--config")
-        known, _ = probe.parse_known_args(argv if argv is not None else sys.argv[1:])
-        if known.config:
-            _apply_config_file(known.config, commands)
         args = parser.parse_args(argv)
+        if args.config:
+            # the file's keys become the subcommands' defaults; flags win
+            _apply_config_file(args.config, commands)
+            args = parser.parse_args(argv)
         if args.seed < 0:
             raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
+        if "sigma" in args:
+            analytics.check_sigma(args.sigma)
         handler = {
             "verify": cmd_verify,
             "curves": cmd_curves,

@@ -116,6 +116,19 @@ def test_verdict_respects_sigma_level():
     )
 
 
+@pytest.mark.parametrize("sigma", [-50, -1e-12, math.nan, math.inf, -math.inf])
+def test_verdict_rejects_a_bad_sigma(sigma):
+    stats = _stats(0.7, 0.05, valid=10)
+    with pytest.raises(ValueError) as info:
+        verdict(stats, ProtocolKind.THETA, TrustModel.DISHONEST_ALLOWED, sigma=sigma)
+    assert str(info.value) == f"sigma must be a non-negative finite number, got {sigma}"
+
+
+def test_verdict_takes_a_zero_sigma():
+    v = verdict(_stats(0.834, 0.005), ProtocolKind.THETA, TrustModel.DISHONEST_ALLOWED, sigma=0)
+    assert v.decision == "GME-VERIFIED" and v.sigma == 0
+
+
 def test_max_tolerable_loss_near_five_percent():
     lam = max_tolerable_loss(0.834, ProtocolKind.THETA, TrustModel.DISHONEST_ALLOWED)
     assert 0.045 <= lam <= 0.055

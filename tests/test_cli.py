@@ -1,8 +1,10 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from ghzverify import cli
 from ghzverify.cli import main
 
 import oracles
@@ -329,3 +331,101 @@ def test_session_reports_the_exact_value_and_z_score_for_an_honest_source(tmp_pa
     # a cheating strategy has no exact value to report
     assert _run(*base, "--strategy", "xy-rotated-bell", "--protocol", "xy") == 0
     assert capsys.readouterr().err.endswith("audit_flags=[]\n")
+
+
+def test_config_defaults_do_not_leak_into_later_calls(tmp_path):
+    conf = tmp_path / "run.conf"
+    conf.write_text("rounds = 300\nprotocol = xy\n")
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert _run("verify", "--config", str(conf), "--out", str(first)) == 0
+    assert _run("verify", "--out", str(second)) == 0
+    assert json.loads(first.read_text())["config"]["rounds"] == 300
+    config = json.loads(second.read_text())["config"]
+    assert config["rounds"] == 6000
+    assert config["protocol"] == "theta"
+
+
+def test_each_call_builds_one_parser_and_asks_the_terminal_size_once(
+    monkeypatch, tmp_path, capsys
+):
+    conf = tmp_path / "run.conf"
+    conf.write_text("rounds = 30\n")
+    built, lookups = [], []
+    size = shutil.get_terminal_size()
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    def counting_size(*args, **kwargs):
+        lookups.append(None)
+        return size
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    monkeypatch.setattr(shutil, "get_terminal_size", counting_size)
+    calls = (
+        ("verify", "--rounds", "5"),
+        ("curves", "--lambda-grid", "0", "--rounds", "5"),
+        ("verify", "--rounds", "many"),
+        ("verify", "--config", str(conf)),
+    )
+    for argv in calls:
+        del built[:], lookups[:]
+        capsys.readouterr()
+        _run(*argv)
+        # the top-level parser and one parser per subcommand, also with --config
+        assert len(built) == 5
+        assert len(lookups) == 1
+    assert json.loads(capsys.readouterr().out)["config"]["rounds"] == 30
+
+
+def test_a_bad_flag_is_reported_before_a_bad_config_file(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("rouns = 50\n")
+    assert _run("verify", "--config", str(conf), "--rounds", "abc") == 1
+    assert capsys.readouterr().err == "error: argument --rounds: invalid int value: 'abc'\n"
+    assert _run("verify", "--config", str(conf), "--rounds", "10") == 1
+    assert capsys.readouterr().err == (
+        f"error: config file {conf}: key 'rouns' is not an option of any subcommand\n"
+    )
+
+
+def test_an_unreadable_config_file_is_named(tmp_path, capsys):
+    missing, binary = tmp_path / "no-such.conf", tmp_path / "binary.conf"
+    cases = [(missing, "No such file or directory"), (tmp_path, "Is a directory")]
+    binary.write_bytes(b"\xffrounds = 3\n")
+    try:
+        binary.read_text()
+    except UnicodeDecodeError as exc:  # not text in the locale's encoding
+        cases.append((binary, str(exc)))
+    for path, reason in cases:
+        assert _run("verify", "--config", str(path), "--rounds", "10") == 1
+        assert capsys.readouterr().err == f"error: config file {path}: cannot be read: {reason}\n"
+
+
+def test_a_bad_sigma_is_named(monkeypatch, tmp_path, capsys):
+    # sigma 0 compares the estimate with the threshold itself
+    assert _run("verify", "--rounds", "10", "--sigma", "0") == 0
+    capsys.readouterr()
+
+    def no_rounds(args):
+        raise AssertionError("rounds ran before --sigma was checked")
+
+    monkeypatch.setattr(cli, "_run_session", no_rounds)
+    conf = tmp_path / "sigma.conf"
+    conf.write_text("sigma = -1\n")
+    for command in ("verify", "session"):
+        out = str(tmp_path / command)
+        for value, shown in (("-50", "-50.0"), ("nan", "nan"), ("inf", "inf")):
+            argv = (command, "--source", "depolarized-ghz:v=0.5", "--rounds", "1000000000",
+                    "--sigma", value, "--out", out)
+            assert _run(*argv) == 1
+            assert capsys.readouterr().err == (
+                f"error: sigma must be a non-negative finite number, got {shown}\n"
+            )
+        assert _run(command, "--config", str(conf), "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error: sigma must be a non-negative finite number, got -1.0\n"
+        )
+    assert list(tmp_path.iterdir()) == [conf]
