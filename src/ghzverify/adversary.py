@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy import special
 
 from . import qstate
 from .qstate import DensityMatrix, GhzDiagonal, PureState, State
@@ -124,8 +123,10 @@ def best_dishonest_fidelity(
     ``M = [[r00, conj(x)], [x, rNN]]`` (``_corner``) and
     ``F = Tr[sqrt(M/2)]^2 = (tr M + 2 sqrt(det M))/2``, that is
     ``(r00 + rNN)/2 + sqrt(r00*rNN - |x|^2)``.  ``sigma`` is the honest
-    reduced state of the GHZ state whenever the coalition is not empty;
-    without a coalition the value is still taken against ``sigma``.
+    reduced state of the GHZ state whenever the coalition is not empty.
+    Without a coalition there is nothing to optimise, and the value is the
+    GHZ fidelity ``<GHZ|rho|GHZ> = (r00 + rNN)/2 + Re x``, clamped to [0, 1]
+    as ``qstate.fidelity`` clamps it.
 
     A labeled mixture ``[(weight, state), ...]`` models a source that also
     hands the coalition a classical label; the value is then the
@@ -141,6 +142,8 @@ def best_dishonest_fidelity(
             sum(w * best_dishonest_fidelity(s, coalition) for w, s in parts)
         )
     r00, rnn, x = _corner(state, coalition)
+    if not coalition.dishonest:
+        return min(max(0.5 * (r00 + rnn) + x.real, 0.0), 1.0)
     return 0.5 * (r00 + rnn) + math.sqrt(_radicand(r00 * rnn, abs(x) ** 2))
 
 
@@ -156,6 +159,9 @@ def averaged_guess_probability(psi: PureState, coalition: Coalition) -> float:
     kind in the parameter convention of ``scipy.special.ellipe``.  The value
     is 1/2 when ``P = 0``.
     """
+    # imported here, so that importing the package loads no scipy
+    from scipy import special
+
     r00, rnn, x = _pure_corner(psi, coalition, "averaged_guess_probability")
     product = r00 * rnn
     if product == 0.0:

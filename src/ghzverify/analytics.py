@@ -120,9 +120,13 @@ def max_tolerable_loss(
     pass_probability: float, kind: ProtocolKind, trust: TrustModel
 ) -> float:
     """Largest loss rate at which the observed pass probability still clears
-    the GME threshold, found by bisection on the (nondecreasing) threshold.
+    the GME threshold (``gme_threshold``).
 
-    Raises when the observation is already below the zero-loss threshold.
+    Under dishonest-allowed trust the threshold is the protocol's cheating
+    curve, and the loss rate is found by bisection on that (nondecreasing)
+    curve to within 1e-9.  Under all-honest trust the threshold does not
+    rise with loss.  Raises when the observation is already below the
+    zero-loss threshold.
     """
     kind = ProtocolKind(kind)
     trust = TrustModel(trust)
@@ -135,12 +139,13 @@ def max_tolerable_loss(
     if trust is TrustModel.ALL_HONEST:
         # the honest threshold does not rise with loss; any loss is tolerable
         return 0.0 if pass_probability == floor else hi
-    if pass_probability >= gme_threshold(kind, trust, hi):
+    curve = theta_cheat_pass_curve if kind is ProtocolKind.THETA else xy_cheat_pass_curve
+    if pass_probability >= curve(hi):
         return hi
     lo = 0.0
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
-        if gme_threshold(kind, trust, mid) <= pass_probability:
+        if curve(mid) <= pass_probability:
             lo = mid
         else:
             hi = mid

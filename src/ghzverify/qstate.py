@@ -31,7 +31,6 @@ from functools import lru_cache
 from typing import NoReturn, Sequence, Union
 
 import numpy as np
-from scipy.linalg.lapack import zpotrf
 
 NORM_TOL = 1e-9
 MAX_PURE_QUBITS = 20
@@ -114,6 +113,9 @@ class DensityMatrix:
         tr = float(np.trace(mat).real)
         if not abs(tr - 1.0) <= NORM_TOL:
             raise ValueError(f"density matrix trace is {tr}, expected 1")
+        # imported here, so that importing the package loads no scipy
+        from scipy.linalg.lapack import zpotrf
+
         # LAPACK factors the transpose, a Fortran-ordered view, in place; its
         # upper triangle is the transpose of mat's lower one, and a Hermitian
         # matrix and its transpose have the same eigenvalues
@@ -273,15 +275,6 @@ def tensor(low: PureState, high: PureState) -> PureState:
 # measurement
 
 
-@lru_cache(maxsize=32)
-def _bit_table(n: int) -> np.ndarray:
-    """(2^n, n) matrix of basis-index bits; row i holds the bits of i."""
-    idx = np.arange(2**n)
-    bits = (idx[:, None] >> np.arange(n)) & 1
-    bits.setflags(write=False)
-    return bits
-
-
 def permute_qubits(arr: np.ndarray, order: Sequence[int]) -> np.ndarray:
     """Relabel qubit ``order[i]`` as qubit ``i`` of a state vector (rank 1)
     or a density matrix (rank 2)."""
@@ -380,6 +373,16 @@ def _project_rows(arr: np.ndarray, angles: np.ndarray, draws: np.ndarray) -> np.
     return bits
 
 
+@lru_cache(maxsize=32)
+def _sign_table(n: int) -> np.ndarray:
+    """(2^n, n) float matrix of basis-index signs; row i holds ``(-1)^bit``
+    for each bit of i."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    signs = 1.0 - 2.0 * bits
+    signs.setflags(write=False)
+    return signs
+
+
 def setting_pass_probability(
     rho: Union[DensityMatrix, GhzDiagonal], angles: Sequence[float]
 ) -> float:
@@ -388,23 +391,27 @@ def setting_pass_probability(
     For angles summing to m*pi this equals
     ``(1 + (-1)^m * Tr[rho * prod_j (cos(t_j) X_j + sin(t_j) Y_j)]) / 2``.
     The product observable only couples each basis state to its bitwise
-    complement, so the trace reduces to a phase-weighted anti-diagonal sum;
-    on a ``GhzDiagonal`` record only the corners are nonzero, and the sum is
+    complement, so the trace is ``sum_i rho[i, 2^n-1-i] e^{i s_i.t}``, with
+    ``s_i`` the signs ``(-1)^bit`` of the bits of i: a phase-weighted sum
+    over the anti-diagonal, read as a strided view of the matrix.  On a
+    ``GhzDiagonal`` record only the corners are nonzero, and the sum is
     ``2 Re(c e^{i*T})`` with ``c = rho[0, 2^n - 1]`` and ``T`` the angle sum.
+    The angles are checked as ``angle_values`` checks them, and their sum
+    must be a multiple of pi within 1e-9.
     """
     vals = angle_values(angles, rho.n)
     total = float(vals.sum())
-    m = int(round(total / np.pi))
-    if abs(total - m * np.pi) > NORM_TOL:
+    m = round(total / math.pi)
+    if abs(total - m * math.pi) > NORM_TOL:
         raise ValueError("angle sum must be a multiple of pi within 1e-9")
     if isinstance(rho, GhzDiagonal):
         expectation = 2.0 * (rho.coherence * cmath.exp(1j * total)).real
     else:
-        signs = 1 - 2 * _bit_table(rho.n)
-        phases = np.exp(1j * (signs @ vals))
-        anti = np.diag(np.fliplr(rho.entries))
-        expectation = float((anti @ phases).real)
-    return 0.5 * (1.0 + (-1) ** (m % 2) * expectation)
+        d = 2**rho.n
+        # flat indices d-1, 2(d-1), ..., d(d-1) are [i, d-1-i] for i = 0..d-1
+        anti = rho.entries.reshape(-1)[d - 1 : d * d - 1 : d - 1]
+        expectation = float((anti @ np.exp(1j * (_sign_table(rho.n) @ vals))).real)
+    return 0.5 * (1.0 + (expectation if m % 2 == 0 else -expectation))
 
 
 # ---------------------------------------------------------------------------
@@ -421,31 +428,63 @@ def _clip_spectrum(w: np.ndarray) -> np.ndarray:
     return np.where(w > cutoff, w, 0.0)
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Matrix square root of a Hermitian PSD matrix, clamping eigenvalues at 0."""
-    w, v = np.linalg.eigh(mat)
-    w = _clip_spectrum(w)
-    return (v * np.sqrt(w)) @ v.conj().T
+def _eigen_fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """``Tr[sqrt(sqrt(a) b sqrt(a))]^2`` for the entries of two density
+    matrices, by two eigendecompositions: one for ``sqrt(a)``, with its
+    eigenvalues clamped at 0, and one for the spectrum of the product."""
+    w, v = np.linalg.eigh(a)
+    root = (v * np.sqrt(_clip_spectrum(w))) @ v.conj().T
+    inner = root @ b @ root
+    w = _clip_spectrum(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)))
+    return float(np.sqrt(w).sum()) ** 2
+
+
+def _rank_one_vector(state: Union[PureState, DensityMatrix]) -> np.ndarray | None:
+    """A unit vector ``v`` with ``state = v v*``, or None when there is none.
+
+    A ``PureState`` gives its amplitudes.  A matrix is rank 1 when it equals
+    ``v v*`` within 1e-9 entrywise, ``v`` its largest-diagonal column
+    normalised: for ``rho = w w*`` that column is ``w conj(w_j)``, which is
+    ``w`` up to a phase once normalised.
+    """
+    if isinstance(state, PureState):
+        return state.amplitudes
+    mat = state.entries
+    col = mat[:, int(np.argmax(mat.diagonal().real))]
+    v = col / np.linalg.norm(col)
+    # the diagonal first: it rejects most mixed states in O(2^n)
+    if (np.max(np.abs(v.real**2 + v.imag**2 - mat.diagonal().real)) <= NORM_TOL
+            and np.max(np.abs(np.outer(v, v.conj()) - mat)) <= NORM_TOL):
+        return v
+    return None
 
 
 def fidelity(rho: State, sigma: State) -> float:
-    """Squared Uhlmann fidelity ``Tr[sqrt(sqrt(rho) sigma sqrt(rho))]^2``.
+    """Squared Uhlmann fidelity ``Tr[sqrt(sqrt(rho) sigma sqrt(rho))]^2``,
+    clamped to [0, 1].
 
-    Symmetric in its arguments; reduces to ``|<psi|phi>|^2`` for pure inputs.
-    Pure states and ``GhzDiagonal`` records are accepted and converted to
-    density matrices.
+    Symmetric in its arguments.  When either argument is rank 1, ``v v*``
+    (``_rank_one_vector``; a ``PureState`` is tried first), the value is
+    ``<v|other|v>``, which is ``|<v|w>|^2`` for a pure ``other``.  Two mixed
+    arguments take the general path, ``_eigen_fidelity``.  ``GhzDiagonal``
+    records are converted to density matrices.
     """
-    if not isinstance(rho, DensityMatrix):
-        rho = rho.to_density()
-    if not isinstance(sigma, DensityMatrix):
-        sigma = sigma.to_density()
     if rho.n != sigma.n:
         raise ValueError(f"dimension mismatch: {rho.n} vs {sigma.n} qubits")
-    root = _psd_sqrt(rho.entries)
-    inner = root @ sigma.entries @ root
-    w = _clip_spectrum(np.linalg.eigvalsh(0.5 * (inner + inner.conj().T)))
-    value = float(np.sqrt(w).sum()) ** 2
-    return min(max(value, 0.0), 1.0)
+    rho, sigma = (s.to_density() if isinstance(s, GhzDiagonal) else s for s in (rho, sigma))
+    pair = (sigma, rho) if isinstance(sigma, PureState) else (rho, sigma)
+    for pure, other in (pair, pair[::-1]):
+        v = _rank_one_vector(pure)
+        if v is None:
+            continue
+        if isinstance(other, PureState):
+            value = abs(np.vdot(v, other.amplitudes)) ** 2
+        else:
+            value = np.vdot(v, other.entries @ v).real
+        break
+    else:
+        value = _eigen_fidelity(rho.entries, sigma.entries)
+    return min(max(float(value), 0.0), 1.0)
 
 
 def apply_channel(

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from . import sources
 from .adversary import CheatStrategy
@@ -189,6 +188,9 @@ def _audit_party(
     losses = int(lost.sum())
     if losses < AUDIT_MIN_LOSSES:
         return PartyAudit(party, losses, "insufficient-data")
+    # imported here, so that importing the package loads no scipy
+    from scipy import stats as scipy_stats
+
     if kind is ProtocolKind.XY:
         # independence of declared loss and requested basis: rows basis 0 and
         # pi/2, columns lost and kept

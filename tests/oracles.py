@@ -4,12 +4,14 @@ These are the direct forms of what the package computes by shorter routes:
 separate sequential samplers for pure states (python lists and numpy) and
 density matrices, separate pure and density versions of the coalition's
 projective measurement, the exact pass probabilities as GHZ-projector
-overlaps and as a sum over the 2**(n-1) xy settings, and the xy-optimal
-cheat as a sum over those settings.  The coalition analysis is done the long
-way: a partial trace and ``qstate.fidelity`` for the best fidelity, and the
-rotated-GHZ decomposition with its Helstrom guess, averaged over a uniform
-honest angle by a trapezoid or by adaptive quadrature, where the package
-reads three entries of the state.  Each sampler draws its uniforms as the
+overlaps and as a sum over the 2**(n-1) xy settings, the single-setting
+pass probability from an integer sign table and a copied anti-diagonal, and
+the xy-optimal cheat as a sum over those settings.  The loss tolerance is a
+bisection on ``analytics.gme_threshold``.  The coalition analysis is done
+the long way: a partial trace and ``qstate.fidelity`` for the best fidelity,
+and the rotated-GHZ decomposition with its Helstrom guess, averaged over a
+uniform honest angle by a trapezoid or by adaptive quadrature, where the
+package reads three entries of the state.  Each sampler draws its uniforms as the
 sampling contract in ``ghzverify.qstate`` prescribes, so on a shared seed it
 must return the same bits as the package.  Basis states, the maximally mixed
 state and the list of xy settings are built here as test inputs.
@@ -43,7 +45,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import integrate
 
-from ghzverify import adversary, protocol, qstate, sources
+from ghzverify import adversary, analytics, protocol, qstate, sources
 from ghzverify.protocol import LOSS
 from ghzverify.qstate import DensityMatrix, GhzDiagonal, PureState
 
@@ -240,6 +242,23 @@ def exact_pass_probability_theta(rho):
     return f0 + 0.5 * (1.0 - f0 - fp)
 
 
+def setting_pass_probability(rho, angles):
+    """The single-setting pass probability as an integer sign table of the
+    basis-index bits and a copied anti-diagonal, the package's first form;
+    a record is read through its dense matrix."""
+    vals = qstate.angle_values(angles, rho.n)
+    total = float(vals.sum())
+    m = int(round(total / np.pi))
+    if abs(total - m * np.pi) > qstate.NORM_TOL:
+        raise ValueError("angle sum must be a multiple of pi within 1e-9")
+    if isinstance(rho, GhzDiagonal):
+        rho = rho.to_density()
+    bits = (np.arange(2**rho.n)[:, None] >> np.arange(rho.n)) & 1
+    phases = np.exp(1j * ((1 - 2 * bits) @ vals))
+    anti = np.diag(np.fliplr(rho.entries))
+    return 0.5 * (1.0 + (-1) ** (m % 2) * float((anti @ phases).real))
+
+
 def exact_pass_probability_xy(rho):
     """Uniform average of the per-setting pass probability over the valid xy
     settings."""
@@ -386,13 +405,44 @@ def averaged_guess_by_quadrature(psi, coalition):
 
 def best_dishonest_fidelity(state, coalition):
     """Uhlmann fidelity, by ``qstate.fidelity``, of the honest reduced state
-    (``partial_trace``) with ``(|0><0| + |N><N|)/2`` on the honest qubits."""
+    (``partial_trace``) with ``(|0><0| + |N><N|)/2`` on the honest qubits, or
+    with ``ghz_state(k)`` when every party is honest."""
     if isinstance(state, PureState):
         state = state.to_density()
     reduced = partial_trace(state, coalition.honest)
+    if not coalition.dishonest:
+        return qstate.fidelity(reduced, qstate.ghz_state(coalition.k))
     ideal = np.zeros((2**coalition.k, 2**coalition.k), dtype=complex)
     ideal[0, 0] = ideal[-1, -1] = 0.5
     return qstate.fidelity(reduced, DensityMatrix(coalition.k, ideal))
+
+
+# ---------------------------------------------------------------------------
+# the loss tolerance
+
+
+def max_tolerable_loss(pass_probability, kind, trust):
+    """The loss tolerance by bisection on ``analytics.gme_threshold``, which
+    converts its kind and trust on every step."""
+    kind, trust = protocol.ProtocolKind(kind), analytics.TrustModel(trust)
+    floor = analytics.gme_threshold(kind, trust, 0.0)
+    if pass_probability < floor:
+        raise ValueError(
+            f"pass probability {pass_probability} is below the zero-loss threshold {floor}"
+        )
+    hi = 0.5 if kind is protocol.ProtocolKind.XY else 1.0 - 1e-9
+    if trust is analytics.TrustModel.ALL_HONEST:
+        return 0.0 if pass_probability == floor else hi
+    if pass_probability >= analytics.gme_threshold(kind, trust, hi):
+        return hi
+    lo = 0.0
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if analytics.gme_threshold(kind, trust, mid) <= pass_probability:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,16 @@ def test_best_fidelity_of_a_record_matches_its_matrix(n, rng):
         )
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_empty_coalition_value_is_the_ghz_fidelity(n, rng):
+    states = (random_pure(n, rng), random_density(n, rng), random_ghz_diagonal(n, rng))
+    # ghz_state(n, pi) is orthogonal to the GHZ state: the value is 0, not 1/2
+    for state in states + (ghz_state(n, np.pi), ghz_state(n, 1.0), qstate.ghz_diagonal(n)):
+        assert best_dishonest_fidelity(state, Coalition(n, [])) == pytest.approx(
+            qstate.fidelity(state, ghz_state(n)), abs=1e-12
+        )
+
+
 def test_coalition_analysis_rejects_a_state_of_another_arity():
     message = "state has 2 qubits but the coalition has 3 parties"
     coalition = Coalition(3, [2])

@@ -14,6 +14,8 @@ from ghzverify.analytics import (
 )
 from ghzverify.protocol import PassStats, ProtocolKind
 
+import oracles
+
 
 def _stats(estimate, stderr, valid=6000):
     passes = int(round(estimate * valid))
@@ -153,6 +155,14 @@ def test_max_tolerable_loss_bisection_consistency():
     for p in (0.86, 0.9, 0.95, 0.999):
         lam = max_tolerable_loss(p, ProtocolKind.XY, dis)
         assert xy_cheat_pass_curve(lam) == pytest.approx(p, abs=1e-6)
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+def test_max_tolerable_loss_equals_the_bisection_on_the_threshold(kind):
+    for trust in TrustModel:
+        # from the zero-loss threshold itself up to 1
+        for p in np.linspace(gme_threshold(kind, trust, 0.0), 1.0, 400):
+            assert max_tolerable_loss(p, kind, trust) == oracles.max_tolerable_loss(p, kind, trust)
 
 
 def test_max_tolerable_loss_all_honest_is_loss_independent():

@@ -1,5 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,15 @@ import oracles
 
 def _run(*argv):
     return main(list(argv))
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # in a fresh interpreter: this one has loaded scipy for other tests
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = "import sys, ghzverify.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_verify_ideal_state_exits_zero(tmp_path):

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzverify import protocol
+from ghzverify import protocol, qstate
 from ghzverify.adversary import Coalition, best_dishonest_fidelity
 from ghzverify.qstate import (
     ChannelSpec,
@@ -505,6 +505,37 @@ def test_setting_pass_matches_empirical_frequency(rng):
         assert abs(hits / shots - exact) < 4 / np.sqrt(shots)
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_setting_pass_matches_the_sign_table_oracle(n, rng):
+    states = (random_density(n, rng), random_ghz_diagonal(n, rng), ghz_diagonal(n))
+    for state in states:
+        for kind in ("theta", "xy", "theta", "xy"):
+            angles = block_assignment(kind, n, rng).angles
+            assert abs(
+                setting_pass_probability(state, angles)
+                - oracles.setting_pass_probability(state, angles)
+            ) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "angles, message",
+    [
+        ([0.1, 0.2], "expected 3 angles, got 2"),
+        ([0.1, 0.2, 0.3, 0.4], "expected 3 angles, got 4"),
+        ([-0.1, 0.1, 0.0], "measurement angles must lie in [0, pi)"),
+        ([np.pi, 0.0, 0.0], "measurement angles must lie in [0, pi)"),
+        ([0.1, np.nan, 0.2], "measurement angles must lie in [0, pi)"),
+        ([0.3, 0.2, 0.1], "angle sum must be a multiple of pi within 1e-9"),
+    ],
+)
+def test_setting_pass_rejections_name_the_problem(angles, message):
+    for state in (ghz_state(3).to_density(), ghz_diagonal(3)):
+        for form in (angles, tuple(angles), np.array(angles)):
+            with pytest.raises(ValueError) as err:
+                setting_pass_probability(state, form)
+            assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # partial trace
 
@@ -596,6 +627,53 @@ def test_fidelity_matches_sqrtm_oracle_on_random_pairs(rng):
         root = scipy.linalg.sqrtm(a.entries)
         oracle = np.trace(scipy.linalg.sqrtm(root @ b.entries @ root)).real ** 2
         assert fidelity(a, b) == pytest.approx(oracle, abs=1e-9)
+
+
+def _eigen_path(a, b):
+    dense = [s.entries if isinstance(s, DensityMatrix) else s.to_density().entries for s in (a, b)]
+    return min(max(qstate._eigen_fidelity(*dense), 0.0), 1.0)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_rank_one_fidelity_matches_the_eigen_path(n, rng):
+    psi = random_pure(n, rng)
+    targets = (psi, psi.to_density(), ghz_state(n), ghz_state(n).to_density(), ghz_diagonal(n))
+    states = (random_density(n, rng), random_pure(n, rng), random_ghz_diagonal(n, rng))
+    for target in targets:
+        for state in states:
+            for a, b in ((state, target), (target, state)):
+                assert abs(fidelity(a, b) - _eigen_path(a, b)) <= 1e-9
+
+
+def _mixed_by(psi, weight, rng):
+    other = random_density(psi.n, rng).entries
+    return DensityMatrix(psi.n, (1 - weight) * psi.to_density().entries + weight * other)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_fidelity_of_mixed_arguments_takes_the_eigen_path(n, rng, monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(len(a))
+        return eigen(a, b)
+
+    eigen = qstate._eigen_fidelity
+    monkeypatch.setattr(qstate, "_eigen_fidelity", counted)
+    near = _mixed_by(random_pure(n, rng), 1e-6, rng)
+    dephased = apply_channel(ghz_state(n).to_density(), ChannelSpec.ghz_dephasing(1e-6))
+    mixed = random_density(n, rng)
+    pairs = [(near, mixed), (mixed, near), (dephased, mixed), (mixed, dephased)]
+    for a, b in pairs + [(mixed, random_density(n, rng))]:
+        assert qstate._rank_one_vector(a) is None
+        before = len(calls)
+        assert fidelity(a, b) == pytest.approx(eigen(a.entries, b.entries), abs=1e-12)
+        assert len(calls) == before + 1
+    # a rank-1 matrix, pure or GHZ, takes the rank-1 path in either order
+    for target in (near, dephased, mixed, ghz_diagonal(n)):
+        for pure in (random_pure(n, rng).to_density(), ghz_state(n).to_density()):
+            fidelity(pure, target), fidelity(target, pure)
+    assert len(calls) == 5
 
 
 # ---------------------------------------------------------------------------
