@@ -67,13 +67,16 @@ def _corner(state: State, coalition: Coalition) -> tuple[float, float, complex]:
     the dishonest bits).  Tracing out the coalition sums over ``s`` in ``L``:
     ``r00 = sum rho[s, s]``, ``rNN = sum rho[s|H, s|H]`` and
     ``x = sum rho[s|H, s]``.  For a vector, with ``a = psi[L]`` and
-    ``b = psi[L|H]``, they are ``|a|^2``, ``|b|^2`` and ``<a|b>``.  A
-    ``GhzDiagonal`` record is off-diagonal only at ``[0, 2^n - 1]`` and its
-    mirror, which lie in the block only when every party is honest; ``x`` is
-    then the conjugated coherence, and 0 otherwise.
+    ``b = psi[L|H]``, they are ``|a|^2``, ``|b|^2`` and ``<a|b>``.  On a
+    ``GhzDiagonal`` record each sum holds a corner weight and ``2^d - 1``
+    background entries, with no index array built; ``x`` is the conjugated
+    coherence when every party is honest, and 0 otherwise.
     """
     if state.n != coalition.n:
         raise ValueError(f"state has {state.n} qubits but the coalition has {coalition.n} parties")
+    if isinstance(state, GhzDiagonal):
+        share = state.weight + (2.0 ** len(coalition.dishonest) - 1.0) * state.background
+        return share, share, (0j if coalition.dishonest else state.coherence.conjugate())
     low = np.zeros(1, dtype=np.int64)
     for j in coalition.dishonest:
         low = np.concatenate([low, low + (1 << j)])
@@ -81,9 +84,6 @@ def _corner(state: State, coalition: Coalition) -> tuple[float, float, complex]:
     if isinstance(state, PureState):
         a, b = state.amplitudes[low], state.amplitudes[high]
         return float(np.vdot(a, a).real), float(np.vdot(b, b).real), complex(np.vdot(a, b))
-    if isinstance(state, GhzDiagonal):
-        x = 0j if coalition.dishonest else state.coherence.conjugate()
-        return float(state.diagonal[low].sum()), float(state.diagonal[high].sum()), x
     rho = state.entries
     r00, rnn = rho[low, low].sum().real, rho[high, high].sum().real
     return float(r00), float(rnn), complex(rho[high, low].sum())

@@ -35,6 +35,14 @@ import numpy as np
 NORM_TOL = 1e-9
 MAX_PURE_QUBITS = 20
 MAX_DENSITY_QUBITS = 10
+# a record is O(1) in n, but a block holds (rows, n) angles and uniforms
+MAX_RECORD_QUBITS = 64
+
+
+def check_qubits(n: int, cap: int) -> None:
+    """Reject a qubit count outside [1, cap], naming the cap."""
+    if not 1 <= n <= cap:
+        raise ValueError(f"qubit count must be in [1, {cap}], got {n}")
 
 
 def angle_values(angles: Sequence[float] | np.ndarray, n: int) -> np.ndarray:
@@ -58,8 +66,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_PURE_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_PURE_QUBITS}], got {self.n}")
+        check_qubits(self.n, MAX_PURE_QUBITS)
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (2**self.n,):
             raise ValueError(f"expected {2**self.n} amplitudes, got shape {amps.shape}")
@@ -102,8 +109,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_DENSITY_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_DENSITY_QUBITS}], got {self.n}")
+        check_qubits(self.n, MAX_DENSITY_QUBITS)
         d = 2**self.n
         mat = np.asarray(self.entries, dtype=complex)
         if mat.shape != (d, d):
@@ -141,71 +147,53 @@ def _is_hermitian(mat: np.ndarray) -> bool:
     comparison of the whole matrix.  A NaN or infinite entry makes a block's
     maximum NaN or infinite and fails the test.
     """
-    for i in range(0, len(mat), _HERMITIAN_BLOCK):
-        j = i + _HERMITIAN_BLOCK
-        if not np.max(np.abs(mat[i:j, i:] - mat[i:, i:j].conj().T)) <= NORM_TOL:
-            return False
+    # inf - inf is a NaN, which fails the test as intended: no warning
+    with np.errstate(invalid="ignore"):
+        for i in range(0, len(mat), _HERMITIAN_BLOCK):
+            j = i + _HERMITIAN_BLOCK
+            if not np.max(np.abs(mat[i:j, i:] - mat[i:, i:j].conj().T)) <= NORM_TOL:
+                return False
     return True
 
 
 @dataclass(frozen=True)
 class GhzDiagonal:
-    """An n-qubit density operator that is diagonal except for the corner
-    coherence ``c = rho[0, 2^n - 1]`` (and its conjugate at ``[2^n - 1, 0]``).
-
-    Ideal, dephased and depolarized GHZ states have this form.  The checks
-    and their messages are those of ``DensityMatrix``: finite entries, a real
-    diagonal (within 1e-9, as the Hermitian test reads it), trace 1 within
-    1e-9 and no eigenvalue below -1e-9.  The spectrum is the diagonal entries
-    1..N-1 with ``N = 2^n - 1`` plus the two eigenvalues of
-    ``[[d_0, c], [conj(c), d_N]]``, so positivity is tested exactly, as
-    ``d + 1e-9 > 0`` for each of them, the condition the Cholesky test of
-    ``DensityMatrix`` decides.  The diagonal is stored as real numbers.
+    """An n-qubit GHZ-diagonal record: the density operator
+    ``rho = b*I + (w - b)(|0><0| + |N><N|) + c|0><N| + conj(c)|N><0|``,
+    ``N = 2^n - 1``, stored as its corner weight ``w``, background ``b`` and
+    coherence ``c``.  Ideal, dephased and depolarized GHZ states have this
+    form.  The spectrum is ``b`` (``2^n - 2`` times) and ``w +- |c|``, so the
+    checks of ``DensityMatrix``, with its messages, take O(1): finite
+    entries, trace ``2w + (2^n - 2) b`` within 1e-9 of 1, and no eigenvalue
+    below -1e-9, as ``b + 1e-9 > 0`` (for n >= 2; at n = 1 no entry holds
+    ``b``) and ``w - |c| + 1e-9 > 0``.  A record takes up to
+    ``MAX_RECORD_QUBITS`` qubits, its ``to_density`` the dense cap.
     """
 
     n: int
-    diagonal: np.ndarray
+    weight: float
+    background: float
     coherence: complex
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_DENSITY_QUBITS:
-            raise ValueError(f"qubit count must be in [1, {MAX_DENSITY_QUBITS}], got {self.n}")
-        diag = np.asarray(self.diagonal, dtype=complex)
-        if diag.shape != (2**self.n,):
-            raise ValueError(f"expected {2**self.n} diagonal entries, got shape {diag.shape}")
-        c = complex(self.coherence)
-        if not (np.isfinite(diag).all() and cmath.isfinite(c)):
+        check_qubits(self.n, MAX_RECORD_QUBITS)
+        w, b, c = float(self.weight), float(self.background), complex(self.coherence)
+        if not (math.isfinite(w) and math.isfinite(b) and cmath.isfinite(c)):
             raise ValueError("density matrix has non-finite entries")
-        if not np.max(np.abs(2.0 * diag.imag)) <= NORM_TOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        tr = float(diag.sum().real)
+        tr = 2.0 * w + (2.0**self.n - 2.0) * b
         if not abs(tr - 1.0) <= NORM_TOL:
             raise ValueError(f"density matrix trace is {tr}, expected 1")
-        diag = diag.real.copy()
-        d0, dn = diag[0], diag[-1]
-        corner_low = 0.5 * (d0 + dn) - math.hypot(0.5 * (d0 - dn), abs(c))
-        if not (corner_low + NORM_TOL > 0.0 and diag[1:-1].min(initial=1.0) + NORM_TOL > 0.0):
+        if not ((self.n == 1 or b + NORM_TOL > 0.0) and w - abs(c) + NORM_TOL > 0.0):
             raise ValueError("density matrix has an eigenvalue below -1e-9")
-        diag.setflags(write=False)
-        object.__setattr__(self, "diagonal", diag)
-        object.__setattr__(self, "coherence", c)
+        for name, value in (("weight", w), ("background", b), ("coherence", c)):
+            object.__setattr__(self, name, value)
 
     def to_density(self) -> DensityMatrix:
-        mat = np.diag(self.diagonal).astype(complex)
-        mat[0, -1] += self.coherence
-        mat[-1, 0] += self.coherence.conjugate()
+        check_qubits(self.n, MAX_DENSITY_QUBITS)
+        mat = np.diag(np.full(2**self.n, self.background, dtype=complex))
+        mat[0, 0] = mat[-1, -1] = self.weight
+        mat[0, -1], mat[-1, 0] = self.coherence, self.coherence.conjugate()
         return DensityMatrix(self.n, mat)
-
-
-def _ghz_diagonal_unchecked(n: int, diagonal: np.ndarray, coherence: complex) -> GhzDiagonal:
-    """Construct without validating; only for records derived from a
-    validated one by a map that keeps the checks (a channel)."""
-    diagonal.setflags(write=False)
-    rec = object.__new__(GhzDiagonal)
-    object.__setattr__(rec, "n", n)
-    object.__setattr__(rec, "diagonal", diagonal)
-    object.__setattr__(rec, "coherence", complex(coherence))
-    return rec
 
 
 State = Union[PureState, DensityMatrix, GhzDiagonal]
@@ -243,25 +231,25 @@ class ChannelSpec:
 
 def ghz_state(n: int, phase: float = 0.0) -> PureState:
     """The rotated n-qubit GHZ state (|0..0> + e^{i*phase}|1..1>)/sqrt(2)."""
-    if not 1 <= n <= MAX_PURE_QUBITS:
-        raise ValueError(f"qubit count must be in [1, {MAX_PURE_QUBITS}], got {n}")
+    check_qubits(n, MAX_PURE_QUBITS)
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = 1.0 / np.sqrt(2.0)
     amps[-1] = np.exp(1j * phase) / np.sqrt(2.0)
     return PureState(n, amps)
 
 
-def ghz_diagonal(n: int) -> GhzDiagonal:
-    """The n-qubit GHZ state as a record whose ``to_density()`` equals
+def ghz_diagonal(n: int, spec: ChannelSpec | None = None) -> GhzDiagonal:
+    """The n-qubit GHZ state as a record, or its image under the channel
+    ``spec``, validated once; the ideal record's ``to_density()`` equals
     ``ghz_state(n).to_density()`` entry for entry."""
-    corners = ghz_state(n).amplitudes[[0, -1]]
-    diag = np.zeros(2**n)
-    diag[[0, -1]] = (corners * corners.conj()).real
-    return GhzDiagonal(n, diag, corners[0] * corners[1].conj())
+    half = 1.0 / np.sqrt(2.0)
+    params = (half * half, 0.0, complex(half * half))
+    return GhzDiagonal(n, *(params if spec is None else _record_channel(n, *params, spec)))
 
 
 def plus_state(n: int) -> PureState:
     """The product state |+>^n with uniform real amplitudes."""
+    check_qubits(n, MAX_PURE_QUBITS)
     amps = np.full(2**n, 2.0 ** (-n / 2.0), dtype=complex)
     return PureState(n, amps)
 
@@ -450,10 +438,11 @@ def _rank_one_vector(state: Union[PureState, DensityMatrix]) -> np.ndarray | Non
     if isinstance(state, PureState):
         return state.amplitudes
     mat = state.entries
-    col = mat[:, int(np.argmax(mat.diagonal().real))]
+    diag = mat.flat[:: len(mat) + 1].real
+    col = mat[:, int(np.argmax(diag))]
     v = col / np.linalg.norm(col)
     # the diagonal first: it rejects most mixed states in O(2^n)
-    if (np.max(np.abs(v.real**2 + v.imag**2 - mat.diagonal().real)) <= NORM_TOL
+    if (np.max(np.abs(v.real**2 + v.imag**2 - diag)) <= NORM_TOL
             and np.max(np.abs(np.outer(v, v.conj()) - mat)) <= NORM_TOL):
         return v
     return None
@@ -464,26 +453,34 @@ def fidelity(rho: State, sigma: State) -> float:
     clamped to [0, 1].
 
     Symmetric in its arguments.  When either argument is rank 1, ``v v*``
-    (``_rank_one_vector``; a ``PureState`` is tried first), the value is
-    ``<v|other|v>``, which is ``|<v|w>|^2`` for a pure ``other``.  Two mixed
-    arguments take the general path, ``_eigen_fidelity``.  ``GhzDiagonal``
-    records are converted to density matrices.
+    (``_rank_one_vector``; a ``PureState`` is tried first and a
+    ``GhzDiagonal`` record, through its dense matrix, last), the value is
+    ``<v|other|v>``: ``|<v|w>|^2`` for a pure ``other``, and
+    ``b + (w - b)(|v_0|^2 + |v_N|^2) + 2 Re(c conj(v_0) v_N)`` for a record,
+    read without its dense matrix.  Two mixed arguments take the general
+    path, ``_eigen_fidelity``.
     """
     if rho.n != sigma.n:
         raise ValueError(f"dimension mismatch: {rho.n} vs {sigma.n} qubits")
-    rho, sigma = (s.to_density() if isinstance(s, GhzDiagonal) else s for s in (rho, sigma))
-    pair = (sigma, rho) if isinstance(sigma, PureState) else (rho, sigma)
+    pair = sorted(
+        (rho, sigma), key=lambda s: (isinstance(s, GhzDiagonal), not isinstance(s, PureState))
+    )
     for pure, other in (pair, pair[::-1]):
-        v = _rank_one_vector(pure)
+        v = _rank_one_vector(pure.to_density() if isinstance(pure, GhzDiagonal) else pure)
         if v is None:
             continue
         if isinstance(other, PureState):
             value = abs(np.vdot(v, other.amplitudes)) ** 2
+        elif isinstance(other, GhzDiagonal):
+            b = other.background
+            value = b + (other.weight - b) * (abs(v[0]) ** 2 + abs(v[-1]) ** 2)
+            value += 2.0 * (other.coherence * v[0].conjugate() * v[-1]).real
         else:
             value = np.vdot(v, other.entries @ v).real
         break
     else:
-        value = _eigen_fidelity(rho.entries, sigma.entries)
+        dense = (s.to_density() if isinstance(s, GhzDiagonal) else s for s in (rho, sigma))
+        value = _eigen_fidelity(*(s.entries for s in dense))
     return min(max(float(value), 0.0), 1.0)
 
 
@@ -493,18 +490,14 @@ def apply_channel(
     """Apply a noise channel to a density matrix or a ``GhzDiagonal`` record
     and return a state of the same class.
 
-    On a record, dephasing scales ``c`` by ``1 - p`` and depolarizing maps
-    ``(d, c)`` to ``(v*d + (1-v)/2^n, v*c)``; both keep a valid record
-    valid, so the output is not validated again.
+    On a record, dephasing scales ``c`` by ``1 - p``, and depolarizing maps
+    ``(w, b, c)`` to ``(v*w + (1-v)/2^n, v*b + (1-v)/2^n, v*c)``
+    (``_record_channel``), entry for entry the map on the dense matrix.
     """
-    dim = 2**state.n
     if isinstance(state, GhzDiagonal):
-        if spec.kind == "ghz-dephasing":
-            diag, c = state.diagonal, state.coherence * (1.0 - spec.value)
-        else:
-            diag = spec.value * state.diagonal + (1.0 - spec.value) / dim
-            c = spec.value * state.coherence
-        return _ghz_diagonal_unchecked(state.n, diag, c)
+        params = (state.weight, state.background, state.coherence)
+        return GhzDiagonal(state.n, *_record_channel(state.n, *params, spec))
+    dim = 2**state.n
     mat = state.entries.copy()
     if spec.kind == "ghz-dephasing":
         mat[0, -1] *= 1.0 - spec.value
@@ -512,3 +505,11 @@ def apply_channel(
         return DensityMatrix(state.n, mat)
     mixed = spec.value * mat + (1.0 - spec.value) * np.eye(dim) / dim
     return DensityMatrix(state.n, mixed)
+
+
+def _record_channel(n: int, w: float, b: float, c: complex, spec: ChannelSpec) -> tuple:
+    """``apply_channel`` on the parameters of an n-qubit record."""
+    if spec.kind == "ghz-dephasing":
+        return w, b, c * (1.0 - spec.value)
+    v, white = spec.value, (1.0 - spec.value) / 2**n
+    return v * w + white, v * b + white, v * c

@@ -125,14 +125,12 @@ def prepare(model: SourceModel) -> DensityMatrix | GhzDiagonal:
     n = model.n
     if model.variant == "ideal-ghz":
         return qstate.ghz_diagonal(n)
-    # a channel keeps the validated GHZ record valid, so that record is the
-    # only one validated
     if model.variant == "dephased-ghz":
-        spec = ChannelSpec.ghz_dephasing(model.params["p"])
-        return qstate.apply_channel(qstate.ghz_diagonal(n), spec)
+        return qstate.ghz_diagonal(n, ChannelSpec.ghz_dephasing(model.params["p"]))
     if model.variant == "depolarized-ghz":
-        spec = ChannelSpec.depolarizing(model.params["v"])
-        return qstate.apply_channel(qstate.ghz_diagonal(n), spec)
+        return qstate.ghz_diagonal(n, ChannelSpec.depolarizing(model.params["v"]))
+    if model.variant in ("biseparable-ghz-plus", "rotated-bell-plus"):  # dense cap, before any vector
+        qstate.check_qubits(n, qstate.MAX_DENSITY_QUBITS)
     if model.variant == "biseparable-ghz-plus":
         # the unentangled qubit goes to the last (dishonest) party
         return qstate.tensor(qstate.ghz_state(n - 1), qstate.plus_state(1)).to_density()

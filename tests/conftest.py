@@ -18,12 +18,13 @@ def random_density(n: int, rng: np.random.Generator) -> DensityMatrix:
 
 
 def random_ghz_diagonal(n: int, rng: np.random.Generator) -> GhzDiagonal:
-    """A random record: a positive diagonal and a complex corner coherence
-    of any size the diagonal allows."""
-    diag = rng.random(2**n) + 1e-3
-    diag /= diag.sum()
-    size = rng.random() * np.sqrt(diag[0] * diag[-1])
-    return GhzDiagonal(n, diag, size * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+    """A random record: a background in [0, 1/(2^n - 1)), the corner weight
+    that makes the trace 1, and a complex coherence of any size that weight
+    allows."""
+    b = rng.random() / (2**n - 1)
+    w = 0.5 * (1.0 - (2**n - 2) * b)
+    size = rng.random() * w
+    return GhzDiagonal(n, w, b, size * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
 
 
 def random_valid_theta_angles(n: int, rng: np.random.Generator) -> list[float]:

@@ -187,6 +187,35 @@ def test_best_fidelity_of_a_record_matches_its_matrix(n, rng):
         )
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_record_corner_matches_its_matrix(n, rng):
+    records = (
+        qstate.ghz_diagonal(n),
+        qstate.ghz_diagonal(n, qstate.ChannelSpec.depolarizing(0.6)),
+        random_ghz_diagonal(n, rng),
+        random_ghz_diagonal(n, rng),
+    )
+    for record in records:
+        dense = record.to_density()
+        for coalition in _every_coalition(n):
+            r00, rnn, x = adversary._corner(record, coalition)
+            e00, enn, ex = adversary._corner(dense, coalition)
+            assert r00 == pytest.approx(e00, abs=1e-12)
+            assert rnn == pytest.approx(enn, abs=1e-12)
+            assert x == pytest.approx(ex, abs=1e-12)
+
+
+def test_best_fidelity_of_a_record_above_the_dense_cap():
+    n = 40
+    for spec in (qstate.ChannelSpec.ghz_dephasing(0.3), qstate.ChannelSpec.depolarizing(0.7)):
+        record = qstate.ghz_diagonal(n, spec)
+        w, b = record.weight, record.background
+        for d in range(1, n):
+            expected = 2.0 * (w + (2.0**d - 1.0) * b)
+            value = best_dishonest_fidelity(record, _coalition_last(n, d))
+            assert value == pytest.approx(expected, rel=1e-14)
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_empty_coalition_value_is_the_ghz_fidelity(n, rng):
     states = (random_pure(n, rng), random_density(n, rng), random_ghz_diagonal(n, rng))

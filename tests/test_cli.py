@@ -317,6 +317,25 @@ def test_verify_reports_the_exact_value_and_z_score_for_an_honest_source(capsys)
     assert capsys.readouterr().err.endswith("-> INCONCLUSIVE\n")
 
 
+@pytest.mark.parametrize("parties", ["12", "40", "64"])
+def test_record_sources_run_above_the_dense_cap(parties, capsys):
+    argv = ("verify", "--parties", parties, "--source", "depolarized-ghz:v=0.9")
+    assert _run(*argv, "--rounds", "2000", "--seed", "1") == 0
+    err = capsys.readouterr().err
+    assert " exact=0.950000 z=" in err
+    assert abs(float(err.rsplit("z=", 1)[1])) < 4
+
+
+def test_party_counts_beyond_a_cap_are_named(capsys):
+    for argv, cap in (
+        (("--parties", "12", "--source", "biseparable-ghz-plus"), 10),
+        (("--parties", "64", "--source", "rotated-bell-plus:theta=0.3"), 10),
+        (("--parties", "65"), 64),
+    ):
+        assert _run("verify", *argv, "--rounds", "10") == 1
+        assert capsys.readouterr().err == f"error: qubit count must be in [1, {cap}], got {argv[1]}\n"
+
+
 def test_negative_seed_is_named(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text("seed = -1\n")

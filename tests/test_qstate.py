@@ -1,7 +1,10 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ghzverify import protocol, qstate
@@ -151,19 +154,23 @@ def test_hermitian_test_rejects_asymmetry_in_either_triangle(n, low, high, bad, 
         DensityMatrix(n, mat)
 
 
-def _corner_dense(diag, c):
-    """The dense matrix of a record, built without validating it."""
-    mat = np.diag(np.asarray(diag, dtype=complex))
-    mat[0, -1] += c
-    mat[-1, 0] += np.conj(c)
+def _record_dense(n, w, b, c):
+    """The dense matrix of the record ``(n, w, b, c)``, built without
+    validating it."""
+    mat = np.diag(np.full(2**n, b, dtype=complex))
+    mat[0, 0] = mat[-1, -1] = w
+    mat[0, -1] = c
+    mat[-1, 0] = np.conj(c)
     return mat
 
 
 def _verdict(build):
+    """The message a construction raises, or None; a reported trace is
+    rounded to 12 places, as a record sums it in another order."""
     try:
         build()
     except ValueError as exc:
-        return str(exc)
+        return re.sub(r"trace is (\S+),", lambda m: f"trace is {float(m[1]):.12f},", str(exc))
     return None
 
 
@@ -174,51 +181,68 @@ def _verdict(build):
     in_corner=st.booleans(),
     lowest=PLANTED_MINIMUM,
     trace_error=st.sampled_from([0.0, 0.5e-9, -0.5e-9, 2e-9, -2e-9, 0.25]),
-    imaginary=st.sampled_from([0.0, 0.2e-9, 2e-9]),
     bad=st.sampled_from([None, np.nan, np.inf, -np.inf]),
-    bad_in_coherence=st.booleans(),
+    bad_at=st.sampled_from(["weight", "background", "coherence"]),
 )
 def test_ghz_diagonal_checks_match_density_matrix(
-    n, seed, in_corner, lowest, trace_error, imaginary, bad, bad_in_coherence
+    n, seed, in_corner, lowest, trace_error, bad, bad_at
 ):
+    # no entry of the matrix holds the background at n = 1
+    assume(not (n == 1 and bad is not None and bad_at == "background"))
     rng = np.random.default_rng(seed)
-    d = 2**n
     in_corner = in_corner or n == 1
-    w = rng.random(d) + 1e-3
-    middle = None if in_corner else int(rng.integers(1, d - 1))
-    if middle is not None:
-        w[middle] = 0.0
-    diag = (w * (1.0 - lowest) / w.sum()).astype(complex)
-    if middle is None:
-        # the corner block [[d0, c], [c*, dN]] has eigenvalues lowest and mu
-        mu = (diag[0] + diag[-1]).real + trace_error
-        cos2 = rng.random()
-        diag[0], diag[-1] = cos2 * lowest + (1 - cos2) * mu, (1 - cos2) * lowest + cos2 * mu
-        c = np.sqrt(cos2 * (1 - cos2)) * (mu - lowest) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+    if in_corner:
+        # the corner block [[w, c], [c*, w]] has eigenvalues lowest and 2w - lowest
+        b = rng.random() / 2**n
+        w = 0.5 * (1.0 - (2**n - 2) * b)
+        c = (w - lowest) * phase
     else:
-        # the corner block stays well inside the positive cone
-        diag[middle] = lowest
-        diag[0] += trace_error
-        c = 0.9 * rng.random() * np.sqrt(diag[0].real * diag[-1].real)
-    diag[-1] += 1j * imaginary
+        # the background is the lowest eigenvalue; the corner block stays
+        # well inside the positive cone
+        b = lowest
+        w = 0.5 * (1.0 - (2**n - 2) * b)
+        c = 0.9 * rng.random() * w * phase
+    w += trace_error / 2
+    params = {"weight": w, "background": b, "coherence": c}
     if bad is not None:
-        if bad_in_coherence:
-            c = complex(bad, 0.0)
-        else:
-            diag[int(rng.integers(d))] = bad
-    expected = _verdict(lambda: DensityMatrix(n, _corner_dense(diag, c)))
-    assert _verdict(lambda: GhzDiagonal(n, diag, c)) == expected
-    planted_bad = (
-        bad is not None or imaginary > 1e-9 or abs(trace_error) > 1e-9 or lowest < -1e-9
-    )
+        params[bad_at] = bad
+    expected = _verdict(lambda: DensityMatrix(n, _record_dense(n, *params.values())))
+    assert _verdict(lambda: GhzDiagonal(n, **params)) == expected
+    planted_bad = bad is not None or abs(trace_error) > 1e-9 or lowest < -1e-9
     assert (expected is not None) == planted_bad
 
 
-def test_ghz_diagonal_rejects_bad_shapes_and_counts():
-    with pytest.raises(ValueError, match="expected 4 diagonal entries"):
-        GhzDiagonal(2, [0.5, 0.5], 0.0)
-    with pytest.raises(ValueError, match="qubit count must be in"):
-        GhzDiagonal(11, np.full(2**11, 2.0**-11), 0.0)
+def test_ghz_diagonal_to_density_is_the_record_matrix(rng):
+    for n in (1, 2, 5, 10):
+        record = random_ghz_diagonal(n, rng)
+        np.testing.assert_array_equal(
+            record.to_density().entries,
+            _record_dense(n, record.weight, record.background, record.coherence),
+        )
+
+
+def test_ghz_diagonal_takes_up_to_64_qubits():
+    for n in (11, 40, qstate.MAX_RECORD_QUBITS):
+        record = apply_channel(ghz_diagonal(n), ChannelSpec.depolarizing(0.9))
+        assert record.background == (1.0 - 0.9) / 2**n
+        # the dense matrix keeps its own cap
+        with pytest.raises(ValueError, match=r"qubit count must be in \[1, 10\], got"):
+            record.to_density()
+    for n in (0, qstate.MAX_RECORD_QUBITS + 1):
+        with pytest.raises(ValueError, match=r"qubit count must be in \[1, 64\], got"):
+            GhzDiagonal(n, 0.5, 0.0, 0.0)
+    with pytest.raises(ValueError, match="density matrix has non-finite entries"):
+        GhzDiagonal(1, 0.5, np.nan, 0.0)
+
+
+def test_density_matrix_with_mirrored_infinities_warns_nothing():
+    mat = np.eye(4, dtype=complex) / 4
+    mat[1, 2] = mat[2, 1] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="density matrix has non-finite entries"):
+            DensityMatrix(2, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +667,28 @@ def test_rank_one_fidelity_matches_the_eigen_path(n, rng):
         for state in states:
             for a, b in ((state, target), (target, state)):
                 assert abs(fidelity(a, b) - _eigen_path(a, b)) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 10])
+def test_record_fidelity_against_a_rank_one_target_is_its_closed_form(n, rng, monkeypatch):
+    """Against a vector or a rank-1 matrix a record reads its three numbers,
+    never its dense matrix, and agrees with the dense value."""
+    records = [random_ghz_diagonal(n, rng) for _ in range(3)] + [
+        ghz_diagonal(n, ChannelSpec.depolarizing(float(rng.random()))),
+    ]
+    targets = (random_pure(n, rng), ghz_state(n, float(rng.uniform(0, 2 * np.pi))))
+    targets += (random_pure(n, rng).to_density(),)
+    cases = [(r, t, fidelity(r.to_density(), t)) for r in records for t in targets]
+    monkeypatch.setattr(GhzDiagonal, "to_density", None)
+    for record, target, expected in cases:
+        for a, b in ((record, target), (target, record)):
+            assert fidelity(a, b) == pytest.approx(expected, abs=1e-12)
+
+
+def test_dephased_record_fidelity_above_the_dense_cap():
+    for p in (0.0, 0.3, 1.0):
+        record = ghz_diagonal(20, ChannelSpec.ghz_dephasing(p))
+        assert fidelity(record, ghz_state(20)) == pytest.approx(1.0 - p / 2.0, abs=1e-12)
 
 
 def _mixed_by(psi, weight, rng):
