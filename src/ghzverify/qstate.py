@@ -158,16 +158,15 @@ def _is_hermitian(mat: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class GhzDiagonal:
-    """An n-qubit GHZ-diagonal record: the density operator
+    """An n-qubit GHZ-diagonal record, such as an ideal, dephased or
+    depolarized GHZ state: the density operator
     ``rho = b*I + (w - b)(|0><0| + |N><N|) + c|0><N| + conj(c)|N><0|``,
-    ``N = 2^n - 1``, stored as its corner weight ``w``, background ``b`` and
-    coherence ``c``.  Ideal, dephased and depolarized GHZ states have this
-    form.  The spectrum is ``b`` (``2^n - 2`` times) and ``w +- |c|``, so the
-    checks of ``DensityMatrix``, with its messages, take O(1): finite
-    entries, trace ``2w + (2^n - 2) b`` within 1e-9 of 1, and no eigenvalue
-    below -1e-9, as ``b + 1e-9 > 0`` (for n >= 2; at n = 1 no entry holds
-    ``b``) and ``w - |c| + 1e-9 > 0``.  A record takes up to
-    ``MAX_RECORD_QUBITS`` qubits, its ``to_density`` the dense cap.
+    ``N = 2^n - 1``, stored as corner weight ``w``, background ``b`` and
+    coherence ``c``.  Its spectrum is ``b`` (``2^n - 2`` times) and
+    ``w +- |c|``, so the checks and messages of ``DensityMatrix`` take O(1):
+    finite entries, trace ``2w + (2^n - 2) b`` within 1e-9 of 1, and
+    ``b + 1e-9 > 0`` (n >= 2) and ``w - |c| + 1e-9 > 0`` for the spectrum.
+    Up to ``MAX_RECORD_QUBITS`` qubits; ``to_density`` has the dense cap.
     """
 
     n: int
@@ -238,13 +237,10 @@ def ghz_state(n: int, phase: float = 0.0) -> PureState:
     return PureState(n, amps)
 
 
-def ghz_diagonal(n: int, spec: ChannelSpec | None = None) -> GhzDiagonal:
-    """The n-qubit GHZ state as a record, or its image under the channel
-    ``spec``, validated once; the ideal record's ``to_density()`` equals
-    ``ghz_state(n).to_density()`` entry for entry."""
+def ghz_diagonal(n: int) -> GhzDiagonal:
+    """The n-qubit GHZ state as a record, entry for entry ``ghz_state(n).to_density()``."""
     half = 1.0 / np.sqrt(2.0)
-    params = (half * half, 0.0, complex(half * half))
-    return GhzDiagonal(n, *(params if spec is None else _record_channel(n, *params, spec)))
+    return GhzDiagonal(n, half * half, 0.0, complex(half * half))
 
 
 def plus_state(n: int) -> PureState:
@@ -438,7 +434,7 @@ def _rank_one_vector(state: Union[PureState, DensityMatrix]) -> np.ndarray | Non
     if isinstance(state, PureState):
         return state.amplitudes
     mat = state.entries
-    diag = mat.flat[:: len(mat) + 1].real
+    diag = mat.diagonal().real
     col = mat[:, int(np.argmax(diag))]
     v = col / np.linalg.norm(col)
     # the diagonal first: it rejects most mixed states in O(2^n)
@@ -449,24 +445,30 @@ def _rank_one_vector(state: Union[PureState, DensityMatrix]) -> np.ndarray | Non
 
 
 def fidelity(rho: State, sigma: State) -> float:
-    """Squared Uhlmann fidelity ``Tr[sqrt(sqrt(rho) sigma sqrt(rho))]^2``,
-    clamped to [0, 1].
+    """Squared Uhlmann fidelity ``Tr[sqrt(sqrt(rho) sigma sqrt(rho))]^2``, clamped to [0, 1].
 
-    Symmetric in its arguments.  When either argument is rank 1, ``v v*``
-    (``_rank_one_vector``; a ``PureState`` is tried first and a
-    ``GhzDiagonal`` record, through its dense matrix, last), the value is
-    ``<v|other|v>``: ``|<v|w>|^2`` for a pure ``other``, and
+    Symmetric in its arguments.  Two ``GhzDiagonal`` records take a closed
+    form in O(1).  Otherwise, when an argument other than a record
+    is rank 1, ``v v*`` (``_rank_one_vector``, a ``PureState`` first), the
+    value is ``<v|other|v>``: ``|<v|w>|^2`` for a pure ``other``, and
     ``b + (w - b)(|v_0|^2 + |v_N|^2) + 2 Re(c conj(v_0) v_N)`` for a record,
-    read without its dense matrix.  Two mixed arguments take the general
-    path, ``_eigen_fidelity``.
+    read without its dense matrix.  Any other pair takes ``_eigen_fidelity``.
     """
     if rho.n != sigma.n:
         raise ValueError(f"dimension mismatch: {rho.n} vs {sigma.n} qubits")
-    pair = sorted(
-        (rho, sigma), key=lambda s: (isinstance(s, GhzDiagonal), not isinstance(s, PureState))
-    )
+    if isinstance(rho, GhzDiagonal) and isinstance(sigma, GhzDiagonal):
+        # both block diagonal: 2 x 2 corner blocks A, B add sqrt(Tr[AB] + 2 sqrt(det A det B))
+        # to the root fidelity (Tr sqrt(M) = sqrt(Tr M + 2 sqrt(det M)) for a 2 x 2 M >= 0),
+        # the backgrounds (2^n - 2) sqrt(b b'); values down to -1e-9 count as 0
+        dets = [max(x.weight**2 - abs(x.coherence) ** 2, 0.0) for x in (rho, sigma)]
+        cross = rho.coherence * sigma.coherence.conjugate()
+        trace_ab = 2.0 * (rho.weight * sigma.weight + cross.real)
+        root = math.sqrt(max(trace_ab + 2.0 * math.sqrt(dets[0] * dets[1]), 0.0))
+        backs = max(rho.background, 0.0) * max(sigma.background, 0.0)
+        return min((root + (2.0**rho.n - 2.0) * math.sqrt(backs)) ** 2, 1.0)
+    pair = sorted((rho, sigma), key=lambda s: not isinstance(s, PureState))
     for pure, other in (pair, pair[::-1]):
-        v = _rank_one_vector(pure.to_density() if isinstance(pure, GhzDiagonal) else pure)
+        v = None if isinstance(pure, GhzDiagonal) else _rank_one_vector(pure)
         if v is None:
             continue
         if isinstance(other, PureState):
@@ -491,12 +493,15 @@ def apply_channel(
     and return a state of the same class.
 
     On a record, dephasing scales ``c`` by ``1 - p``, and depolarizing maps
-    ``(w, b, c)`` to ``(v*w + (1-v)/2^n, v*b + (1-v)/2^n, v*c)``
-    (``_record_channel``), entry for entry the map on the dense matrix.
+    ``(w, b, c)`` to ``(v*w + (1-v)/2^n, v*b + (1-v)/2^n, v*c)``, entry for
+    entry the map on the dense matrix.
     """
     if isinstance(state, GhzDiagonal):
-        params = (state.weight, state.background, state.coherence)
-        return GhzDiagonal(state.n, *_record_channel(state.n, *params, spec))
+        w, b, c = state.weight, state.background, state.coherence
+        if spec.kind == "ghz-dephasing":
+            return GhzDiagonal(state.n, w, b, c * (1.0 - spec.value))
+        v, white = spec.value, (1.0 - spec.value) / 2**state.n
+        return GhzDiagonal(state.n, v * w + white, v * b + white, v * c)
     dim = 2**state.n
     mat = state.entries.copy()
     if spec.kind == "ghz-dephasing":
@@ -506,10 +511,3 @@ def apply_channel(
     mixed = spec.value * mat + (1.0 - spec.value) * np.eye(dim) / dim
     return DensityMatrix(state.n, mixed)
 
-
-def _record_channel(n: int, w: float, b: float, c: complex, spec: ChannelSpec) -> tuple:
-    """``apply_channel`` on the parameters of an n-qubit record."""
-    if spec.kind == "ghz-dephasing":
-        return w, b, c * (1.0 - spec.value)
-    v, white = spec.value, (1.0 - spec.value) / 2**n
-    return v * w + white, v * b + white, v * c

@@ -126,10 +126,12 @@ def prepare(model: SourceModel) -> DensityMatrix | GhzDiagonal:
     if model.variant == "ideal-ghz":
         return qstate.ghz_diagonal(n)
     if model.variant == "dephased-ghz":
-        return qstate.ghz_diagonal(n, ChannelSpec.ghz_dephasing(model.params["p"]))
+        spec = ChannelSpec.ghz_dephasing(model.params["p"])
+        return qstate.apply_channel(qstate.ghz_diagonal(n), spec)
     if model.variant == "depolarized-ghz":
-        return qstate.ghz_diagonal(n, ChannelSpec.depolarizing(model.params["v"]))
-    if model.variant in ("biseparable-ghz-plus", "rotated-bell-plus"):  # dense cap, before any vector
+        spec = ChannelSpec.depolarizing(model.params["v"])
+        return qstate.apply_channel(qstate.ghz_diagonal(n), spec)
+    if model.variant in ("biseparable-ghz-plus", "rotated-bell-plus"):  # dense cap first
         qstate.check_qubits(n, qstate.MAX_DENSITY_QUBITS)
     if model.variant == "biseparable-ghz-plus":
         # the unentangled qubit goes to the last (dishonest) party

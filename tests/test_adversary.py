@@ -191,7 +191,7 @@ def test_best_fidelity_of_a_record_matches_its_matrix(n, rng):
 def test_record_corner_matches_its_matrix(n, rng):
     records = (
         qstate.ghz_diagonal(n),
-        qstate.ghz_diagonal(n, qstate.ChannelSpec.depolarizing(0.6)),
+        qstate.apply_channel(qstate.ghz_diagonal(n), qstate.ChannelSpec.depolarizing(0.6)),
         random_ghz_diagonal(n, rng),
         random_ghz_diagonal(n, rng),
     )
@@ -208,7 +208,7 @@ def test_record_corner_matches_its_matrix(n, rng):
 def test_best_fidelity_of_a_record_above_the_dense_cap():
     n = 40
     for spec in (qstate.ChannelSpec.ghz_dephasing(0.3), qstate.ChannelSpec.depolarizing(0.7)):
-        record = qstate.ghz_diagonal(n, spec)
+        record = qstate.apply_channel(qstate.ghz_diagonal(n), spec)
         w, b = record.weight, record.background
         for d in range(1, n):
             expected = 2.0 * (w + (2.0**d - 1.0) * b)

@@ -333,7 +333,8 @@ def test_party_counts_beyond_a_cap_are_named(capsys):
         (("--parties", "65"), 64),
     ):
         assert _run("verify", *argv, "--rounds", "10") == 1
-        assert capsys.readouterr().err == f"error: qubit count must be in [1, {cap}], got {argv[1]}\n"
+        message = f"error: qubit count must be in [1, {cap}], got {argv[1]}\n"
+        assert capsys.readouterr().err == message
 
 
 def test_negative_seed_is_named(tmp_path, capsys):

@@ -218,7 +218,7 @@ def test_record_estimate_matches_exact_value(n, kind, rng):
 def test_record_estimate_above_the_dense_cap_matches_exact_value(n, kind):
     specs = (qstate.ChannelSpec.ghz_dephasing(0.3), qstate.ChannelSpec.depolarizing(0.8))
     for i, spec in enumerate(specs):
-        record = qstate.ghz_diagonal(n, spec)
+        record = qstate.apply_channel(qstate.ghz_diagonal(n), spec)
         stats = estimate_pass_probability(record, None, kind, 100_000, 1000 + n + i)
         assert abs(stats.estimate - (0.5 + record.coherence.real)) < 4 * stats.stderr
 
@@ -227,7 +227,7 @@ def test_projective_cheat_measures_a_record_above_the_dense_cap():
     """The coalition measures its qubits of a dephased record first; the
     honest parties are left its coherence times the theta cheat's."""
     p, lam = 0.3, 0.2
-    record = qstate.ghz_diagonal(20, qstate.ChannelSpec.ghz_dephasing(p))
+    record = qstate.apply_channel(qstate.ghz_diagonal(20), qstate.ChannelSpec.ghz_dephasing(p))
     strategy = adversary.make_strategy("projective-cheat", n_parties=20, lam=lam)
     stats = estimate_pass_probability(record, strategy, ProtocolKind.THETA, 100_000, 21)
     expected = 0.5 + (1.0 - p) * (adversary.theta_cheat_pass_curve(lam) - 0.5)

@@ -674,7 +674,7 @@ def test_record_fidelity_against_a_rank_one_target_is_its_closed_form(n, rng, mo
     """Against a vector or a rank-1 matrix a record reads its three numbers,
     never its dense matrix, and agrees with the dense value."""
     records = [random_ghz_diagonal(n, rng) for _ in range(3)] + [
-        ghz_diagonal(n, ChannelSpec.depolarizing(float(rng.random()))),
+        apply_channel(ghz_diagonal(n), ChannelSpec.depolarizing(float(rng.random()))),
     ]
     targets = (random_pure(n, rng), ghz_state(n, float(rng.uniform(0, 2 * np.pi))))
     targets += (random_pure(n, rng).to_density(),)
@@ -687,8 +687,34 @@ def test_record_fidelity_against_a_rank_one_target_is_its_closed_form(n, rng, mo
 
 def test_dephased_record_fidelity_above_the_dense_cap():
     for p in (0.0, 0.3, 1.0):
-        record = ghz_diagonal(20, ChannelSpec.ghz_dephasing(p))
+        record = apply_channel(ghz_diagonal(20), ChannelSpec.ghz_dephasing(p))
         assert fidelity(record, ghz_state(20)) == pytest.approx(1.0 - p / 2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_record_pair_fidelity_matches_the_eigen_path(n, rng, monkeypatch):
+    """Two records take the block closed form, never their dense matrices."""
+    ideal = ghz_diagonal(n)
+    records = [random_ghz_diagonal(n, rng) for _ in range(4)] + [
+        ideal,
+        apply_channel(ideal, ChannelSpec.ghz_dephasing(float(rng.random()))),
+        apply_channel(ideal, ChannelSpec.depolarizing(float(rng.random()))),
+    ]
+    cases = [(a, b, _eigen_path(a, b)) for a in records for b in records]
+    monkeypatch.setattr(GhzDiagonal, "to_density", None)
+    for a, b, expected in cases:
+        assert abs(fidelity(a, b) - expected) <= 1e-10
+
+
+def test_record_pair_fidelity_above_the_dense_cap():
+    ideal = ghz_diagonal(64)
+    for v in (0.0, 0.4, 1.0):
+        noisy = apply_channel(ideal, ChannelSpec.depolarizing(v))
+        assert fidelity(ideal, noisy) == pytest.approx(v + (1 - v) / 2**64, abs=1e-12)
+        assert fidelity(noisy, noisy) == pytest.approx(1.0, abs=1e-12)
+    for p in (0.0, 0.3, 1.0):
+        dephased = apply_channel(ideal, ChannelSpec.ghz_dephasing(p))
+        assert fidelity(dephased, ideal) == pytest.approx(1.0 - p / 2.0, abs=1e-12)
 
 
 def _mixed_by(psi, weight, rng):
