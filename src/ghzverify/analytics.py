@@ -125,11 +125,13 @@ def max_tolerable_loss(
     Under dishonest-allowed trust the threshold is the protocol's cheating
     curve, and the loss rate is found by bisection on that (nondecreasing)
     curve to within 1e-9.  Under all-honest trust the threshold does not
-    rise with loss.  Raises when the observation is already below the
-    zero-loss threshold.
+    rise with loss.  Raises when the observation is not a probability or
+    is already below the zero-loss threshold.
     """
     kind = ProtocolKind(kind)
     trust = TrustModel(trust)
+    if not 0.0 <= pass_probability <= 1.0:
+        raise ValueError("pass probability must lie in [0, 1]")
     floor = gme_threshold(kind, trust, 0.0)
     if pass_probability < floor:
         raise ValueError(

@@ -45,15 +45,25 @@ def check_qubits(n: int, cap: int) -> None:
         raise ValueError(f"qubit count must be in [1, {cap}], got {n}")
 
 
-def angle_values(angles: Sequence[float] | np.ndarray, n: int) -> np.ndarray:
+def angle_values(
+    angles: Sequence[float] | np.ndarray, n: int, *, setting: bool = False
+) -> np.ndarray:
     """Angles as a float array of any rank whose last axis holds ``n``
-    angles, each validated to lie in [0, pi)."""
+    angles, each validated to lie in [0, pi).  With ``setting`` the array
+    must be one setting, a single row of ``n`` angles."""
     vals = np.asarray(angles, dtype=float)
+    if setting and vals.ndim > 1:
+        raise ValueError(f"expected one setting of {n} angles, got shape {vals.shape}")
     count = vals.shape[-1] if vals.ndim else 0
     if count != n:
         raise ValueError(f"expected {n} angles, got {count}")
-    # comparisons, so that a NaN fails wherever it sits
-    if not ((vals >= 0.0) & (vals < np.pi)).all():
+    # comparisons, so that a NaN fails wherever it sits; a row of n floats
+    # is tested in Python, which beats three ufuncs and a reduction
+    if vals.ndim == 1:
+        valid = all(0.0 <= t < math.pi for t in vals.tolist())
+    else:
+        valid = ((vals >= 0.0) & (vals < np.pi)).all()
+    if not valid:
         raise ValueError("measurement angles must lie in [0, pi)")
     return vals
 
@@ -358,13 +368,20 @@ def _project_rows(arr: np.ndarray, angles: np.ndarray, draws: np.ndarray) -> np.
 
 
 @lru_cache(maxsize=32)
-def _sign_table(n: int) -> np.ndarray:
-    """(2^n, n) float matrix of basis-index signs; row i holds ``(-1)^bit``
-    for each bit of i."""
-    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
-    signs = 1.0 - 2.0 * bits
-    signs.setflags(write=False)
-    return signs
+def _half_sign_table(n: int) -> np.ndarray:
+    """(2^hi + 2^lo, n) matrix of basis-index signs times ``1j``, for the
+    high ``hi = ceil(n/2)`` and the low ``lo = floor(n/2)`` qubits: row
+    ``k < 2^hi`` holds ``1j * (-1)^bit`` of the bits of k in the high
+    columns, row ``2^hi + k`` those of k in the low columns, and every
+    other entry is 0."""
+    lo = n // 2
+    hi = n - lo
+    high, low = ((np.arange(2**w)[:, None] >> np.arange(w)) & 1 for w in (hi, lo))
+    table = np.zeros((2**hi + 2**lo, n), dtype=complex)
+    table[: 2**hi, lo:] = 1j * (1.0 - 2.0 * high)
+    table[2**hi :, :lo] = 1j * (1.0 - 2.0 * low)
+    table.setflags(write=False)
+    return table
 
 
 def setting_pass_probability(
@@ -376,25 +393,33 @@ def setting_pass_probability(
     ``(1 + (-1)^m * Tr[rho * prod_j (cos(t_j) X_j + sin(t_j) Y_j)]) / 2``.
     The product observable only couples each basis state to its bitwise
     complement, so the trace is ``sum_i rho[i, 2^n-1-i] e^{i s_i.t}``, with
-    ``s_i`` the signs ``(-1)^bit`` of the bits of i: a phase-weighted sum
-    over the anti-diagonal, read as a strided view of the matrix.  On a
+    ``s_i`` the signs ``(-1)^bit`` of the bits of i.  The phase factors over
+    the high ``ceil(n/2)`` and low ``floor(n/2)`` qubits,
+    ``e^{i s_i.t} = e^{i s_hi.t_hi} e^{i s_lo.t_lo}``, so with the
+    anti-diagonal read as a strided ``(2^hi, 2^lo)`` view ``A`` of the
+    matrix the sum is ``e_hi @ A @ e_lo``: ``2^hi + 2^lo`` complex
+    exponentials instead of ``2^n`` (48 instead of 512 at n = 9).  On a
     ``GhzDiagonal`` record only the corners are nonzero, and the sum is
     ``2 Re(c e^{i*T})`` with ``c = rho[0, 2^n - 1]`` and ``T`` the angle sum.
-    The angles are checked as ``angle_values`` checks them, and their sum
-    must be a multiple of pi within 1e-9.
+    The angles must be one setting of n angles, checked as ``angle_values``
+    checks them, and their sum must be a multiple of pi within 1e-9.
     """
-    vals = angle_values(angles, rho.n)
-    total = float(vals.sum())
+    n = rho.n
+    vals = angle_values(angles, n, setting=True)
+    total = sum(vals.tolist())
     m = round(total / math.pi)
     if abs(total - m * math.pi) > NORM_TOL:
         raise ValueError("angle sum must be a multiple of pi within 1e-9")
     if isinstance(rho, GhzDiagonal):
         expectation = 2.0 * (rho.coherence * cmath.exp(1j * total)).real
     else:
-        d = 2**rho.n
-        # flat indices d-1, 2(d-1), ..., d(d-1) are [i, d-1-i] for i = 0..d-1
-        anti = rho.entries.reshape(-1)[d - 1 : d * d - 1 : d - 1]
-        expectation = float((anti @ np.exp(1j * (_sign_table(rho.n) @ vals))).real)
+        hi, lo = 2 ** (n - n // 2), 2 ** (n // 2)
+        d = hi * lo
+        # flat indices d-1, 2(d-1), ..., d(d-1) are [i, d-1-i] for i = 0..d-1;
+        # i = k * lo + j sits at row k, column j of the (hi, lo) view
+        anti = rho.entries.reshape(-1)[d - 1 : d * d - 1 : d - 1].reshape(hi, lo)
+        phases = np.exp(_half_sign_table(n) @ vals)
+        expectation = float((phases[:hi] @ anti @ phases[hi:]).real)
     return 0.5 * (1.0 + (expectation if m % 2 == 0 else -expectation))
 
 

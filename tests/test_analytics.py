@@ -145,6 +145,10 @@ def test_max_tolerable_loss_edges():
     assert max_tolerable_loss(1.0, ProtocolKind.XY, dis) == pytest.approx(0.5, abs=1e-9)
     with pytest.raises(ValueError):
         max_tolerable_loss(0.5, ProtocolKind.THETA, dis)
+    for not_a_probability in (np.nan, 1.5, -0.1):
+        for trust in TrustModel:
+            with pytest.raises(ValueError, match=r"^pass probability must lie in \[0, 1\]$"):
+                max_tolerable_loss(not_a_probability, ProtocolKind.THETA, trust)
 
 
 def test_max_tolerable_loss_bisection_consistency():
