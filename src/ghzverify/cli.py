@@ -50,14 +50,45 @@ def parse_strategy_key(key: str, n_parties: int, dishonest_count: int | None):
         raise CliError(f"bad strategy {key!r}: {exc}") from exc
 
 
-def _apply_config_file(path: str, commands: dict[str, _Parser]) -> None:
+_COMMANDS = ("verify", "curves", "dishonest-angle-profile", "session")
+_RUN = ("verify", "session")
+_EMIT = ("curves", "dishonest-angle-profile")
+
+# every flag once: flag -> (argparse keywords, subcommands that take it), in
+# the order of each subcommand's --help
+_FLAGS = {
+    "--config": ({"help": "key=value defaults file; flags override"}, _COMMANDS),
+    "--seed": ({"type": int, "default": 7}, _COMMANDS),
+    "--rounds": ({"type": int, "default": 6000}, _COMMANDS),
+    "--parties": ({"type": int, "default": 3}, _COMMANDS),
+    "--out": ({"help": "output path (or prefix for session)"}, _COMMANDS),
+    "--protocol": ({"choices": ("theta", "xy"), "default": "theta"}, _RUN),
+    "--source": ({"default": "ideal-ghz", "help": "source model key"}, _RUN),
+    "--strategy": ({"default": "honest", "help": "strategy key or 'honest'"}, _RUN),
+    "--dishonest-count": ({"type": int, "help": "default 1 with a cheating strategy"}, _RUN),
+    "--lambda-max": ({"type": float, "default": 0.5}, _RUN),
+    "--honest-loss": ({"type": float, "default": 0.0}, _RUN),
+    "--trust": (
+        {
+            "choices": tuple(t.value for t in analytics.TrustModel),
+            "default": analytics.TrustModel.DISHONEST_ALLOWED.value,
+        },
+        _RUN,
+    ),
+    "--assumed-loss": ({"type": float, "default": 0.0}, _RUN),
+    "--sigma": ({"type": float, "default": 3.0}, _RUN),
+    "--format": ({"choices": ("json", "csv"), "default": "csv"}, _EMIT),
+    "--lambda-grid": ({"default": "0,0.1,0.2,0.3,0.4,0.5"}, ("curves",)),
+    "--angle-points": ({"type": int, "default": 32}, ("dishonest-angle-profile",)),
+    "--theta-prime": ({"type": float, "default": 0.0}, ("dishonest-angle-profile",)),
+}
+
+
+def _apply_config_file(path: str, command: str, parser: _Parser) -> None:
     """Set the ``key = value`` lines of a config file ('#' comments) as the
-    defaults of every subcommand that takes the key; flags win."""
-    actions: dict[str, list] = {}
-    for command in commands.values():
-        for act in command._actions:
-            if act.dest not in ("help", "config"):
-                actions.setdefault(act.dest, []).append((command, act))
+    defaults of ``parser``, the parser of ``command``; flags win.  A key is
+    checked against its flag's type and choices even when ``command`` does
+    not take it."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -72,57 +103,47 @@ def _apply_config_file(path: str, commands: dict[str, _Parser]) -> None:
             raise CliError(f"malformed config line {raw!r}")
         key, val = key.strip(), val.strip()
         where = f"config file {path}: key {key!r}"
-        dest = key.replace("-", "_")
-        if dest not in actions:
+        flag = "--" + key.replace("_", "-")
+        if flag not in _FLAGS or flag == "--config":
             raise CliError(f"{where} is not an option of any subcommand")
-        for command, act in actions[dest]:
-            try:
-                value = act.type(val) if act.type else val
-            except ValueError:
-                raise CliError(f"{where}: invalid {act.type.__name__} value {val!r}") from None
-            if act.choices is not None and value not in act.choices:
-                choices = ", ".join(map(str, act.choices))
-                raise CliError(f"{where}: invalid choice {val!r} (choose from {choices})")
-            command.set_defaults(**{dest: value})
+        kwargs, commands = _FLAGS[flag]
+        kind, choices = kwargs.get("type"), kwargs.get("choices")
+        try:
+            value = kind(val) if kind else val
+        except ValueError:
+            raise CliError(f"{where}: invalid {kind.__name__} value {val!r}") from None
+        if choices is not None and value not in choices:
+            raise CliError(f"{where}: invalid choice {val!r} (choose from {', '.join(choices)})")
+        if command in commands:
+            parser.set_defaults(**{flag[2:].replace("-", "_"): value})
 
 
-def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """One parser per subcommand, each taking only the flags it reads."""
+def _formatter():
     # each add_argument builds a help formatter, which asks the terminal size if given no width
-    fmt = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    return functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+
+
+def _add_flags(parser: _Parser, command: str) -> _Parser:
+    for flag, (kwargs, commands) in _FLAGS.items():
+        if command in commands:
+            parser.add_argument(flag, **kwargs)
+    return parser
+
+
+def build_parser(command: str) -> _Parser:
+    """The parser of one subcommand, holding only the flags it reads."""
+    return _add_flags(_Parser(prog=f"ghzverify {command}", formatter_class=_formatter()), command)
+
+
+def _top_level_parser() -> _Parser:
+    """``ghzverify`` with a subparser per command, for a call whose first
+    word is not a command: it prints the top-level usage, help and errors."""
+    fmt = _formatter()
     parser = _Parser(prog="ghzverify", formatter_class=fmt)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
-    for name in ("verify", "curves", "dishonest-angle-profile", "session"):
-        p = sub.add_parser(name, formatter_class=fmt)
-        p.add_argument("--config", help="key=value defaults file; flags override")
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--rounds", type=int, default=6000)
-        p.add_argument("--parties", type=int, default=3)
-        p.add_argument("--out", help="output path (or prefix for session)")
-        if name in ("verify", "session"):
-            p.add_argument("--protocol", choices=("theta", "xy"), default="theta")
-            p.add_argument("--source", default="ideal-ghz", help="source model key")
-            p.add_argument("--strategy", default="honest", help="strategy key or 'honest'")
-            p.add_argument("--dishonest-count", type=int, help="default 1 with a cheating strategy")
-            p.add_argument("--lambda-max", type=float, default=0.5)
-            p.add_argument("--honest-loss", type=float, default=0.0)
-            p.add_argument(
-                "--trust",
-                choices=tuple(t.value for t in analytics.TrustModel),
-                default=analytics.TrustModel.DISHONEST_ALLOWED.value,
-            )
-            p.add_argument("--assumed-loss", type=float, default=0.0)
-            p.add_argument("--sigma", type=float, default=3.0)
-        else:
-            p.add_argument("--format", choices=("json", "csv"), default="csv")
-        if name == "curves":
-            p.add_argument("--lambda-grid", default="0,0.1,0.2,0.3,0.4,0.5")
-        if name == "dishonest-angle-profile":
-            p.add_argument("--angle-points", type=int, default=32)
-            p.add_argument("--theta-prime", type=float, default=0.0)
-        commands[name] = p
-    return parser, commands
+    for name in _COMMANDS:
+        _add_flags(sub.add_parser(name, formatter_class=fmt), name)
+    return parser
 
 
 def _write_or_print(text: str, out: str | None):
@@ -322,23 +343,32 @@ def _emit_rows(rows: list[dict], columns: tuple[str, ...], args):
 
 
 def main(argv=None) -> int:
-    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        if not argv or argv[0] not in _COMMANDS:
+            # --help exits and any other such argv fails to parse; the raise
+            # covers an argparse that skips a "--" before the command
+            _top_level_parser().parse_args(argv)
+            raise CliError(f"the command must come first, got {argv[0]!r}")
+        command, flags = argv[0], argv[1:]
+        parser = build_parser(command)
+        args = parser.parse_args(flags)
         if args.config:
-            # the file's keys become the subcommands' defaults; flags win
-            _apply_config_file(args.config, commands)
-            args = parser.parse_args(argv)
+            # the file's keys become the subcommand's defaults; flags win
+            _apply_config_file(args.config, command, parser)
+            args = parser.parse_args(flags)
         if args.seed < 0:
             raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
         if "sigma" in args:
             analytics.check_sigma(args.sigma)
+        if "theta_prime" in args and not math.isfinite(args.theta_prime):
+            raise CliError(f"--theta-prime must be a finite number, got {args.theta_prime}")
         handler = {
             "verify": cmd_verify,
             "curves": cmd_curves,
             "dishonest-angle-profile": cmd_profile,
             "session": cmd_session,
-        }[args.command]
+        }[command]
         return handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -346,7 +376,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
 
 if __name__ == "__main__":
     sys.exit(main())

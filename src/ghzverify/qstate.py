@@ -317,6 +317,10 @@ def sample_rows(
     how much is computed at once but no row's bits.
     """
     angles = angle_values(angles, state.n)
+    if angles.ndim != 2:
+        raise ValueError(f"angles must be (m, {state.n}), got shape {angles.shape}")
+    if np.shape(draws) != angles.shape:
+        raise ValueError(f"draws must have the angles' shape {angles.shape}, got {np.shape(draws)}")
     if isinstance(state, GhzDiagonal):
         return sample_record(state.coherence, angles, draws)
     arr = state.amplitudes if isinstance(state, PureState) else state.entries

@@ -407,8 +407,8 @@ def test_each_call_builds_one_parser_and_asks_the_terminal_size_once(
         del built[:], lookups[:]
         capsys.readouterr()
         _run(*argv)
-        # the top-level parser and one parser per subcommand, also with --config
-        assert len(built) == 5
+        # only the invoked subcommand's parser, also with --config
+        assert len(built) == 1
         assert len(lookups) == 1
     assert json.loads(capsys.readouterr().out)["config"]["rounds"] == 30
 
@@ -462,3 +462,84 @@ def test_a_bad_sigma_is_named(monkeypatch, tmp_path, capsys):
             "error: sigma must be a non-negative finite number, got -1.0\n"
         )
     assert list(tmp_path.iterdir()) == [conf]
+
+
+_COMMON = [
+    ("--config", None, None),
+    ("--seed", 7, None),
+    ("--rounds", 6000, None),
+    ("--parties", 3, None),
+    ("--out", None, None),
+]
+_RUN = _COMMON + [
+    ("--protocol", "theta", ("theta", "xy")),
+    ("--source", "ideal-ghz", None),
+    ("--strategy", "honest", None),
+    ("--dishonest-count", None, None),
+    ("--lambda-max", 0.5, None),
+    ("--honest-loss", 0.0, None),
+    ("--trust", "dishonest-allowed", ("all-honest", "dishonest-allowed")),
+    ("--assumed-loss", 0.0, None),
+    ("--sigma", 3.0, None),
+]
+_FORMAT = [("--format", "csv", ("json", "csv"))]
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("verify", _RUN),
+        ("session", _RUN),
+        ("curves", _COMMON + _FORMAT + [("--lambda-grid", "0,0.1,0.2,0.3,0.4,0.5", None)]),
+        ("dishonest-angle-profile",
+         _COMMON + _FORMAT + [("--angle-points", 32, None), ("--theta-prime", 0.0, None)]),
+    ],
+)
+def test_each_subcommand_takes_its_flags_in_order(command, flags):
+    actions = cli.build_parser(command)._actions
+    assert actions[0].option_strings == ["-h", "--help"]
+    got = [(a.option_strings[0], a.default, a.choices and tuple(a.choices)) for a in actions[1:]]
+    assert got == flags
+    assert all(len(a.option_strings) == 1 for a in actions[1:])
+
+
+def test_calls_without_a_command_first_print_the_top_level_messages(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    choices = "'verify', 'curves', 'dishonest-angle-profile', 'session'"
+    for argv, expected in (
+        ((), "error: the following arguments are required: command\n"),
+        (("verfy",), f"error: argument command: invalid choice: 'verfy' (choose from {choices})\n"),
+        (("--seed", "3", "verify"),
+         f"error: argument command: invalid choice: '3' (choose from {choices})\n"),
+        (("--foo", "verify", "--rounds", "5"), "error: unrecognized arguments: --foo\n"),
+    ):
+        assert _run(*argv) == 1
+        assert capsys.readouterr() == ("", expected)
+    with pytest.raises(SystemExit) as exit_info:
+        _run("--help")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr() == (
+        "usage: ghzverify [-h] {verify,curves,dishonest-angle-profile,session} ...\n"
+        "\n"
+        "positional arguments:\n"
+        "  {verify,curves,dishonest-angle-profile,session}\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n",
+        "",
+    )
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_a_non_finite_theta_prime_is_named(value, monkeypatch, tmp_path, capsys):
+    def no_rounds(*args, **kwargs):
+        raise AssertionError("rounds ran before --theta-prime was checked")
+
+    monkeypatch.setattr(cli, "_profile_point", no_rounds)
+    conf = tmp_path / "profile.conf"
+    conf.write_text(f"theta-prime = {value}\n")
+    expected = f"error: --theta-prime must be a finite number, got {float(value)}\n"
+    # "--theta-prime -inf" would read -inf as a flag
+    for argv in ((f"--theta-prime={value}",), ("--config", str(conf))):
+        assert _run("dishonest-angle-profile", *argv, "--angle-points", "2") == 1
+        assert capsys.readouterr() == ("", expected)

@@ -386,6 +386,23 @@ def test_ghz_diagonal_sampling_matches_density_kernel(n, kind, rng):
         )
 
 
+@pytest.mark.parametrize("make", [ghz_diagonal, ghz_state, lambda n: ghz_state(n).to_density()],
+                         ids=["record", "vector", "density"])
+def test_sample_rows_rejects_angles_and_draws_not_of_one_shape(make):
+    state = make(3)
+    for angles, draws, message in (
+        (np.zeros(3), np.zeros(3), "angles must be (m, 3), got shape (3,)"),
+        (np.zeros((2, 2, 3)), np.zeros((2, 2, 3)), "angles must be (m, 3), got shape (2, 2, 3)"),
+        (np.zeros((4, 3)), np.zeros((5, 3)),
+         "draws must have the angles' shape (4, 3), got (5, 3)"),
+        (np.zeros((4, 3)), np.zeros((4, 2)),
+         "draws must have the angles' shape (4, 3), got (4, 2)"),
+        (np.zeros((4, 3)), np.zeros(3), "draws must have the angles' shape (4, 3), got (3,)"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sample_rows(state, angles, draws)
+
+
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_measure_record_matches_density_kernel_on_low_qubits(n, rng):
     """Measuring qubits 0..m-1 of a record last, after the others, gives the
