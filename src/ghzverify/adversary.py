@@ -417,8 +417,7 @@ def make_strategy(
     given = [p for p, v in (("lam", lam), ("theta-prime", theta_prime)) if v is not None]
     reject_unaccepted("strategy", name, given, syntax)
     fields = STRATEGIES[name][1]
-    if dishonest_count < 1 or dishonest_count >= n_parties:
-        raise ValueError("dishonest_count must leave at least one honest party")
+    check_dishonest_count(dishonest_count, n_parties)
     tp = 0.0 if theta_prime is None else float(theta_prime)
     if not 0.0 <= tp < 2.0 * math.pi:
         raise ValueError("theta_prime must lie in [0, 2*pi)")
@@ -429,6 +428,18 @@ def make_strategy(
             raise ValueError(f"{name} needs lam in [0, {'1/2]' if mixed else '1)'}")
         fields = dict(fields, lam=float(lam), target_loss_rate=float(lam))
     return CheatStrategy(name, n_parties, dishonest_count, theta_prime=tp, **fields)
+
+
+def check_dishonest_count(
+    count: int, n_parties: int, name: str = "dishonest_count", parties: str = "n_parties"
+) -> None:
+    """Raise unless a coalition of ``count`` of ``n_parties`` parties has a
+    member and leaves one party honest; the message calls the two values
+    ``name`` and ``parties``."""
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count}")
+    if count >= n_parties:
+        raise ValueError(f"{name} must be at most {parties} - 1 = {n_parties - 1}, got {count}")
 
 
 def from_key(key: str, n_parties: int, dishonest_count: int = 1) -> CheatStrategy:

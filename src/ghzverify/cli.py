@@ -11,8 +11,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import locale
 import math
+import os
 import shutil
+import stat
 import sys
 from pathlib import Path
 
@@ -146,13 +149,37 @@ def _top_level_parser() -> _Parser:
     return parser
 
 
+def _write_file(out: str, text: str) -> None:
+    """Write ``text`` to the file ``out`` as ``Path.write_text`` would, with
+    the same bytes (the locale's encoding, POSIX newlines) and errors,
+    creating missing parent directories.  An existing file is overwritten in
+    place, so it keeps its inode, mode and links; a device or FIFO is written
+    and never truncated.  Every file the CLI writes goes through here."""
+    data = memoryview(text.encode(locale.getpreferredencoding(False)))
+    path = Path(out)  # "" names ".", as write_text does
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # no O_TRUNC: truncating a file to 0 bytes makes ext4 start writeback on
+    # close (auto_da_alloc), which no caller asked for
+    fd = os.open(str(path), os.O_WRONLY | os.O_CREAT, 0o666)
+    written = 0
+    try:
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        # cut a regular file after the new bytes, also when a write failed,
+        # so no byte of the old file is left behind them
+        try:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
+
+
 def _write_or_print(text: str, out: str | None):
     if out is None:
         print(text)
     else:
-        path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        _write_file(out, text)
 
 
 def _run_session(args) -> simnet.Transcript:
@@ -314,11 +341,9 @@ def cmd_session(args) -> int:
         args.sigma,
     )
     prefix = args.out or "session"
-    base = Path(prefix)
-    base.parent.mkdir(parents=True, exist_ok=True)
-    Path(f"{prefix}.messages.jsonl").write_text(transcript.messages_jsonl() + "\n")
-    Path(f"{prefix}.records.jsonl").write_text(transcript.records_jsonl() + "\n")
-    Path(f"{prefix}.summary.json").write_text(transcript.summary_json(verdict=v) + "\n")
+    _write_file(f"{prefix}.messages.jsonl", transcript.messages_jsonl() + "\n")
+    _write_file(f"{prefix}.records.jsonl", transcript.records_jsonl() + "\n")
+    _write_file(f"{prefix}.summary.json", transcript.summary_json(verdict=v) + "\n")
     flagged = [p for p, a in transcript.audits.items() if a.status == "flagged"]
     print(
         f"session: estimate={transcript.stats.estimate:.6f} "
@@ -359,6 +384,12 @@ def main(argv=None) -> int:
             args = parser.parse_args(flags)
         if args.seed < 0:
             raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
+        if args.parties < 2:
+            raise CliError(f"--parties must be at least 2, got {args.parties}")
+        if getattr(args, "dishonest_count", None) is not None and args.strategy != "honest":
+            adversary.check_dishonest_count(
+                args.dishonest_count, args.parties, "--dishonest-count", "--parties"
+            )
         if "sigma" in args:
             analytics.check_sigma(args.sigma)
         if "theta_prime" in args and not math.isfinite(args.theta_prime):

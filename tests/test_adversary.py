@@ -702,3 +702,13 @@ def test_measure_parties_consumes_one_uniform_per_dishonest_qubit(rng):
             protocol.run_block(state, strat, ProtocolKind.THETA, 7, gen)
             oracles.draw_block(twin, strat, ProtocolKind.THETA, n, 7)
             assert gen.bit_generator.state == twin.bit_generator.state
+
+
+def test_make_strategy_names_a_coalition_without_members_or_honest_parties():
+    for count, expected in (
+        (0, "dishonest_count must be at least 1, got 0"),
+        (-1, "dishonest_count must be at least 1, got -1"),
+        (3, r"dishonest_count must be at most n_parties - 1 = 2, got 3"),
+    ):
+        with pytest.raises(ValueError, match=expected):
+            make_strategy("xy-mixed", n_parties=3, dishonest_count=count, lam=0.1)

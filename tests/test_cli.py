@@ -543,3 +543,165 @@ def test_a_non_finite_theta_prime_is_named(value, monkeypatch, tmp_path, capsys)
     for argv in ((f"--theta-prime={value}",), ("--config", str(conf))):
         assert _run("dishonest-angle-profile", *argv, "--angle-points", "2") == 1
         assert capsys.readouterr() == ("", expected)
+
+
+def _no_rounds(*args, **kwargs):
+    raise AssertionError("rounds ran before the flags were checked")
+
+
+def test_too_few_parties_are_named(monkeypatch, tmp_path, capsys):
+    for name in ("_run_session", "_profile_point"):
+        monkeypatch.setattr(cli, name, _no_rounds)
+    monkeypatch.setattr(cli.protocol, "estimate_pass_probability", _no_rounds)
+    conf = tmp_path / "parties.conf"
+    conf.write_text("parties = 1\n")
+    for command in ("verify", "curves", "dishonest-angle-profile", "session"):
+        out = str(tmp_path / command)
+        for argv, shown in (
+            (("--parties", "1"), 1),
+            (("--parties", "0"), 0),
+            (("--parties", "-3"), -3),
+            (("--config", str(conf)), 1),
+        ):
+            assert _run(command, *argv, "--rounds", "5", "--out", out) == 1
+            expected = f"error: --parties must be at least 2, got {shown}\n"
+            assert capsys.readouterr() == ("", expected)
+    assert list(tmp_path.iterdir()) == [conf]
+
+
+def test_a_dishonest_count_without_an_honest_party_is_named(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "_run_session", _no_rounds)
+    conf = tmp_path / "count.conf"
+    conf.write_text("strategy = xy-mixed:lam=0.1\ndishonest-count = 4\nparties = 4\n")
+    for command in ("verify", "session"):
+        out = str(tmp_path / command)
+        for argv, expected in (
+            (("--dishonest-count", "0"), "must be at least 1, got 0"),
+            (("--dishonest-count", "-1"), "must be at least 1, got -1"),
+            (("--dishonest-count", "3"), "must be at most --parties - 1 = 2, got 3"),
+            (("--config", str(conf)), "must be at most --parties - 1 = 3, got 4"),
+        ):
+            argv = (command, "--strategy", "xy-mixed:lam=0.1", *argv, "--out", out)
+            assert _run(*argv) == 1
+            assert capsys.readouterr() == ("", f"error: --dishonest-count {expected}\n")
+    assert list(tmp_path.iterdir()) == [conf]
+
+
+def _verify_text(tmp_path, seed):
+    fresh = tmp_path / f"fresh-{seed}.json"
+    assert _run("verify", "--rounds", "20", "--seed", str(seed), "--out", str(fresh)) == 0
+    return fresh.read_bytes()
+
+
+def test_an_output_is_overwritten_in_place(monkeypatch, tmp_path):
+    expected = _verify_text(tmp_path, 3)
+    flags, os_open = [], os.open
+
+    def recording_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return os_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    out = tmp_path / "verdict.json"
+    longer = b"x" * (3 * len(expected) + 4096)
+    out.write_bytes(longer)
+    out.chmod(0o600)
+    link = tmp_path / "hard-link.json"
+    os.link(out, link)
+    inode = out.stat().st_ino
+    assert _run("verify", "--rounds", "20", "--seed", "3", "--out", str(out)) == 0
+    assert out.read_bytes() == expected
+    assert link.read_bytes() == expected
+    assert out.stat().st_ino == inode
+    assert out.stat().st_mode & 0o777 == 0o600
+    assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+
+
+@pytest.mark.parametrize("fault", (OSError(28, "No space left on device"), KeyboardInterrupt()))
+def test_an_interrupted_overwrite_leaves_no_old_bytes(fault, monkeypatch, tmp_path, capsys):
+    expected = _verify_text(tmp_path, 5)
+    os_write, calls = os.write, []
+
+    def failing_write(fd, data):
+        # the first call writes half the text, the second fails
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise fault
+        return os_write(fd, data[: len(data) // 2])
+
+    monkeypatch.setattr(os, "write", failing_write)
+    out = tmp_path / "verdict.json"
+    out.write_bytes(b"x" * (3 * len(expected)))
+    argv = ("verify", "--rounds", "20", "--seed", "5", "--out", str(out))
+    capsys.readouterr()
+    if isinstance(fault, OSError):
+        assert _run(*argv) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            _run(*argv)
+    assert out.read_bytes() == expected[: len(expected) // 2]
+
+
+def test_the_writer_writes_the_bytes_of_write_text(tmp_path):
+    text = "plain, ünïcode and 两 lines\nand a last one\n"
+    (tmp_path / "reference.txt").write_text(text)
+    cli._write_file(str(tmp_path / "written.txt"), text)
+    assert (tmp_path / "written.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
+
+
+def test_an_output_through_a_symlink_goes_to_its_target(tmp_path):
+    expected = _verify_text(tmp_path, 4)
+    target = tmp_path / "target.json"
+    target.write_text("old contents, longer than nothing\n" * 200)
+    out = tmp_path / "link.json"
+    out.symlink_to(target.name)
+    assert _run("verify", "--rounds", "20", "--seed", "4", "--out", str(out)) == 0
+    assert out.is_symlink() and os.readlink(out) == target.name
+    assert target.read_bytes() == expected
+
+
+def test_missing_parent_directories_of_an_output_are_created(tmp_path):
+    for argv, out in (
+        (("verify", "--rounds", "20"), tmp_path / "a" / "b" / "v.json"),
+        (("curves", "--lambda-grid", "0", "--rounds", "20"), tmp_path / "c" / "d" / "c.csv"),
+    ):
+        assert _run(*argv, "--out", str(out)) == 0
+        assert out.read_text()
+
+
+def test_an_output_to_a_device_is_not_truncated(capsys):
+    assert _run("verify", "--rounds", "20", "--out", os.devnull) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_an_output_that_is_a_directory_is_named(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "f").write_text("")
+    for out, message in (
+        ("", "[Errno 21] Is a directory: '.'"),
+        ("d", "[Errno 21] Is a directory: 'd'"),
+        ("d/", "[Errno 21] Is a directory: 'd'"),
+        ("f/v.json", "[Errno 17] File exists: 'f'"),
+        ("f/g/v.json", "[Errno 20] Not a directory: 'f/g'"),
+    ):
+        assert _run("verify", "--rounds", "5", "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_session_overwrites_its_files_in_place(tmp_path):
+    argv = ("session", "--rounds", "50", "--seed", "6", "--out")
+    assert _run(*argv, str(tmp_path / "fresh")) == 0
+    prefix = tmp_path / "run"
+    suffixes = (".messages.jsonl", ".records.jsonl", ".summary.json")
+    inodes = {}
+    for suffix in suffixes:
+        path = Path(f"{prefix}{suffix}")
+        path.write_bytes(b"#" * 100_000)
+        inodes[suffix] = path.stat().st_ino
+    assert _run(*argv, str(prefix)) == 0
+    for suffix in suffixes:
+        path = Path(f"{prefix}{suffix}")
+        assert path.read_bytes() == Path(f"{tmp_path / 'fresh'}{suffix}").read_bytes()
+        assert path.stat().st_ino == inodes[suffix]
