@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from . import adversary, analytics, protocol, simnet, sources
-from .protocol import ProtocolKind
 
 
 class CliError(Exception):
@@ -163,16 +162,20 @@ def _write_file(out: str, text: str) -> None:
     fd = os.open(str(path), os.O_WRONLY | os.O_CREAT, 0o666)
     written = 0
     try:
-        while written < len(data):
-            written += os.write(fd, data[written:])
-    finally:
-        # cut a regular file after the new bytes, also when a write failed,
-        # so no byte of the old file is left behind them
         try:
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                os.ftruncate(fd, written)
+            while written < len(data):
+                written += os.write(fd, data[written:])
         finally:
-            os.close(fd)
+            # cut a regular file after the new bytes, also when a write
+            # failed, so no byte of the old file is left behind them
+            try:
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, written)
+            finally:
+                os.close(fd)
+    except OSError as exc:
+        exc.filename = out  # a write, cut or close names no file by itself
+        raise
 
 
 def _write_or_print(text: str, out: str | None):
@@ -182,7 +185,8 @@ def _write_or_print(text: str, out: str | None):
         _write_file(out, text)
 
 
-def _run_session(args) -> simnet.Transcript:
+def _run_session(args) -> tuple[simnet.Transcript, analytics.Verdict]:
+    """The session the flags describe and the verdict on its statistics."""
     strategy = parse_strategy_key(args.strategy, args.parties, args.dishonest_count)
     model = sources.from_key(args.source, args.parties)
     config = simnet.SessionConfig(
@@ -195,7 +199,10 @@ def _run_session(args) -> simnet.Transcript:
         lambda_max=args.lambda_max,
         honest_loss=args.honest_loss,
     )
-    return simnet.run_session(config)
+    transcript = simnet.run_session(config)
+    return transcript, analytics.verdict(
+        transcript.stats, args.protocol, args.trust, args.assumed_loss, args.sigma
+    )
 
 
 def _self_check(transcript: simnet.Transcript) -> str:
@@ -214,15 +221,8 @@ def _self_check(transcript: simnet.Transcript) -> str:
 
 
 def cmd_verify(args) -> int:
-    transcript = _run_session(args)
+    transcript, v = _run_session(args)
     stats = transcript.stats
-    v = analytics.verdict(
-        stats,
-        ProtocolKind(args.protocol),
-        analytics.TrustModel(args.trust),
-        args.assumed_loss,
-        args.sigma,
-    )
     doc = transcript.summary_dict(verdict=v)
     doc["bounds"] = {
         "honest_fidelity": analytics.honest_fidelity_bound(stats.estimate),
@@ -248,6 +248,14 @@ CURVE_COLUMNS = (
 )
 
 
+# per protocol: its bound curve, the cheating strategy simulated against it,
+# the salt of that simulation's seed and the largest lambda it runs at
+_CURVES = (
+    ("theta", adversary.theta_cheat_pass_curve, "theta-rotated-bell", 101, math.inf),
+    ("xy", adversary.xy_cheat_pass_curve, "xy-mixed", 202, 0.5),
+)
+
+
 def cmd_curves(args) -> int:
     grid = []
     for entry in filter(str.strip, args.lambda_grid.split(",")):
@@ -261,29 +269,16 @@ def cmd_curves(args) -> int:
         raise CliError("lambda grid must lie within [0, 1)")
     rows = []
     for i, lam in enumerate(grid):
-        row = {"lambda": lam, "theta_bound": adversary.theta_cheat_pass_curve(lam)}
-        strat = adversary.make_strategy("theta-rotated-bell", n_parties=args.parties, lam=lam)
-        st = protocol.estimate_pass_probability(
-            None,
-            strat,
-            ProtocolKind.THETA,
-            args.rounds,
-            np.random.default_rng((args.seed, 101, i)),
-        )
-        row["simulated_theta_cheat"] = st.estimate
-        row["simulated_theta_cheat_stderr"] = st.stderr
-        if lam <= 0.5:
-            row["xy_bound"] = adversary.xy_cheat_pass_curve(lam)
-            strat = adversary.make_strategy("xy-mixed", n_parties=args.parties, lam=lam)
-            st = protocol.estimate_pass_probability(
-                None,
-                strat,
-                ProtocolKind.XY,
-                args.rounds,
-                np.random.default_rng((args.seed, 202, i)),
-            )
-            row["simulated_xy_cheat"] = st.estimate
-            row["simulated_xy_cheat_stderr"] = st.stderr
+        row = {"lambda": lam}
+        for kind, bound, name, salt, lam_max in _CURVES:
+            if lam > lam_max:
+                continue
+            strat = adversary.make_strategy(name, n_parties=args.parties, lam=lam)
+            rng = np.random.default_rng((args.seed, salt, i))
+            st = protocol.estimate_pass_probability(None, strat, kind, args.rounds, rng)
+            row[f"{kind}_bound"] = bound(lam)
+            row[f"simulated_{kind}_cheat"] = st.estimate
+            row[f"simulated_{kind}_cheat_stderr"] = st.stderr
         rows.append(row)
     _emit_rows(rows, CURVE_COLUMNS, args)
     return 0
@@ -299,14 +294,8 @@ def _profile_point(theta_d: float, theta_prime: float, args) -> tuple[float, flo
     strat = adversary.make_strategy(
         "product-guesser", n_parties=args.parties, theta_prime=(-theta_prime) % (2 * math.pi)
     )
-    rounds = protocol.run_rounds(
-        None,
-        strat,
-        ProtocolKind.THETA,
-        args.rounds,
-        np.random.default_rng((args.seed, 303, round(theta_d * 1e9))),
-        last_angle=theta_d,
-    )
+    rng = np.random.default_rng((args.seed, 303, round(theta_d * 1e9)))
+    rounds = protocol.run_rounds(None, strat, "theta", args.rounds, rng, last_angle=theta_d)
     st = protocol.PassStats.from_records(rounds)
     return st.estimate, st.stderr
 
@@ -332,15 +321,13 @@ def cmd_profile(args) -> int:
 
 
 def cmd_session(args) -> int:
-    transcript = _run_session(args)
-    v = analytics.verdict(
-        transcript.stats,
-        ProtocolKind(args.protocol),
-        analytics.TrustModel(args.trust),
-        args.assumed_loss,
-        args.sigma,
-    )
     prefix = args.out or "session"
+    if prefix.endswith((os.sep, "/")):
+        raise CliError(
+            f"--out {prefix!r} ends in a path separator; session --out takes a file "
+            "prefix, such as runs/session"
+        )
+    transcript, v = _run_session(args)
     _write_file(f"{prefix}.messages.jsonl", transcript.messages_jsonl() + "\n")
     _write_file(f"{prefix}.records.jsonl", transcript.records_jsonl() + "\n")
     _write_file(f"{prefix}.summary.json", transcript.summary_json(verdict=v) + "\n")

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Sequence, Union
 import numpy as np
 
 from . import qstate
-from .qstate import DensityMatrix, GhzDiagonal, State
+from .qstate import GhzDiagonal, PureState, State
 
 if TYPE_CHECKING:
     from .adversary import CheatStrategy
@@ -356,7 +356,7 @@ def estimate_pass_probability(
 # exact pass probabilities
 
 
-def exact_pass_probability_theta(rho: DensityMatrix | GhzDiagonal) -> float:
+def exact_pass_probability_theta(rho: State) -> float:
     """Exact pass probability under uniformly random theta assignments:
     ``1/2 + Re rho[0, 2^n - 1]``.
 
@@ -368,13 +368,17 @@ def exact_pass_probability_theta(rho: DensityMatrix | GhzDiagonal) -> float:
     ``F_0 = (rho[0,0] + rho[N,N])/2 + Re rho[0,N]`` and
     ``F_pi = (rho[0,0] + rho[N,N])/2 - Re rho[0,N]``, so
     ``F_0 - F_pi = 2 Re rho[0,N]``.  A ``GhzDiagonal`` record holds
-    ``rho[0,N]`` as its coherence.
+    ``rho[0,N]`` as its coherence, and a ``PureState`` ``v`` has
+    ``rho[0,N] = v_0 conj(v_N)``.
     """
-    corner = rho.coherence if isinstance(rho, GhzDiagonal) else rho.entries[0, -1]
+    if isinstance(rho, PureState):
+        corner = rho.amplitudes[0] * rho.amplitudes[-1].conjugate()
+    else:
+        corner = rho.coherence if isinstance(rho, GhzDiagonal) else rho.entries[0, -1]
     return 0.5 + float(corner.real)
 
 
-def exact_pass_probability_xy(rho: DensityMatrix | GhzDiagonal) -> float:
+def exact_pass_probability_xy(rho: State) -> float:
     """Exact pass probability under the xy protocol, the uniform average of
     the per-setting pass probability over all valid xy assignments:
     ``1/2 + Re rho[0, 2^n - 1]``, the same value as the theta protocol.
@@ -393,8 +397,8 @@ def exact_pass_probability_xy(rho: DensityMatrix | GhzDiagonal) -> float:
     return exact_pass_probability_theta(rho)
 
 
-def exact_pass_probability(rho: DensityMatrix | GhzDiagonal, kind: ProtocolKind) -> float:
-    kind = ProtocolKind(kind)
-    if kind is ProtocolKind.THETA:
-        return exact_pass_probability_theta(rho)
-    return exact_pass_probability_xy(rho)
+def exact_pass_probability(rho: State, kind: ProtocolKind) -> float:
+    """Exact pass probability of an all-honest round under protocol ``kind``;
+    both protocols give ``1/2 + Re rho[0, 2^n - 1]``."""
+    ProtocolKind(kind)
+    return exact_pass_probability_theta(rho)

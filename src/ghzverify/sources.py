@@ -8,7 +8,7 @@ import re
 from dataclasses import dataclass, field
 
 from . import qstate
-from .qstate import ChannelSpec, DensityMatrix, GhzDiagonal
+from .qstate import ChannelSpec, GhzDiagonal, PureState
 
 VARIANTS = (
     "ideal-ghz",
@@ -118,10 +118,11 @@ def calibrate_to_fidelity(n: int, target: float, family: str) -> SourceModel:
     raise ValueError(f"unknown calibration family {family!r}")
 
 
-def prepare(model: SourceModel) -> DensityMatrix | GhzDiagonal:
+def prepare(model: SourceModel) -> PureState | GhzDiagonal:
     """Build the state a source of the given model distributes: a
     ``GhzDiagonal`` record for the ideal, dephased, depolarized and
-    higher-order families, a density matrix for the others."""
+    higher-order families, and the ``PureState`` vector of the biseparable
+    and rotated-Bell families, which are pure."""
     n = model.n
     if model.variant == "ideal-ghz":
         return qstate.ghz_diagonal(n)
@@ -131,14 +132,15 @@ def prepare(model: SourceModel) -> DensityMatrix | GhzDiagonal:
     if model.variant == "depolarized-ghz":
         spec = ChannelSpec.depolarizing(model.params["v"])
         return qstate.apply_channel(qstate.ghz_diagonal(n), spec)
-    if model.variant in ("biseparable-ghz-plus", "rotated-bell-plus"):  # dense cap first
-        qstate.check_qubits(n, qstate.MAX_DENSITY_QUBITS)
+    if model.variant in ("biseparable-ghz-plus", "rotated-bell-plus"):
+        # checked here, so that the error names n rather than a factor's count
+        qstate.check_qubits(n, qstate.MAX_PURE_QUBITS)
     if model.variant == "biseparable-ghz-plus":
         # the unentangled qubit goes to the last (dishonest) party
-        return qstate.tensor(qstate.ghz_state(n - 1), qstate.plus_state(1)).to_density()
+        return qstate.tensor(qstate.ghz_state(n - 1), qstate.plus_state(1))
     if model.variant == "rotated-bell-plus":
         pair = qstate.ghz_state(2, model.params["theta"])
-        return qstate.tensor(pair, qstate.plus_state(n - 2)).to_density()
+        return qstate.tensor(pair, qstate.plus_state(n - 2))
     if model.variant == "higher-order-calibrated":
         fid = higher_order_fidelity(n, model.params["alpha"])
         # dephased surrogate matching the pump model's fidelity; the

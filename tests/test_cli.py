@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import shutil
@@ -25,6 +26,31 @@ def test_importing_the_cli_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_honest_runs_on_the_pure_families_check_the_exact_value_without_scipy(tmp_path):
+    # in a fresh interpreter: this one has loaded scipy for other tests
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    calls = [
+        [command, "--parties", "5", "--rounds", "2000", "--seed", "4", "--source", source,
+         "--protocol", kind, "--out", str(tmp_path / f"{command}-{i}-{kind}")]
+        for command in ("verify", "session")
+        for i, source in enumerate(("biseparable-ghz-plus", "rotated-bell-plus:theta=0.785"))
+        for kind in ("theta", "xy")
+    ]
+    code = (
+        "import sys\nfrom ghzverify.cli import main\n"
+        f"for argv in {calls!r}:\n    main(argv)\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+    lines = proc.stderr.splitlines()
+    assert len(lines) == len(calls)
+    for line in lines:
+        assert " exact=" in line
+        assert abs(float(line.rsplit(" z=", 1)[1])) < 4
 
 
 def test_verify_ideal_state_exits_zero(tmp_path):
@@ -328,8 +354,8 @@ def test_record_sources_run_above_the_dense_cap(parties, capsys):
 
 def test_party_counts_beyond_a_cap_are_named(capsys):
     for argv, cap in (
-        (("--parties", "12", "--source", "biseparable-ghz-plus"), 10),
-        (("--parties", "64", "--source", "rotated-bell-plus:theta=0.3"), 10),
+        (("--parties", "21", "--source", "biseparable-ghz-plus"), 20),
+        (("--parties", "64", "--source", "rotated-bell-plus:theta=0.3"), 20),
         (("--parties", "65"), 64),
     ):
         assert _run("verify", *argv, "--rounds", "10") == 1
@@ -636,11 +662,43 @@ def test_an_interrupted_overwrite_leaves_no_old_bytes(fault, monkeypatch, tmp_pa
     capsys.readouterr()
     if isinstance(fault, OSError):
         assert _run(*argv) == 1
-        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert capsys.readouterr().err == f"error: [Errno 28] No space left on device: {str(out)!r}\n"
     else:
         with pytest.raises(KeyboardInterrupt):
             _run(*argv)
     assert out.read_bytes() == expected[: len(expected) // 2]
+
+
+# a failed write is named by test_an_interrupted_overwrite_leaves_no_old_bytes
+@pytest.mark.parametrize("call", ("ftruncate", "close"))
+def test_a_failed_cut_or_close_names_the_output(call, monkeypatch, tmp_path, capsys):
+    os_call = getattr(os, call)
+
+    def failing(fd, *args):
+        if call == "close":
+            os_call(fd)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, call, failing)
+    out = tmp_path / "verdict.json"
+    assert _run("verify", "--rounds", "20", "--out", str(out)) == 1
+    reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert capsys.readouterr().err == f"error: {reason}: {str(out)!r}\n"
+
+
+def test_a_session_prefix_ending_in_a_separator_is_named(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "_run_session", _no_rounds)
+    monkeypatch.chdir(tmp_path)
+    conf = tmp_path / "out.conf"
+    conf.write_text("out = runs/\n")
+    expected = (
+        "error: --out 'runs/' ends in a path separator; session --out takes a file "
+        "prefix, such as runs/session\n"
+    )
+    for argv in (("--out", "runs/"), ("--config", str(conf))):
+        assert _run("session", "--rounds", "5", *argv) == 1
+        assert capsys.readouterr() == ("", expected)
+    assert list(tmp_path.iterdir()) == [conf]
 
 
 def test_the_writer_writes_the_bytes_of_write_text(tmp_path):

@@ -16,6 +16,7 @@ from ghzverify.protocol import (
     ProtocolKind,
     RoundRecord,
     estimate_pass_probability,
+    exact_pass_probability,
     exact_pass_probability_theta,
     exact_pass_probability_xy,
     run_block,
@@ -520,6 +521,21 @@ def test_exact_closed_forms_match_oracles(n, rng):
         assert exact_pass_probability_xy(rho) == pytest.approx(
             oracles.exact_pass_probability_xy(rho), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_vector_readers_match_the_dense_matrix(n, rng):
+    """The exact and single-setting pass probabilities read a PureState's
+    corner and anti-diagonal without its matrix; the matrix is the oracle."""
+    phase = float(rng.uniform(0, 2 * np.pi))
+    for psi in (random_pure(n, rng), qstate.tensor(ghz_state(n - 1, phase), qstate.plus_state(1))):
+        rho = psi.to_density()
+        for kind in ("theta", "xy"):
+            assert abs(exact_pass_probability(psi, kind) - exact_pass_probability(rho, kind)) <= 1e-12
+            for _ in range(8):
+                angles = block_assignment(kind, n, rng).angles
+                pure, dense = (setting_pass_probability(s, angles) for s in (psi, rho))
+                assert abs(pure - dense) <= 1e-12
 
 
 def test_honest_fidelity_bound_holds_on_random_states(rng):

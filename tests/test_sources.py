@@ -3,8 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ghzverify import adversary, qstate
-from ghzverify.qstate import ChannelSpec, DensityMatrix, GhzDiagonal, ghz_state
+from ghzverify import adversary, protocol, qstate
+from ghzverify.qstate import ChannelSpec, DensityMatrix, GhzDiagonal, PureState, ghz_state
 from ghzverify.sources import (
     SOURCE_KEYS,
     VARIANTS,
@@ -18,9 +18,10 @@ from ghzverify.sources import (
 )
 
 
-# the source families that prepare a GhzDiagonal record
+# the source families that prepare a GhzDiagonal record, and those that
+# prepare a PureState
 RECORD_VARIANTS = ("ideal-ghz", "dephased-ghz", "depolarized-ghz", "higher-order-calibrated")
-DENSE_VARIANTS = ("biseparable-ghz-plus", "rotated-bell-plus")
+PURE_VARIANTS = ("biseparable-ghz-plus", "rotated-bell-plus")
 
 
 def test_prepare_yields_valid_density_matrices():
@@ -35,11 +36,16 @@ def test_prepare_yields_valid_density_matrices():
     for model in models:
         rho = prepare(model)
         record = model.variant in RECORD_VARIANTS
-        assert type(rho) is (GhzDiagonal if record else DensityMatrix)
+        assert type(rho) is (GhzDiagonal if record else PureState)
         assert rho.n == model.n
-        if record:
-            # the dense form passes the density-matrix checks too
-            assert rho.to_density().n == model.n
+        # the dense form passes the density-matrix checks too
+        assert rho.to_density().n == model.n
+
+
+@pytest.mark.parametrize("variant", PURE_VARIANTS)
+def test_pure_families_run_up_to_the_pure_cap(variant):
+    state = prepare(_FAMILIES[variant](qstate.MAX_PURE_QUBITS, 0.3))
+    assert type(state) is PureState and state.n == qstate.MAX_PURE_QUBITS
 
 
 def test_ideal_model_has_unit_fidelity():
@@ -58,7 +64,7 @@ def test_biseparable_reduced_fidelity_is_half():
 def test_rotated_bell_plus_reaches_xy_optimum():
     psi = qstate.tensor(ghz_state(2, np.pi / 4), qstate.plus_state(1))
     rho = prepare(SourceModel.rotated_bell_plus(np.pi / 4, 3))
-    assert np.allclose(rho.entries, psi.to_density().entries, atol=1e-12)
+    assert np.array_equal(rho.amplitudes, psi.amplitudes)
     value = adversary.xy_optimal_pass_probability(psi, adversary.Coalition(3, [2]))
     assert value == pytest.approx(adversary.XY_OPTIMUM, abs=1e-9)
 
@@ -247,13 +253,37 @@ def test_model_keys_round_trip_and_reject_unaccepted_parameters(variant, n, x, p
         from_key(key + ("," if model.params else ":") + f"{pname}=0.5", n)
 
 
+@pytest.mark.parametrize("n", range(3, 8))
+@pytest.mark.parametrize("variant", PURE_VARIANTS)
+def test_pure_sources_sample_the_bits_of_their_dense_matrix(variant, n):
+    """The dense matrix is the oracle of the vector a pure family prepares:
+    on shared seeds both give the same bits, losses and pass bits, for honest
+    parties and for projective-cheat coalitions of one and two."""
+    psi = prepare(_FAMILIES[variant](n, 0.3))
+    rho = psi.to_density()
+    runs = (
+        (None, "theta", 0.0),
+        (None, "xy", 0.0),
+        (None, "theta", 0.1),
+        (adversary.from_key("projective-cheat:lam=0.1", n, 1), "theta", 0.0),
+        (adversary.from_key("projective-cheat:lam=0.2,theta-prime=0.5", n, 2), "xy", 0.05),
+    )
+    for seed, (strategy, kind, loss) in enumerate(runs):
+        pure, dense = (
+            protocol.run_rounds(s, strategy, kind, 300, seed, honest_loss=loss) for s in (psi, rho)
+        )
+        for column in ("bits", "lost", "passed"):
+            assert np.array_equal(getattr(pure, column), getattr(dense, column))
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_prepare_validates_one_density_matrix(variant, monkeypatch):
-    """A dense source validates one density matrix.  A record source builds
-    no dense matrix: it validates the GHZ record and, in O(1), its image
-    under the source's channel, if any."""
+    """No source builds a dense matrix.  A pure source validates its vector
+    and the two factors it is the tensor product of.  A record source
+    validates the GHZ record and, in O(1), its image under the source's
+    channel, if any."""
     validated = []
-    for cls in (DensityMatrix, GhzDiagonal):
+    for cls in (PureState, DensityMatrix, GhzDiagonal):
 
         def counted(self, check=cls.__post_init__):
             validated.append((type(self), self.n))
@@ -261,8 +291,12 @@ def test_prepare_validates_one_density_matrix(variant, monkeypatch):
 
         monkeypatch.setattr(cls, "__post_init__", counted)
     state = prepare(_FAMILIES[variant](4, 0.3))
-    checks = 1 if variant in ("ideal-ghz",) + DENSE_VARIANTS else 2
-    assert validated == [(type(state), 4)] * checks
+    if variant == "biseparable-ghz-plus":
+        assert validated == [(PureState, 3), (PureState, 1), (PureState, 4)]
+    elif variant == "rotated-bell-plus":
+        assert validated == [(PureState, 2), (PureState, 2), (PureState, 4)]
+    else:
+        assert validated == [(GhzDiagonal, 4)] * (1 if variant == "ideal-ghz" else 2)
 
 
 @pytest.mark.parametrize("n", [3, 6, 10])
