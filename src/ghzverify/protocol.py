@@ -10,15 +10,14 @@ the pass-rate denominator.
 Rounds run in blocks of ``B`` rows with one random stream per block,
 ``(seed, block)``; ``run_block`` states the order of a block's draws.  Angles,
 side information, uniforms, outcomes and pass bits are arrays over the rows
-(``Rounds``), and a ``RoundRecord`` is built only when a row is read.
+(``Rounds``), from the engine to the session's files.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -30,79 +29,20 @@ if TYPE_CHECKING:
 
 LOSS = "LOSS"
 
-ANGLE_SUM_TOL = 1e-9
-
-
 class ProtocolKind(str, Enum):
     THETA = "theta"
     XY = "xy"
 
 
-@dataclass(frozen=True)
-class AngleAssignment:
-    """One round's angles (radians in [0, pi), one per party) plus the parity
-    bit ``(sum theta_j)/pi mod 2`` the outcome XOR must reproduce."""
-
-    angles: tuple[float, ...]
-    kind: ProtocolKind
-    parity: int
-
-    def __post_init__(self):
-        total = float(sum(self.angles))
-        m = round(total / np.pi)
-        if abs(total - m * np.pi) > ANGLE_SUM_TOL:
-            raise ValueError("angle sum must be a multiple of pi within 1e-9")
-        if any(not 0.0 <= a < np.pi for a in self.angles):
-            raise ValueError("angles must lie in [0, pi)")
-        if self.kind is ProtocolKind.XY and any(
-            min(abs(a), abs(a - np.pi / 2)) > 1e-12 for a in self.angles
-        ):
-            raise ValueError("xy assignments only allow angles 0 and pi/2")
-        if self.parity != m % 2:
-            raise ValueError(f"parity {self.parity} inconsistent with angle sum {total}")
-
-    @property
-    def n(self) -> int:
-        return len(self.angles)
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """A single round: the assignment, per-party outcomes (0, 1 or LOSS) and
-    the pass bit, which is absent whenever any party declared loss."""
-
-    index: int
-    assignment: AngleAssignment
-    outcomes: tuple[Union[int, str], ...]
-    passed: int | None
-
-    def __post_init__(self):
-        lossy = any(o == LOSS for o in self.outcomes)
-        if lossy != (self.passed is None):
-            raise ValueError("passed must be present exactly when no loss was declared")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "round": self.index,
-            "angles": list(self.assignment.angles),
-            "outcomes": list(self.outcomes),
-            "passed": self.passed,
-        }
-
-    def to_json_line(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
-
-
 @dataclass(frozen=True, eq=False)
-class Rounds(Sequence[RoundRecord]):
+class Rounds:
     """The rounds of a run as arrays, one row per round.
 
     ``angles`` (m, n) and ``parity`` (m,) are the assignments, ``bits``
     (m, n) the outcome bits (0 for the coalition members that answer
     nothing), ``lost`` (m, n) the declared losses, which stand for the bits
     beneath them in records, and ``passed`` (m,) the pass bits, which count
-    only in rounds without loss.  Indexing builds the ``RoundRecord`` of a
-    row, numbered from ``start``; a slice gives a tuple of them.
+    only in rounds without loss.
     """
 
     kind: ProtocolKind
@@ -111,22 +51,9 @@ class Rounds(Sequence[RoundRecord]):
     bits: np.ndarray
     lost: np.ndarray
     passed: np.ndarray
-    start: int = 0
 
     def __len__(self) -> int:
         return len(self.angles)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(len(self))[i])
-        i = range(len(self))[i]
-        lost = self.lost[i].tolist()
-        outcomes = tuple(LOSS if l else b for b, l in zip(self.bits[i].tolist(), lost))
-        assignment = AngleAssignment(
-            tuple(self.angles[i].tolist()), self.kind, int(self.parity[i])
-        )
-        passed = None if any(lost) else int(self.passed[i])
-        return RoundRecord(self.start + i, assignment, outcomes, passed)
 
 
 @dataclass(frozen=True)
@@ -232,7 +159,6 @@ def run_block(
     *,
     honest_loss: float = 0.0,
     last_angle: float | None = None,
-    start: int = 0,
 ) -> Rounds:
     """Execute m single-shot rounds on the draws of one generator.
 
@@ -274,25 +200,7 @@ def run_block(
     if honest_loss > 0.0:
         lost[:, :k] = rng.random((m, k)) < honest_loss
     passed = (bits.sum(axis=1) % 2 == parity).view(np.int8)
-    return Rounds(kind, angles, parity, bits, lost, passed, start)
-
-
-def run_round(
-    source: State | None,
-    strategy: CheatStrategy | None,
-    kind: ProtocolKind,
-    rng: np.random.Generator,
-    *,
-    honest_loss: float = 0.0,
-    index: int = 0,
-    last_angle: float | None = None,
-) -> RoundRecord:
-    """One round: ``run_block`` with one row, recorded as round ``index``."""
-    rows = run_block(
-        source, strategy, kind, 1, rng, honest_loss=honest_loss, last_angle=last_angle,
-        start=index,
-    )
-    return rows[0]
+    return Rounds(kind, angles, parity, bits, lost, passed)
 
 
 def base_seed(rng: Union[int, np.random.Generator]) -> int:

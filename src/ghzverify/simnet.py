@@ -8,9 +8,9 @@ its statistics coincide with ``protocol.estimate_pass_probability`` under
 the same seed, and the Verifier's scoring depends only on the set of
 collected responses, not their order.  A session stores its rounds as
 arrays (``protocol.Rounds``); statistics, loss flags and audits are computed
-from them, and the round records and the message log are derived when they
-are written (``Transcript.records_jsonl``, ``Transcript.messages``), with
-each round's delivery order drawn from a dedicated seeded stream.
+from them, and the records file and the message log are written from one
+walk over their rows (``Transcript.records_jsonl``, ``Transcript.messages``),
+with each round's delivery order drawn from a dedicated seeded stream.
 """
 
 from __future__ import annotations
@@ -117,11 +117,19 @@ class PartyAudit:
         }
 
 
+def _rows(rounds: Rounds) -> Iterator[tuple[list, list, int | None]]:
+    """Each round's angles, outcomes (a party's bit, or LOSS where it
+    declared loss) and pass bit (None in a round with loss)."""
+    columns = (rounds.angles, rounds.bits, rounds.lost, rounds.passed)
+    for angles, bits, lost, passed in zip(*(c.tolist() for c in columns)):
+        outcomes = [LOSS if l else b for b, l in zip(bits, lost)]
+        yield angles, outcomes, None if any(lost) else passed
+
+
 @dataclass(frozen=True)
 class Transcript:
     """A session's rounds plus everything derived from them, and the
-    prepared source state the rounds were sampled from (None without one).
-    Reading ``records`` builds each round's ``RoundRecord``."""
+    prepared source state the rounds were sampled from (None without one)."""
 
     config: SessionConfig
     records: Rounds
@@ -139,19 +147,16 @@ class Transcript:
         declared loss.
         """
         verifier = self.config.verifier
-        rounds = self.records
-        n = rounds.angles.shape[1]
-        rows = zip(rounds.angles.tolist(), rounds.bits.tolist(), rounds.lost.tolist())
-        for i, (angles, bits, lost) in enumerate(rows):
+        n = self.records.angles.shape[1]
+        for i, (angles, outcomes, passed) in enumerate(_rows(self.records)):
             net = np.random.default_rng((self.config.seed, i, 0xA11CE))
             for j in net.permutation(n).tolist():
                 yield {"type": "angle", "round": i, "party": j,
                        "theta": angles[j], "sender": verifier, "receiver": j}
             for j in net.permutation(n).tolist():
                 yield {"type": "outcome", "round": i, "party": j,
-                       "outcome": LOSS if lost[j] else bits[j], "sender": j,
-                       "receiver": verifier}
-            if any(lost):
+                       "outcome": outcomes[j], "sender": j, "receiver": verifier}
+            if passed is None:
                 yield {"type": "abort", "round": i, "reason": "loss-declared",
                        "sender": verifier, "receiver": BROADCAST}
 
@@ -161,7 +166,12 @@ class Transcript:
         )
 
     def records_jsonl(self) -> str:
-        return "\n".join(r.to_json_line() for r in self.records)
+        """One line per round: its index, angles, outcomes and pass bit."""
+        return "\n".join(
+            json.dumps({"round": i, "angles": angles, "outcomes": outcomes, "passed": passed},
+                       separators=(",", ":"))
+            for i, (angles, outcomes, passed) in enumerate(_rows(self.records))
+        )
 
     def summary_dict(self, verdict=None) -> dict:
         doc = {

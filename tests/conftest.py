@@ -4,6 +4,8 @@ import pytest
 from ghzverify import protocol
 from ghzverify.qstate import DensityMatrix, GhzDiagonal, PureState
 
+import oracles
+
 
 def random_pure(n: int, rng: np.random.Generator) -> PureState:
     v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
@@ -37,7 +39,7 @@ def block_assignment(kind, n: int, rng, *, last_angle: float | None = None):
     ``protocol.run_block``."""
     kind = protocol.ProtocolKind(kind)
     angles, parity = protocol._angle_block(kind, n, 1, rng, last_angle)
-    return protocol.AngleAssignment(tuple(angles[0].tolist()), kind, int(parity[0]))
+    return oracles.Assignment(tuple(angles[0].tolist()), kind, int(parity[0]))
 
 
 @pytest.fixture

@@ -26,10 +26,12 @@ seed both must give the package's records, generator states and bytes.
 The per-round engine (``run_round``) plays one round at a time from one
 generator, with the sequential samplers and the closure strategies, and
 scores it with ``parity_test``, as the package did before it ran blocks of
-rounds as arrays.  ``draw_block``
+rounds as arrays; it returns a ``Row`` object.  ``rows`` reads the package's
+arrays into the same objects, and ``records_jsonl`` writes them as the
+session's records file.  ``draw_block``
 replays a block's draws in the documented layout and ``row_script`` feeds
 one row's draws to the per-round engine through a ``ScriptedRng``, so
-``run_rounds`` gives the package's records row by row.
+``run_rounds`` gives the package's rounds row by row.
 
 The dishonest-angle profile's rounds are drawn and scored by hand on the
 block layout; on a shared seed they must give the package's estimates from
@@ -477,6 +479,55 @@ class ScriptedRng:
         return not self._values
 
 
+@dataclass(frozen=True)
+class Assignment:
+    """One round's angles plus the parity bit ``(sum theta_j)/pi mod 2`` the
+    outcome XOR must reproduce."""
+
+    angles: tuple
+    kind: protocol.ProtocolKind
+    parity: int
+
+    @property
+    def n(self):
+        return len(self.angles)
+
+
+@dataclass(frozen=True)
+class Row:
+    """One round: its assignment, per-party outcomes (0, 1 or LOSS) and the
+    pass bit, None in a round with a declared loss."""
+
+    index: int
+    assignment: Assignment
+    outcomes: tuple
+    passed: object
+
+
+def rows(rounds, start=0):
+    """The rows of a ``protocol.Rounds``, numbered from ``start``: a lost
+    party's bit reads LOSS and a round with loss has no pass bit."""
+    out = []
+    for r in range(len(rounds.angles)):
+        lost = [bool(x) for x in rounds.lost[r]]
+        outcomes = tuple(LOSS if l else int(b) for b, l in zip(rounds.bits[r], lost))
+        angles = tuple(float(a) for a in rounds.angles[r])
+        passed = None if any(lost) else int(rounds.passed[r])
+        out.append(Row(start + r, Assignment(angles, rounds.kind, int(rounds.parity[r])),
+                       outcomes, passed))
+    return out
+
+
+def records_jsonl(transcript):
+    """The records file, one JSON object per ``Row`` of the session."""
+    return "\n".join(
+        json.dumps({"round": row.index, "angles": list(row.assignment.angles),
+                    "outcomes": list(row.outcomes), "passed": row.passed},
+                   separators=(",", ":"))
+        for row in rows(transcript.records)
+    )
+
+
 def _completion(partial):
     last = float((-partial) % np.pi)
     return 0.0 if last == np.pi else last
@@ -508,7 +559,7 @@ def sample_angles(kind, n, rng, last_angle=None):
         free = rng.integers(0, 2, n - 1)
         last = (int(free.sum()) % 2) * (np.pi / 2)
         angles = tuple(float(b) * (np.pi / 2) for b in free) + (last,)
-    return protocol.AngleAssignment(angles, kind, int(round(sum(angles) / np.pi)) % 2)
+    return Assignment(angles, kind, int(round(sum(angles) / np.pi)) % 2)
 
 
 def run_round(source, strategy, kind, rng, *, honest_loss=0.0, index=0, last_angle=None):
@@ -534,7 +585,7 @@ def run_round(source, strategy, kind, rng, *, honest_loss=0.0, index=0, last_ang
                 outcomes[j] = LOSS
     lossy = any(o == LOSS for o in outcomes)
     passed = None if lossy else parity_test(assignment, outcomes)
-    return protocol.RoundRecord(index, assignment, tuple(outcomes), passed)
+    return Row(index, assignment, tuple(outcomes), passed)
 
 
 def draw_block(rng, strategy, kind, n, m, honest_loss=0.0, last_angle=None):
@@ -643,7 +694,7 @@ def profile_point(theta_d, theta_prime, n, rounds, seed):
         for r in range(m):
             completion = (-(free[r].sum() + theta_d)) % np.pi
             angles = tuple(free[r].tolist()) + (float(completion), float(theta_d))
-            assignment = protocol.AngleAssignment(
+            assignment = Assignment(
                 angles, protocol.ProtocolKind.THETA, int(round(sum(angles) / np.pi)) % 2
             )
             side = strat.sample_side_info(None, None)
@@ -833,7 +884,7 @@ def messages_jsonl(transcript):
     """The message log built round by round with a fresh network stream each."""
     config = transcript.config
     messages = []
-    for i, rec in enumerate(transcript.records):
+    for i, rec in enumerate(rows(transcript.records)):
         net = np.random.default_rng((config.seed, i, 0xA11CE))
         messages.extend(_round_messages(rec, config.verifier, net))
     return "\n".join(

@@ -22,7 +22,7 @@ from ghzverify.protocol import (
     LOSS,
     PassStats,
     ProtocolKind,
-    run_round,
+    run_block,
     run_rounds,
 )
 from ghzverify.qstate import ghz_state, plus_state, tensor
@@ -429,12 +429,12 @@ def test_strategy_matches_closure_oracle(name, n, d):
     oracle = oracles.make_strategy(name, n_parties=n, dishonest_count=d, **kwargs)
     assert strat.target_loss_rate == oracle.target_loss_rate
     for kind, seed in ((ProtocolKind.THETA, 101 + n + d), (ProtocolKind.XY, 202 + n + d)):
-        assert list(run_rounds(source, strat, kind, 150, seed)) == oracles.run_rounds(
+        assert oracles.rows(run_rounds(source, strat, kind, 150, seed)) == oracles.run_rounds(
             source, strat, kind, 150, seed, oracle=oracle
         )
         gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         for i in range(100):
-            rec = run_round(source, strat, kind, gen, index=i)
+            (rec,) = oracles.rows(run_block(source, strat, kind, 1, gen), start=i)
             script = oracles.row_script(oracles.draw_block(twin, strat, kind, n, 1), 0, strat)
             expected = oracles.run_round(source, oracle, kind, oracles.ScriptedRng(script), index=i)
             assert rec == expected
@@ -461,7 +461,7 @@ def test_every_row_matches_the_per_round_engine(name, n, d, honest_loss, rng):
     for label, source in _row_sources(n, rng).items():
         for kind in ProtocolKind:
             seed = int(rng.integers(2**32))
-            rows = list(run_rounds(source, strat, kind, 60, seed, honest_loss=honest_loss))
+            rows = oracles.rows(run_rounds(source, strat, kind, 60, seed, honest_loss=honest_loss))
             expected = oracles.run_rounds(source, strat, kind, 60, seed, honest_loss=honest_loss)
             assert rows == expected, (label, kind)
 
@@ -469,8 +469,8 @@ def test_every_row_matches_the_per_round_engine(name, n, d, honest_loss, rng):
 def test_rows_match_the_per_round_engine_across_blocks():
     strat = make_strategy("theta-rotated-bell", n_parties=3, lam=0.3, theta_prime=0.4)
     rounds = protocol.B + 5
-    rows = run_rounds(None, strat, ProtocolKind.THETA, rounds, 7, honest_loss=0.1)
-    assert list(rows) == oracles.run_rounds(None, strat, ProtocolKind.THETA, rounds, 7,
+    rows = oracles.rows(run_rounds(None, strat, ProtocolKind.THETA, rounds, 7, honest_loss=0.1))
+    assert rows == oracles.run_rounds(None, strat, ProtocolKind.THETA, rounds, 7,
                                             honest_loss=0.1)
     assert rows[-1].index == rounds - 1
 
@@ -527,7 +527,7 @@ def test_xy_perfect_loss_has_balanced_bases():
     stats = PassStats.from_records(records)
     assert stats.estimate == 1.0
     by_basis = {0.0: [0, 0], np.pi / 2: [0, 0]}
-    for rec in records:
+    for rec in oracles.rows(records):
         lost = rec.outcomes[2] == LOSS
         by_basis[rec.assignment.angles[2]][0 if lost else 1] += 1
     table = np.array([by_basis[0.0], by_basis[np.pi / 2]])
@@ -540,7 +540,7 @@ def test_xy_perfect_loss_has_balanced_bases():
 def test_xy_naive_loss_is_basis_correlated():
     strat = make_strategy("xy-naive-loss", n_parties=3)
     records = run_rounds(None, strat, ProtocolKind.XY, 2000, 43)
-    for rec in records:
+    for rec in oracles.rows(records):
         basis = rec.assignment.angles[2]
         assert (rec.outcomes[2] == LOSS) == (basis > 0.1)
     assert PassStats.from_records(records).estimate == 1.0
@@ -562,7 +562,7 @@ def test_theta_rotated_bell_matches_curve_and_hides_loss_angles():
     assert abs(stats.estimate - theta_cheat_pass_curve(lam)) < 3 * stats.stderr
     assert stats.loss_rates[2] == pytest.approx(lam, abs=0.02)
     lost_angles = [
-        rec.assignment.angles[2] for rec in records if rec.outcomes[2] == LOSS
+        rec.assignment.angles[2] for rec in oracles.rows(records) if rec.outcomes[2] == LOSS
     ]
     p = scipy_stats.kstest(lost_angles, scipy_stats.uniform(0, np.pi).cdf).pvalue
     assert p > 0.01  # declared-loss angles look uniform
@@ -586,7 +586,7 @@ def test_two_party_coalition_acts_as_one_responder():
     )
     stats = PassStats.from_records(records)
     assert abs(stats.estimate - theta_cheat_pass_curve(0.0)) < 4 * stats.stderr
-    assert all(rec.outcomes[3] == 0 for rec in records)
+    assert all(rec.outcomes[3] == 0 for rec in oracles.rows(records))
 
 
 def test_strategy_respond_is_deterministic(rng):
@@ -633,7 +633,7 @@ def test_projective_cheat_on_ideal_ghz_matches_curve():
 def test_projective_cheat_requires_source(rng):
     strat = make_strategy("projective-cheat", n_parties=3, lam=0.0)
     with pytest.raises(ValueError, match="projective-cheat needs a source state to measure"):
-        run_round(None, strat, ProtocolKind.THETA, rng)
+        run_block(None, strat, ProtocolKind.THETA, 1, rng)
 
 
 def test_noisy_projection_underperforms_clean_biseparable():

@@ -8,19 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from ghzverify import adversary, qstate, sources
+from ghzverify import adversary, qstate, simnet, sources
 from ghzverify.protocol import (
     LOSS,
-    AngleAssignment,
     PassStats,
     ProtocolKind,
-    RoundRecord,
     estimate_pass_probability,
     exact_pass_probability,
     exact_pass_probability_theta,
     exact_pass_probability_xy,
     run_block,
-    run_round,
     run_rounds,
 )
 from ghzverify.qstate import ghz_state, setting_pass_probability
@@ -78,12 +75,18 @@ def test_theta_sampler_constraint_and_marginals(rng):
 
 
 def test_sampler_output_survives_full_validation(rng):
-    # rebuild sampled assignments through the validating constructor
+    # every sampled assignment sums to a multiple of pi, lies in [0, pi),
+    # takes only 0 and pi/2 under xy and carries the parity of its sum
     for kind, n in ((ProtocolKind.THETA, 3), (ProtocolKind.THETA, 5), (ProtocolKind.XY, 4)):
-        for _ in range(500):
-            asg = block_assignment(kind, n, rng)
-            rebuilt = AngleAssignment(asg.angles, asg.kind, asg.parity)
-            assert rebuilt == asg
+        block = run_block(qstate.ghz_diagonal(n), None, kind, 500, rng)
+        total = block.angles.sum(axis=1)
+        m = np.round(total / np.pi)
+        assert np.all(np.abs(total - m * np.pi) <= 1e-9)
+        assert np.all((block.angles >= 0.0) & (block.angles < np.pi))
+        if kind is ProtocolKind.XY:
+            off = np.minimum(np.abs(block.angles), np.abs(block.angles - np.pi / 2))
+            assert np.all(off <= 1e-12)
+        np.testing.assert_array_equal(block.parity, m % 2)
 
 
 def test_xy_sampler_always_even_half_pi_count(rng):
@@ -107,7 +110,7 @@ def test_pinned_last_angle_layout(n, theta, seed, rows):
     free = twin.uniform(0.0, np.pi, (rows, n - 2))
     twin.random((rows, n))  # the measurement uniforms follow the angles
     assert rng.bit_generator.state == twin.bit_generator.state
-    for r, asg in enumerate(rec.assignment for rec in block):
+    for r, asg in enumerate(rec.assignment for rec in oracles.rows(block)):
         assert asg.angles[-1] == theta
         assert asg.angles[:-2] == tuple(free[r])
         total = sum(asg.angles)
@@ -186,8 +189,8 @@ def test_block_completion_that_rounds_to_pi_is_zero():
                           last_angle=last_angle)
         assert script.exhausted()
         assert block.angles[0, n - 1 if last_angle is None else n - 2] == 0.0
-        assert block[0].assignment.parity == 0
-        assert block[1].assignment.angles[0] == 0.5
+        assert block.parity[0] == 0
+        assert block.angles[1, 0] == 0.5
 
 
 def test_chunks_change_no_bits(rng):
@@ -238,7 +241,7 @@ def test_projective_cheat_measures_a_record_above_the_dense_cap():
 def test_pinned_last_angle_is_theta_only(rng):
     for call in (
         lambda: block_assignment(ProtocolKind.XY, 3, rng, last_angle=0.0),
-        lambda: run_round(ghz_state(3), None, ProtocolKind.XY, rng, last_angle=0.0),
+        lambda: run_block(ghz_state(3), None, ProtocolKind.XY, 1, rng, last_angle=0.0),
     ):
         with pytest.raises(ValueError) as err:
             call()
@@ -253,33 +256,18 @@ def test_pinned_last_angle_is_theta_only(rng):
 # assignment and parity test
 
 
-def test_assignment_rejects_bad_sum():
-    with pytest.raises(ValueError):
-        AngleAssignment((0.3, 0.2), ProtocolKind.THETA, 0)
-
-
-def test_assignment_rejects_inconsistent_parity():
-    with pytest.raises(ValueError):
-        AngleAssignment((np.pi / 2, np.pi / 2), ProtocolKind.THETA, 0)
-
-
-def test_assignment_rejects_non_xy_angles():
-    with pytest.raises(ValueError):
-        AngleAssignment((0.4, np.pi - 0.4), ProtocolKind.XY, 1)
-
-
 @pytest.mark.parametrize(
     "parity,outcomes,expected",
     [(0, (0, 0, 0), 1), (1, (1, 0, 0), 1), (0, (1, 0, 0), 0), (1, (1, 1, 0), 0)],
 )
 def test_parity_test(parity, outcomes, expected):
     angles = (np.pi / 2, np.pi / 2, 0.0) if parity else (0.0, 0.0, 0.0)
-    asg = AngleAssignment(angles, ProtocolKind.XY, parity)
+    asg = oracles.Assignment(angles, ProtocolKind.XY, parity)
     assert oracles.parity_test(asg, outcomes) == expected
 
 
 def test_parity_test_rejects_loss():
-    asg = AngleAssignment((0.0, 0.0), ProtocolKind.XY, 0)
+    asg = oracles.Assignment((0.0, 0.0), ProtocolKind.XY, 0)
     with pytest.raises(ValueError):
         oracles.parity_test(asg, (0, LOSS))
 
@@ -292,7 +280,7 @@ def test_ideal_ghz_round_always_passes(rng):
     state = ghz_state(3)
     for kind in ProtocolKind:
         for _ in range(200):
-            rec = run_round(state, None, kind, rng)
+            (rec,) = oracles.rows(run_block(state, None, kind, 1, rng))
             assert rec.passed == 1
 
 
@@ -306,7 +294,7 @@ def test_round_with_always_loss_party(rng):
         arms=(adversary.PhaseArm((0.0,), "arc"),),
         lam=1.0,
     )
-    rec = run_round(None, always_loss, ProtocolKind.THETA, rng)
+    (rec,) = oracles.rows(run_block(None, always_loss, ProtocolKind.THETA, 1, rng))
     assert rec.passed is None
     assert rec.outcomes[2] == LOSS
 
@@ -327,7 +315,7 @@ def test_honest_parties_measure_their_own_qubits(n, d):
     minus = qstate.PureState(1, np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0))
     source = qstate.tensor(qstate.tensor(qstate.plus_state(1), minus), qstate.plus_state(n - 2))
     strat = adversary.make_strategy("projective-cheat", n_parties=n, dishonest_count=d, lam=0.0)
-    records = run_rounds(source, strat, ProtocolKind.THETA, 4000, 29 + n)
+    records = oracles.rows(run_rounds(source, strat, ProtocolKind.THETA, 4000, 29 + n))
     for party, p_zero in ((0, lambda t: np.cos(t / 2) ** 2), (1, lambda t: np.sin(t / 2) ** 2)):
         p = np.array([p_zero(rec.assignment.angles[party]) for rec in records])
         zeros = np.array([rec.outcomes[party] == 0 for rec in records])
@@ -340,29 +328,32 @@ def test_honest_parties_measure_their_own_qubits(n, d):
 def test_round_rejects_bad_honest_loss(rng):
     for loss in (-0.5, float("nan"), float("inf"), 1.0, 2.0):
         with pytest.raises(ValueError, match="honest_loss must lie in"):
-            run_round(ghz_state(3), None, ProtocolKind.THETA, rng, honest_loss=loss)
+            run_block(ghz_state(3), None, ProtocolKind.THETA, 1, rng, honest_loss=loss)
 
 
 def test_round_names_source_and_strategy_arity_mismatch(rng):
     strat = adversary.make_strategy("projective-cheat", n_parties=4, lam=0.0)
     with pytest.raises(ValueError) as err:
-        run_round(ghz_state(3), strat, ProtocolKind.THETA, rng)
+        run_block(ghz_state(3), strat, ProtocolKind.THETA, 1, rng)
     assert str(err.value) == "the source has 3 qubits but the strategy is for 4 parties"
 
 
-def test_round_record_serialization(rng):
-    rec = run_round(ghz_state(2), None, ProtocolKind.THETA, rng, index=3)
-    doc = json.loads(rec.to_json_line())
-    assert doc["round"] == 3
-    assert len(doc["angles"]) == 2
-    assert doc["outcomes"] == list(rec.outcomes)
-    assert doc["passed"] in (0, 1)
-
-
-def test_record_rejects_inconsistent_passed():
-    asg = AngleAssignment((0.0, 0.0), ProtocolKind.XY, 0)
-    with pytest.raises(ValueError):
-        RoundRecord(0, asg, (0, LOSS), 1)
+def test_round_record_serialization():
+    strat = adversary.make_strategy("theta-rotated-bell", n_parties=2, lam=0.5)
+    transcript = simnet.run_session(simnet.SessionConfig(2, ProtocolKind.THETA, 40, 3,
+                                                         strategy=strat))
+    lines = transcript.records_jsonl().split("\n")
+    assert len(lines) == 40
+    for i, (line, rec) in enumerate(zip(lines, oracles.rows(transcript.records))):
+        doc = json.loads(line)
+        assert list(doc) == ["round", "angles", "outcomes", "passed"]
+        assert doc["round"] == i
+        assert len(doc["angles"]) == 2
+        assert doc["outcomes"] == list(rec.outcomes)
+        assert doc["passed"] == rec.passed
+        assert (doc["passed"] is None) == (LOSS in doc["outcomes"])
+        assert doc["passed"] in (None, 0, 1)
+    assert any(LOSS in json.loads(line)["outcomes"] for line in lines)
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,7 @@ def test_session_is_byte_deterministic():
 def test_message_log_covers_every_round():
     config = _config(rounds=50)
     transcript = run_session(config)
-    for rec in transcript.records:
+    for rec in oracles.rows(transcript.records):
         angle_msgs = [
             m
             for m in transcript.messages()
@@ -170,7 +170,7 @@ def test_message_log_covers_every_round():
 def test_round_scoring_is_order_independent(rng):
     """The verifier's pass bit depends only on the set of outcome messages."""
     transcript = run_session(_config(rounds=100, honest_loss=0.1))
-    for rec in transcript.records:
+    for rec in oracles.rows(transcript.records):
         collected = list(enumerate(rec.outcomes))
         for _ in range(3):
             rng.shuffle(collected)
@@ -185,7 +185,7 @@ def test_round_scoring_is_order_independent(rng):
 
 def test_abort_message_emitted_on_loss():
     transcript = run_session(_config(rounds=200, honest_loss=0.2))
-    lossy_rounds = {rec.index for rec in transcript.records if rec.passed is None}
+    lossy_rounds = {rec.index for rec in oracles.rows(transcript.records) if rec.passed is None}
     abort_rounds = {m["round"] for m in transcript.messages() if m["type"] == "abort"}
     assert abort_rounds == lossy_rounds
 
@@ -195,8 +195,17 @@ def test_message_log_matches_stored_message_oracle():
     transcript = run_session(
         _config(rounds=300, seed=5, strategy=strat, source=None, honest_loss=0.1, verifier=1)
     )
-    assert any(rec.passed is None for rec in transcript.records)
+    assert any(rec.passed is None for rec in oracles.rows(transcript.records))
     assert transcript.messages_jsonl() == oracles.messages_jsonl(transcript)
+
+
+def test_records_file_matches_the_row_oracle():
+    strat = adversary.make_strategy("theta-rotated-bell", n_parties=4, dishonest_count=2,
+                                    lam=0.4)
+    transcript = run_session(_config(n_parties=4, kind=ProtocolKind.THETA, rounds=300, seed=8,
+                                     strategy=strat, source=None, honest_loss=0.1))
+    assert any(rec.passed is None for rec in oracles.rows(transcript.records))
+    assert transcript.records_jsonl() == oracles.records_jsonl(transcript)
 
 
 def test_summary_is_json_parseable():
@@ -205,13 +214,3 @@ def test_summary_is_json_parseable():
     assert doc["config"]["protocol"] == "xy"
     assert doc["stats"]["valid_rounds"] == 120
     assert not doc["loss_cap"]["violated"]
-
-
-def test_slicing_records_gives_the_records_of_the_rows():
-    records = run_session(_config(rounds=12, honest_loss=0.2)).records
-    rows = [records[i] for i in range(len(records))]
-    assert [rec.index for rec in rows] == list(range(12))
-    for part in (slice(None, 5), slice(-3, None), slice(9, 2, -2), slice(4, 4)):
-        assert records[part] == tuple(rows[part])
-    with pytest.raises(TypeError):
-        records[[0, 1]]
