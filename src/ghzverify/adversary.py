@@ -250,7 +250,6 @@ class CheatStrategy:
     n_parties: int
     dishonest_count: int
     arms: tuple[PhaseArm, ...]
-    target_loss_rate: float = 0.0
     theta_prime: float = 0.0
     masked: bool = False
     lam: float = 0.0
@@ -351,8 +350,8 @@ _THETA_SYNTAX = "{}:lam=<0..1>[,theta-prime=<radians>]"
 # name: (key syntax, CheatStrategy fields).  A strategy takes the parameters
 # its syntax names; lam, where named, is required and is the target loss rate.
 STRATEGIES = {
-    "xy-perfect-loss50": ("{}", dict(arms=(_XY_LOSS50,), target_loss_rate=0.5)),
-    "xy-naive-loss": ("{}", dict(arms=(PhaseArm((0.0,), "xy-basis"),), target_loss_rate=0.5)),
+    "xy-perfect-loss50": ("{}", dict(arms=(_XY_LOSS50,))),
+    "xy-naive-loss": ("{}", dict(arms=(PhaseArm((0.0,), "xy-basis"),))),
     "xy-rotated-bell": ("{}", dict(arms=(_XY_ROTATED,))),
     "xy-mixed": ("{}:lam=<0..1/2>", dict(arms=(_XY_LOSS50, _XY_ROTATED))),
     "theta-rotated-bell": (_THETA_SYNTAX, dict(arms=(_THETA_ARC,), masked=True)),
@@ -426,7 +425,7 @@ def make_strategy(
         mixed = len(fields["arms"]) > 1
         if lam is None or not (0.0 <= lam <= 0.5 if mixed else 0.0 <= lam < 1.0):
             raise ValueError(f"{name} needs lam in [0, {'1/2]' if mixed else '1)'}")
-        fields = dict(fields, lam=float(lam), target_loss_rate=float(lam))
+        fields = dict(fields, lam=float(lam))
     return CheatStrategy(name, n_parties, dishonest_count, theta_prime=tp, **fields)
 
 

@@ -290,7 +290,6 @@ def test_round_with_always_loss_party(rng):
         name="always-loss",
         n_parties=3,
         dishonest_count=1,
-        target_loss_rate=1.0,
         arms=(adversary.PhaseArm((0.0,), "arc"),),
         lam=1.0,
     )
@@ -390,7 +389,6 @@ def test_estimate_requires_valid_rounds(rng):
         name="always-loss",
         n_parties=2,
         dishonest_count=1,
-        target_loss_rate=1.0,
         arms=(adversary.PhaseArm((0.0,), "arc"),),
         lam=1.0,
     )
