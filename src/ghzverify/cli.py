@@ -186,7 +186,13 @@ def _write_or_print(text: str, out: str | None):
 
 
 def _run_session(args) -> tuple[simnet.Transcript, analytics.Verdict]:
-    """The session the flags describe and the verdict on its statistics."""
+    """The session the flags describe and the verdict on its statistics.
+
+    The verdict's loss rate is ``--assumed-loss`` or the share of aborted
+    rounds, whichever is larger: a coalition can spread its loss
+    declarations over its members, so only the aborted share bounds its
+    loss rate.  Under xy the observed share counts up to 1/2, where the
+    threshold reaches 1."""
     strategy = parse_strategy_key(args.strategy, args.parties, args.dishonest_count)
     model = sources.from_key(args.source, args.parties)
     config = simnet.SessionConfig(
@@ -200,8 +206,12 @@ def _run_session(args) -> tuple[simnet.Transcript, analytics.Verdict]:
         honest_loss=args.honest_loss,
     )
     transcript = simnet.run_session(config)
+    aborted = 1.0 - transcript.stats.valid / args.rounds
+    if args.protocol == "xy":
+        aborted = min(aborted, 0.5)
+    lam = max(args.assumed_loss, aborted)
     return transcript, analytics.verdict(
-        transcript.stats, args.protocol, args.trust, args.assumed_loss, args.sigma
+        transcript.stats, args.protocol, args.trust, lam, args.sigma
     )
 
 
@@ -379,6 +389,8 @@ def main(argv=None) -> int:
             )
         if "sigma" in args:
             analytics.check_sigma(args.sigma)
+            # the range errors of --assumed-loss, which the verdict may not read
+            analytics.gme_threshold(args.protocol, args.trust, args.assumed_loss)
         if "theta_prime" in args and not math.isfinite(args.theta_prime):
             raise CliError(f"--theta-prime must be a finite number, got {args.theta_prime}")
         handler = {

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ghzverify import cli
+from ghzverify import analytics, cli
 from ghzverify.cli import main
 
 import oracles
@@ -76,6 +76,55 @@ def test_verify_noisy_state_is_inconclusive(tmp_path):
     )
     assert code == 2
     assert json.loads(out.read_text())["verdict"]["decision"] == "INCONCLUSIVE"
+
+
+@pytest.mark.parametrize("flags", [
+    ("--strategy", "theta-rotated-bell:lam=0.7"),
+    ("--strategy", "theta-rotated-bell:lam=0.3"),
+    ("--strategy", "projective-cheat:lam=0.2"),
+    ("--protocol", "xy", "--strategy", "xy-perfect-loss50"),
+    ("--protocol", "xy", "--strategy", "xy-mixed:lam=0.2"),
+])
+def test_declared_loss_sets_the_verdict_loss_rate(flags, tmp_path):
+    # the coalition's losses abort rounds; the threshold is taken at the
+    # aborted share, so a cheat that reaches the zero-loss threshold only by
+    # declaring loss is not verified
+    out = tmp_path / "verdict.json"
+    assert _run("verify", *flags, "--out", str(out)) == 2
+    doc = json.loads(out.read_text())
+    aborted = 1.0 - doc["stats"]["valid_rounds"] / 6000
+    if "xy" in flags:
+        aborted = min(aborted, 0.5)
+    kind = "xy" if "xy" in flags else "theta"
+    assert doc["verdict"]["lambda"] == aborted > 0.15
+    assert doc["verdict"]["threshold"] == analytics.gme_threshold(
+        kind, "dishonest-allowed", aborted)
+    assert doc["verdict"]["decision"] == "INCONCLUSIVE"
+    assert doc["stats"]["estimate"] > analytics.gme_threshold(kind, "dishonest-allowed", 0.0)
+
+
+def test_honest_loss_sets_the_verdict_loss_rate_unless_more_is_assumed(tmp_path):
+    out = tmp_path / "verdict.json"
+    source = ("--source", "dephased-ghz:p=0.2", "--honest-loss", "0.05")
+    assert _run("verify", *source, "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    aborted = 1.0 - doc["stats"]["valid_rounds"] / 6000
+    assert doc["verdict"]["lambda"] == aborted > 0.0
+    assert _run("verify", *source, "--assumed-loss", "0.3", "--out", str(out)) == 2
+    assert json.loads(out.read_text())["verdict"]["lambda"] == 0.3
+    assert _run("verify", "--source", "dephased-ghz:p=0.2", "--assumed-loss", "0.05",
+                "--out", str(out)) == 0
+    assert json.loads(out.read_text())["verdict"]["lambda"] == 0.05
+
+
+@pytest.mark.parametrize("flags,expected", [
+    (("--assumed-loss", "-0.1"), "loss rate must lie in [0, 1), got -0.1"),
+    (("--assumed-loss", "nan"), "loss rate must lie in [0, 1), got nan"),
+    (("--protocol", "xy", "--assumed-loss", "0.6"), "loss rate must lie in [0, 1/2], got 0.6"),
+])
+def test_assumed_loss_out_of_range_is_named(flags, expected, capsys):
+    assert _run("verify", "--honest-loss", "0.1", *flags) == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
 
 
 def test_verify_bad_source_key_exits_one(tmp_path):
