@@ -29,6 +29,7 @@ if TYPE_CHECKING:
 
 LOSS = "LOSS"
 
+
 class ProtocolKind(str, Enum):
     THETA = "theta"
     XY = "xy"
