@@ -383,6 +383,8 @@ def main(argv=None) -> int:
             raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
         if args.parties < 2:
             raise CliError(f"--parties must be at least 2, got {args.parties}")
+        if args.rounds < 1:
+            raise CliError(f"--rounds must be at least 1, got {args.rounds}")
         if getattr(args, "dishonest_count", None) is not None and args.strategy != "honest":
             adversary.check_dishonest_count(
                 args.dishonest_count, args.parties, "--dishonest-count", "--parties"
@@ -391,6 +393,10 @@ def main(argv=None) -> int:
             analytics.check_sigma(args.sigma)
             # the range errors of --assumed-loss, which the verdict may not read
             analytics.gme_threshold(args.protocol, args.trust, args.assumed_loss)
+            for flag in ("--lambda-max", "--honest-loss"):
+                value = getattr(args, flag[2:].replace("-", "_"))
+                if not 0.0 <= value < 1.0:
+                    raise CliError(f"{flag} must lie in [0, 1), got {value}")
         if "theta_prime" in args and not math.isfinite(args.theta_prime):
             raise CliError(f"--theta-prime must be a finite number, got {args.theta_prime}")
         handler = {

@@ -328,7 +328,7 @@ def test_bad_source_parameters_are_named(capsys):
 def test_bad_honest_loss_is_named(capsys):
     for value, shown in (("-0.5", "-0.5"), ("nan", "nan"), ("2", "2.0")):
         assert _run("verify", "--honest-loss", value, "--rounds", "10") == 1
-        assert capsys.readouterr().err == f"error: honest_loss must lie in [0, 1), got {shown}\n"
+        assert capsys.readouterr().err == f"error: --honest-loss must lie in [0, 1), got {shown}\n"
 
 
 def test_bad_config_file_entries_are_named(tmp_path, capsys):
@@ -642,6 +642,34 @@ def test_too_few_parties_are_named(monkeypatch, tmp_path, capsys):
             expected = f"error: --parties must be at least 2, got {shown}\n"
             assert capsys.readouterr() == ("", expected)
     assert list(tmp_path.iterdir()) == [conf]
+
+
+def test_too_few_rounds_are_named(monkeypatch, tmp_path, capsys):
+    for name in ("_run_session", "_profile_point"):
+        monkeypatch.setattr(cli, name, _no_rounds)
+    monkeypatch.setattr(cli.protocol, "estimate_pass_probability", _no_rounds)
+    conf = tmp_path / "rounds.conf"
+    conf.write_text("rounds = 0\n")
+    for command in ("verify", "curves", "dishonest-angle-profile", "session"):
+        out = str(tmp_path / command)
+        for argv, shown in ((("--rounds", "0"), 0), (("--rounds", "-4"), -4),
+                            (("--config", str(conf)), 0)):
+            assert _run(command, *argv, "--out", out) == 1
+            expected = f"error: --rounds must be at least 1, got {shown}\n"
+            assert capsys.readouterr() == ("", expected)
+    assert list(tmp_path.iterdir()) == [conf]
+
+
+@pytest.mark.parametrize("flag", ["--lambda-max", "--honest-loss"])
+def test_a_loss_rate_out_of_range_is_named(flag, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "_run_session", _no_rounds)
+    for command in ("verify", "session"):
+        out = str(tmp_path / command)
+        for value, shown in (("1", "1.0"), ("-0.1", "-0.1"), ("nan", "nan")):
+            assert _run(command, f"{flag}={value}", "--out", out) == 1
+            expected = f"error: {flag} must lie in [0, 1), got {shown}\n"
+            assert capsys.readouterr() == ("", expected)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_dishonest_count_without_an_honest_party_is_named(monkeypatch, tmp_path, capsys):
