@@ -1,36 +1,32 @@
 """Every output file of a fixed list of CLI calls, against the sha256 digests
-in ``golden.json`` (regenerated by ``scripts/golden.py``)."""
+in ``golden.json`` (regenerated by ``scripts/golden.py``, whose ``run_call``
+replays each call here)."""
 
-import contextlib
-import hashlib
-import io
+import importlib.util
 import json
 from pathlib import Path
 
 from ghzverify import adversary, cli, sources
 
+_spec = importlib.util.spec_from_file_location(
+    "golden", Path(__file__).resolve().parents[1] / "scripts" / "golden.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
 GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
 
 
-def _replay(run, directory, monkeypatch):
-    directory.mkdir()
-    config = GOLDEN["config_file"]
-    (directory / config["name"]).write_text(config["text"])
-    monkeypatch.chdir(directory)
-    with contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(list(run["argv"]))
-    files = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(directory.iterdir())
-        if p.name != config["name"]
-    }
-    return {"argv": run["argv"], "exit": code, "files": files}
+def test_the_fixture_holds_the_calls_and_config_of_the_script():
+    assert [run["argv"] for run in GOLDEN["runs"]] == golden.CALLS
+    assert GOLDEN["config_file"] == {"name": golden.CONFIG_NAME, "text": golden.CONFIG_TEXT}
 
 
-def test_every_output_file_matches_its_golden_digest(tmp_path, monkeypatch):
+def test_every_output_file_matches_its_golden_digest(tmp_path):
     moved = []
     for i, run in enumerate(GOLDEN["runs"]):
-        got = _replay(run, tmp_path / str(i), monkeypatch)
+        directory = tmp_path / str(i)
+        directory.mkdir()
+        got = golden.run_call(list(run["argv"]), directory)
         if got != run:
             changed = sorted(
                 name for name in set(got["files"]) | set(run["files"])
