@@ -46,7 +46,6 @@ class Rounds:
     only in rounds without loss.
     """
 
-    kind: ProtocolKind
     angles: np.ndarray
     parity: np.ndarray
     bits: np.ndarray
@@ -201,7 +200,7 @@ def run_block(
     if honest_loss > 0.0:
         lost[:, :k] = rng.random((m, k)) < honest_loss
     passed = (bits.sum(axis=1) % 2 == parity).view(np.int8)
-    return Rounds(kind, angles, parity, bits, lost, passed)
+    return Rounds(angles, parity, bits, lost, passed)
 
 
 def base_seed(rng: Union[int, np.random.Generator]) -> int:
@@ -240,7 +239,7 @@ def run_rounds(
         return blocks[0]
     columns = ("angles", "parity", "bits", "lost", "passed")
     arrays = (np.concatenate([getattr(r, c) for r in blocks]) for c in columns)
-    return Rounds(blocks[0].kind, *arrays)
+    return Rounds(*arrays)
 
 
 def estimate_pass_probability(
@@ -265,49 +264,38 @@ def estimate_pass_probability(
 # exact pass probabilities
 
 
-def exact_pass_probability_theta(rho: State) -> float:
-    """Exact pass probability under uniformly random theta assignments:
-    ``1/2 + Re rho[0, 2^n - 1]``.
+def exact_pass_probability(rho: State, kind: ProtocolKind) -> float:
+    """Exact pass probability of an all-honest round under protocol ``kind``:
+    ``1/2 + Re rho[0, 2^n - 1]`` for both protocols.
 
-    Averaging the per-setting test operator over all valid assignments leaves
-    ``|G_0><G_0| + (I - |G_0><G_0| - |G_pi><G_pi|)/2``, so the value is
-    ``F_0 + (1 - F_0 - F_pi)/2 = 1/2 + (F_0 - F_pi)/2`` with ``F_a`` the
-    overlap with the rotated GHZ state ``(|0..0> + e^{ia}|1..1>)/sqrt(2)``.
-    Writing ``N = 2^n - 1``,
+    Theta: averaging the per-setting test operator over all valid
+    assignments leaves ``|G_0><G_0| + (I - |G_0><G_0| - |G_pi><G_pi|)/2``, so
+    the value is ``F_0 + (1 - F_0 - F_pi)/2 = 1/2 + (F_0 - F_pi)/2`` with
+    ``F_a`` the overlap with the rotated GHZ state
+    ``(|0..0> + e^{ia}|1..1>)/sqrt(2)``.  Writing ``N = 2^n - 1``,
     ``F_0 = (rho[0,0] + rho[N,N])/2 + Re rho[0,N]`` and
     ``F_pi = (rho[0,0] + rho[N,N])/2 - Re rho[0,N]``, so
-    ``F_0 - F_pi = 2 Re rho[0,N]``.  A ``GhzDiagonal`` record holds
-    ``rho[0,N]`` as its coherence, and a ``PureState`` ``v`` has
-    ``rho[0,N] = v_0 conj(v_N)``.
-    """
-    if isinstance(rho, PureState):
-        corner = rho.amplitudes[0] * rho.amplitudes[-1].conjugate()
-    else:
-        corner = rho.coherence if isinstance(rho, GhzDiagonal) else rho.entries[0, -1]
-    return 0.5 + float(corner.real)
+    ``F_0 - F_pi = 2 Re rho[0,N]``.
 
-
-def exact_pass_probability_xy(rho: State) -> float:
-    """Exact pass probability under the xy protocol, the uniform average of
-    the per-setting pass probability over all valid xy assignments:
-    ``1/2 + Re rho[0, 2^n - 1]``, the same value as the theta protocol.
-
-    A setting measures Y on an even-sized set S of parties and X on the rest;
-    it passes with probability ``(1 + (-1)^{|S|/2} <O_S>)/2`` for the product
-    observable ``O_S``.  ``O_S`` maps ``|b>`` to its complement with the factor
+    xy: the uniform average of the per-setting pass probability over all
+    valid xy assignments.  A setting measures Y on an even-sized set S of
+    parties and X on the rest; it passes with probability
+    ``(1 + (-1)^{|S|/2} <O_S>)/2`` for the product observable ``O_S``.
+    ``O_S`` maps ``|b>`` to its complement with the factor
     ``prod_{j in S} i(-1)^{b_j}``, so ``<O_S> = sum_b rho[b, ~b] i^{|S|}
     prod_{j in S} (-1)^{b_j}`` and ``(-1)^{|S|/2} i^{|S|} = 1``.  Summed over
     the even-sized S, ``prod_{j in S} (-1)^{b_j}`` gives
     ``(prod_j (1 + s_j) + prod_j (1 - s_j))/2`` with ``s_j = (-1)^{b_j}``,
     which is ``2^(n-1)`` for ``b = 0..0`` and ``b = 1..1`` and 0 otherwise.
     The average of ``(-1)^{|S|/2} <O_S>`` over the ``2^(n-1)`` settings is
-    therefore ``rho[0, N] + rho[N, 0] = 2 Re rho[0, N]`` with ``N = 2^n - 1``.
+    therefore ``rho[0, N] + rho[N, 0] = 2 Re rho[0, N]``.
+
+    A ``GhzDiagonal`` record holds ``rho[0,N]`` as its coherence, and a
+    ``PureState`` ``v`` has ``rho[0,N] = v_0 conj(v_N)``.
     """
-    return exact_pass_probability_theta(rho)
-
-
-def exact_pass_probability(rho: State, kind: ProtocolKind) -> float:
-    """Exact pass probability of an all-honest round under protocol ``kind``;
-    both protocols give ``1/2 + Re rho[0, 2^n - 1]``."""
     ProtocolKind(kind)
-    return exact_pass_probability_theta(rho)
+    if isinstance(rho, PureState):
+        corner = rho.amplitudes[0] * rho.amplitudes[-1].conjugate()
+    else:
+        corner = rho.coherence if isinstance(rho, GhzDiagonal) else rho.entries[0, -1]
+    return 0.5 + float(corner.real)

@@ -1,4 +1,4 @@
-"""Small n-qubit state engine: construction, measurement and noise.
+"""Small n-qubit state engine: construction, measurement and fidelity.
 
 Conventions used throughout the package:
 
@@ -210,32 +210,6 @@ class GhzDiagonal:
 State = Union[PureState, DensityMatrix, GhzDiagonal]
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    """A noise channel: collective GHZ dephasing or global depolarizing."""
-
-    kind: str
-    value: float
-
-    _KINDS = ("ghz-dephasing", "depolarizing")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown channel kind {self.kind!r}")
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"channel parameter must lie in [0, 1], got {self.value}")
-
-    @classmethod
-    def ghz_dephasing(cls, p: float) -> "ChannelSpec":
-        """Damp the |0..0><1..1| coherences by a factor (1 - p)."""
-        return cls("ghz-dephasing", p)
-
-    @classmethod
-    def depolarizing(cls, v: float) -> "ChannelSpec":
-        """Mix towards the maximally mixed state: v*rho + (1-v)*I/2^n."""
-        return cls("depolarizing", v)
-
-
 # ---------------------------------------------------------------------------
 # construction
 
@@ -432,7 +406,7 @@ def setting_pass_probability(rho: State, angles: Sequence[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# fidelity, channels
+# fidelity
 
 
 def _clip_spectrum(w: np.ndarray) -> np.ndarray:
@@ -517,30 +491,3 @@ def fidelity(rho: State, sigma: State) -> float:
         dense = (s.to_density() if isinstance(s, GhzDiagonal) else s for s in (rho, sigma))
         value = _eigen_fidelity(*(s.entries for s in dense))
     return min(max(float(value), 0.0), 1.0)
-
-
-def apply_channel(
-    state: Union[DensityMatrix, GhzDiagonal], spec: ChannelSpec
-) -> Union[DensityMatrix, GhzDiagonal]:
-    """Apply a noise channel to a density matrix or a ``GhzDiagonal`` record
-    and return a state of the same class.
-
-    On a record, dephasing scales ``c`` by ``1 - p``, and depolarizing maps
-    ``(w, b, c)`` to ``(v*w + (1-v)/2^n, v*b + (1-v)/2^n, v*c)``, entry for
-    entry the map on the dense matrix.
-    """
-    if isinstance(state, GhzDiagonal):
-        w, b, c = state.weight, state.background, state.coherence
-        if spec.kind == "ghz-dephasing":
-            return GhzDiagonal(state.n, w, b, c * (1.0 - spec.value))
-        v, white = spec.value, (1.0 - spec.value) / 2**state.n
-        return GhzDiagonal(state.n, v * w + white, v * b + white, v * c)
-    dim = 2**state.n
-    mat = state.entries.copy()
-    if spec.kind == "ghz-dephasing":
-        mat[0, -1] *= 1.0 - spec.value
-        mat[-1, 0] *= 1.0 - spec.value
-        return DensityMatrix(state.n, mat)
-    mixed = spec.value * mat + (1.0 - spec.value) * np.eye(dim) / dim
-    return DensityMatrix(state.n, mixed)
-

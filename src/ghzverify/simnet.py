@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Iterator
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .protocol import LOSS, PassStats, ProtocolKind, Rounds, run_rounds
 from .qstate import State
 
 BROADCAST = -1
+VERIFIER = 0
 
 AUDIT_MIN_LOSSES = 100
 AUDIT_SIGNIFICANCE = 0.01
@@ -37,7 +38,8 @@ class SessionConfig:
     """Everything needed to reproduce a session byte for byte.
 
     ``strategy`` (None when every party is honest) is played by the last
-    ``strategy.dishonest_count`` parties; the Verifier must not be among them.
+    ``strategy.dishonest_count`` parties.  A strategy leaves at least one
+    party honest, so the Verifier, party ``VERIFIER`` = 0, is never among them.
     """
 
     n_parties: int
@@ -45,8 +47,7 @@ class SessionConfig:
     rounds: int
     seed: int
     strategy: CheatStrategy | None = None
-    source: Union[sources.SourceModel, State, None] = None
-    verifier: int = 0
+    source: sources.SourceModel | None = None
     lambda_max: float = 0.5
     honest_loss: float = 0.0
 
@@ -67,31 +68,21 @@ class SessionConfig:
             raise ValueError(
                 f"the source covers {self.source.n} parties, the session has {self.n_parties}"
             )
-        if not 0 <= self.verifier < self.n_parties:
-            raise ValueError("verifier index out of range")
-        if self.verifier in self.dishonest_parties():
-            raise ValueError("the Verifier must be honest")
 
     def dishonest_parties(self) -> tuple[int, ...]:
         d = 0 if self.strategy is None else self.strategy.dishonest_count
         return tuple(range(self.n_parties - d, self.n_parties))
 
     def describe(self) -> dict:
-        if isinstance(self.source, sources.SourceModel):
-            source_key = self.source.key()
-        elif self.source is None:
-            source_key = None
-        else:
-            source_key = f"<state:{self.source.n} qubits>"
         return {
             "n_parties": self.n_parties,
-            "verifier": self.verifier,
+            "verifier": VERIFIER,
             "protocol": self.kind.value,
             "rounds": self.rounds,
             "seed": self.seed,
             "lambda_max": self.lambda_max,
             "honest_loss": self.honest_loss,
-            "source": source_key,
+            "source": None if self.source is None else self.source.key(),
             "strategy": None if self.strategy is None else self.strategy.key(),
             "dishonest_parties": list(self.dishonest_parties()),
         }
@@ -146,19 +137,18 @@ class Transcript:
         ``(seed, round, 0xA11CE)``, then an abort broadcast if any party
         declared loss.
         """
-        verifier = self.config.verifier
         n = self.records.angles.shape[1]
         for i, (angles, outcomes, passed) in enumerate(_rows(self.records)):
             net = np.random.default_rng((self.config.seed, i, 0xA11CE))
             for j in net.permutation(n).tolist():
                 yield {"type": "angle", "round": i, "party": j,
-                       "theta": angles[j], "sender": verifier, "receiver": j}
+                       "theta": angles[j], "sender": VERIFIER, "receiver": j}
             for j in net.permutation(n).tolist():
                 yield {"type": "outcome", "round": i, "party": j,
-                       "outcome": outcomes[j], "sender": j, "receiver": verifier}
+                       "outcome": outcomes[j], "sender": j, "receiver": VERIFIER}
             if passed is None:
                 yield {"type": "abort", "round": i, "reason": "loss-declared",
-                       "sender": verifier, "receiver": BROADCAST}
+                       "sender": VERIFIER, "receiver": BROADCAST}
 
     def messages_jsonl(self) -> str:
         return "\n".join(
@@ -243,11 +233,7 @@ def run_session(config: SessionConfig) -> Transcript:
     against the cap: a party exceeding lambda_max by more than three binomial
     standard deviations is flagged.  Loss-pattern audits run for every party.
     """
-    state = (
-        sources.prepare(config.source)
-        if isinstance(config.source, sources.SourceModel)
-        else config.source
-    )
+    state = None if config.source is None else sources.prepare(config.source)
     rounds = run_rounds(
         state,
         config.strategy,

@@ -8,67 +8,27 @@ import re
 from dataclasses import dataclass, field
 
 from . import qstate
-from .qstate import ChannelSpec, GhzDiagonal, PureState
-
-VARIANTS = (
-    "ideal-ghz",
-    "dephased-ghz",
-    "depolarized-ghz",
-    "biseparable-ghz-plus",
-    "rotated-bell-plus",
-    "higher-order-calibrated",
-)
+from .qstate import GhzDiagonal, PureState
 
 
 @dataclass(frozen=True)
 class SourceModel:
-    """A named resource-state family with its parameters."""
+    """A named resource-state family (a key of ``FAMILIES``) with its
+    parameters, checked when the model is built and held as floats."""
 
     variant: str
     n: int
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        if self.variant not in FAMILIES:
             raise ValueError(f"unknown source variant {self.variant!r}")
         if self.n < 1:
             raise ValueError("party count must be positive")
-
-    @classmethod
-    def ideal(cls, n: int) -> "SourceModel":
-        return cls("ideal-ghz", n)
-
-    @classmethod
-    def dephased(cls, n: int, p: float) -> "SourceModel":
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("dephasing probability must lie in [0, 1]")
-        return cls("dephased-ghz", n, {"p": float(p)})
-
-    @classmethod
-    def depolarized(cls, n: int, v: float) -> "SourceModel":
-        if not 0.0 <= v <= 1.0:
-            raise ValueError("visibility must lie in [0, 1]")
-        return cls("depolarized-ghz", n, {"v": float(v)})
-
-    @classmethod
-    def biseparable_plus(cls, n: int) -> "SourceModel":
-        if n < 3:
-            raise ValueError("the biseparable model needs at least 3 parties")
-        return cls("biseparable-ghz-plus", n)
-
-    @classmethod
-    def rotated_bell_plus(cls, theta: float, n: int) -> "SourceModel":
-        if n < 3:
-            raise ValueError("the rotated-Bell model needs at least 3 parties")
-        return cls("rotated-bell-plus", n, {"theta": float(theta)})
-
-    @classmethod
-    def higher_order(cls, n: int, alpha: float) -> "SourceModel":
-        if n not in (3, 4):
-            raise ValueError("the pump model covers 3 or 4 parties only")
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        return cls("higher-order-calibrated", n, {"alpha": float(alpha)})
+        object.__setattr__(self, "params", {k: float(v) for k, v in self.params.items()})
+        for ok, message in FAMILIES[self.variant][1]:
+            if not ok(self.n, self.params):
+                raise ValueError(message)
 
     def key(self) -> str:
         """The CLI string key reproducing this model."""
@@ -109,13 +69,85 @@ def calibrate_to_fidelity(n: int, target: float, family: str) -> SourceModel:
     if family == "dephased":
         if not 0.5 <= target <= 1.0:
             raise ValueError("dephased family reaches fidelities in [1/2, 1] only")
-        return SourceModel.dephased(n, 2.0 * (1.0 - target))
+        return SourceModel("dephased-ghz", n, {"p": 2.0 * (1.0 - target)})
     if family == "depolarized":
         floor = 2.0**-n
         if not floor <= target <= 1.0:
             raise ValueError(f"depolarized family reaches fidelities in [{floor}, 1] only")
-        return SourceModel.depolarized(n, (target - floor) / (1.0 - floor))
+        return SourceModel("depolarized-ghz", n, {"v": (target - floor) / (1.0 - floor)})
     raise ValueError(f"unknown calibration family {family!r}")
+
+
+def _dephased(n: int, params: dict) -> GhzDiagonal:
+    """The GHZ record with its coherence damped by a factor 1 - p."""
+    ghz = qstate.ghz_diagonal(n)
+    return GhzDiagonal(n, ghz.weight, ghz.background, ghz.coherence * (1.0 - params["p"]))
+
+
+def _depolarized(n: int, params: dict) -> GhzDiagonal:
+    """The GHZ record mixed towards the maximally mixed state,
+    ``v*rho + (1-v)*I/2^n``: ``(w, b, c)`` becomes
+    ``(v*w + (1-v)/2^n, v*b + (1-v)/2^n, v*c)``."""
+    ghz, v = qstate.ghz_diagonal(n), params["v"]
+    white = (1.0 - v) / 2**n
+    return GhzDiagonal(n, v * ghz.weight + white, v * ghz.background + white, v * ghz.coherence)
+
+
+def _biseparable(n: int, params: dict) -> PureState:
+    # checked here, so that the error names n rather than a factor's count
+    qstate.check_qubits(n, qstate.MAX_PURE_QUBITS)
+    # the unentangled qubit goes to the last (dishonest) party
+    return qstate.tensor(qstate.ghz_state(n - 1), qstate.plus_state(1))
+
+
+def _rotated_bell(n: int, params: dict) -> PureState:
+    qstate.check_qubits(n, qstate.MAX_PURE_QUBITS)
+    return qstate.tensor(qstate.ghz_state(2, params["theta"]), qstate.plus_state(n - 2))
+
+
+def _pumped(n: int, params: dict) -> GhzDiagonal:
+    """A dephased surrogate matching the pump model's fidelity; the
+    verification analyses depend on the state only through GHZ overlaps."""
+    fid = higher_order_fidelity(n, params["alpha"])
+    return prepare(calibrate_to_fidelity(n, fid, "dephased"))
+
+
+_PUMP_SYNTAX = "{0}:alpha=<0..1> or {0}:mean-pairs=<mean pair number>"
+
+# variant: (key syntax, with {} for the name, listing the accepted
+# parameters; checks, each a test of (n, params) and its error message;
+# builder of the state from (n, params))
+FAMILIES = {
+    "ideal-ghz": ("{}", [], lambda n, p: qstate.ghz_diagonal(n)),
+    "dephased-ghz": (
+        "{}:p=<0..1>",
+        [(lambda n, p: 0.0 <= p["p"] <= 1.0, "dephasing probability must lie in [0, 1]")],
+        _dephased,
+    ),
+    "depolarized-ghz": (
+        "{}:v=<0..1>",
+        [(lambda n, p: 0.0 <= p["v"] <= 1.0, "visibility must lie in [0, 1]")],
+        _depolarized,
+    ),
+    "biseparable-ghz-plus": (
+        "{}",
+        [(lambda n, p: n >= 3, "the biseparable model needs at least 3 parties")],
+        _biseparable,
+    ),
+    "rotated-bell-plus": (
+        "{}:theta=<radians>",
+        [(lambda n, p: n >= 3, "the rotated-Bell model needs at least 3 parties")],
+        _rotated_bell,
+    ),
+    "higher-order-calibrated": (
+        _PUMP_SYNTAX,
+        [
+            (lambda n, p: n in (3, 4), "the pump model covers 3 or 4 parties only"),
+            (lambda n, p: 0.0 < p["alpha"] < 1.0, "alpha must lie in (0, 1)"),
+        ],
+        _pumped,
+    ),
+}
 
 
 def prepare(model: SourceModel) -> PureState | GhzDiagonal:
@@ -123,30 +155,7 @@ def prepare(model: SourceModel) -> PureState | GhzDiagonal:
     ``GhzDiagonal`` record for the ideal, dephased, depolarized and
     higher-order families, and the ``PureState`` vector of the biseparable
     and rotated-Bell families, which are pure."""
-    n = model.n
-    if model.variant == "ideal-ghz":
-        return qstate.ghz_diagonal(n)
-    if model.variant == "dephased-ghz":
-        spec = ChannelSpec.ghz_dephasing(model.params["p"])
-        return qstate.apply_channel(qstate.ghz_diagonal(n), spec)
-    if model.variant == "depolarized-ghz":
-        spec = ChannelSpec.depolarizing(model.params["v"])
-        return qstate.apply_channel(qstate.ghz_diagonal(n), spec)
-    if model.variant in ("biseparable-ghz-plus", "rotated-bell-plus"):
-        # checked here, so that the error names n rather than a factor's count
-        qstate.check_qubits(n, qstate.MAX_PURE_QUBITS)
-    if model.variant == "biseparable-ghz-plus":
-        # the unentangled qubit goes to the last (dishonest) party
-        return qstate.tensor(qstate.ghz_state(n - 1), qstate.plus_state(1))
-    if model.variant == "rotated-bell-plus":
-        pair = qstate.ghz_state(2, model.params["theta"])
-        return qstate.tensor(pair, qstate.plus_state(n - 2))
-    if model.variant == "higher-order-calibrated":
-        fid = higher_order_fidelity(n, model.params["alpha"])
-        # dephased surrogate matching the pump model's fidelity; the
-        # verification analyses depend on the state only through GHZ overlaps
-        return prepare(calibrate_to_fidelity(n, fid, "dephased"))
-    raise ValueError(f"unknown source variant {model.variant!r}")
+    return FAMILIES[model.variant][2](model.n, model.params)
 
 
 def split_key(key: str, what: str) -> tuple[str, dict[str, str]]:
@@ -193,15 +202,11 @@ def reject_unaccepted(what: str, name: str, params, syntax: str) -> None:
             raise ValueError(message)
 
 
-# key name: key syntax, with {} for the name; it lists the accepted parameters
+# every source key and its syntax: the families, and two aliases that
+# ``from_key`` turns into a family's model
 SOURCE_KEYS = {
-    "ideal-ghz": "{}",
-    "dephased-ghz": "{}:p=<0..1>",
-    "depolarized-ghz": "{}:v=<0..1>",
-    "biseparable-ghz-plus": "{}",
-    "rotated-bell-plus": "{}:theta=<radians>",
-    "higher-order": "{0}:alpha=<0..1> or {0}:mean-pairs=<mean pair number>",
-    "higher-order-calibrated": "{0}:alpha=<0..1> or {0}:mean-pairs=<mean pair number>",
+    **{variant: family[0] for variant, family in FAMILIES.items()},
+    "higher-order": _PUMP_SYNTAX,
     "calibrated": "{}:fidelity=<0..1>,family=dephased|depolarized",
 }
 
@@ -225,19 +230,9 @@ def from_key(key: str, n: int) -> SourceModel:
     def number(pname: str) -> float:
         return key_number(param(pname), f"source {name!r} parameter {pname}", syntax)
 
-    if name == "ideal-ghz":
-        model = SourceModel.ideal(n)
-    elif name == "dephased-ghz":
-        model = SourceModel.dephased(n, number("p"))
-    elif name == "depolarized-ghz":
-        model = SourceModel.depolarized(n, number("v"))
-    elif name == "biseparable-ghz-plus":
-        model = SourceModel.biseparable_plus(n)
-    elif name == "rotated-bell-plus":
-        model = SourceModel.rotated_bell_plus(number("theta"), n)
-    elif name == "calibrated":
+    if name == "calibrated":
         model = calibrate_to_fidelity(n, number("fidelity"), param("family"))
-    else:  # higher-order, higher-order-calibrated
+    elif name in ("higher-order", "higher-order-calibrated"):  # alpha or mean-pairs
         if "alpha" in params and "mean-pairs" in params:
             raise ValueError(
                 f"source {name!r} takes alpha or mean-pairs, not both; key syntax: {syntax}"
@@ -246,6 +241,8 @@ def from_key(key: str, n: int) -> SourceModel:
             alpha = number("alpha")
         else:
             alpha = alpha_from_mean_pairs(number("mean-pairs"))
-        model = SourceModel.higher_order(n, alpha)
+        model = SourceModel("higher-order-calibrated", n, {"alpha": alpha})
+    else:
+        model = SourceModel(name, n, {p: number(p) for p in key_params(syntax)})
     reject_unaccepted("source", name, params, syntax)
     return model

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ghzverify import protocol
+from ghzverify import protocol, sources
 from ghzverify.qstate import DensityMatrix, GhzDiagonal, PureState
 
 import oracles
@@ -27,6 +27,16 @@ def random_ghz_diagonal(n: int, rng: np.random.Generator) -> GhzDiagonal:
     w = 0.5 * (1.0 - (2**n - 2) * b)
     size = rng.random() * w
     return GhzDiagonal(n, w, b, size * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+
+
+def dephased_ghz(n: int, p: float) -> GhzDiagonal:
+    """The record a ``dephased-ghz`` source with dephasing p prepares."""
+    return sources.prepare(sources.SourceModel("dephased-ghz", n, {"p": p}))
+
+
+def depolarized_ghz(n: int, v: float) -> GhzDiagonal:
+    """The record a ``depolarized-ghz`` source with visibility v prepares."""
+    return sources.prepare(sources.SourceModel("depolarized-ghz", n, {"v": v}))
 
 
 def random_valid_theta_angles(n: int, rng: np.random.Generator) -> list[float]:

@@ -47,7 +47,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy import integrate
 
-from ghzverify import adversary, analytics, protocol, qstate, sources
+from ghzverify import adversary, analytics, protocol, qstate, simnet, sources
 from ghzverify.protocol import LOSS
 from ghzverify.qstate import DensityMatrix, GhzDiagonal, PureState
 
@@ -504,16 +504,18 @@ class Row:
     passed: object
 
 
-def rows(rounds, start=0):
-    """The rows of a ``protocol.Rounds``, numbered from ``start``: a lost
-    party's bit reads LOSS and a round with loss has no pass bit."""
+def rows(rounds, kind, start=0):
+    """The rows of a ``protocol.Rounds`` of protocol ``kind``, numbered from
+    ``start``: a lost party's bit reads LOSS and a round with loss has no
+    pass bit."""
+    kind = protocol.ProtocolKind(kind)
     out = []
     for r in range(len(rounds.angles)):
         lost = [bool(x) for x in rounds.lost[r]]
         outcomes = tuple(LOSS if l else int(b) for b, l in zip(rounds.bits[r], lost))
         angles = tuple(float(a) for a in rounds.angles[r])
         passed = None if any(lost) else int(rounds.passed[r])
-        out.append(Row(start + r, Assignment(angles, rounds.kind, int(rounds.parity[r])),
+        out.append(Row(start + r, Assignment(angles, kind, int(rounds.parity[r])),
                        outcomes, passed))
     return out
 
@@ -524,7 +526,7 @@ def records_jsonl(transcript):
         json.dumps({"round": row.index, "angles": list(row.assignment.angles),
                     "outcomes": list(row.outcomes), "passed": row.passed},
                    separators=(",", ":"))
-        for row in rows(transcript.records)
+        for row in rows(transcript.records, transcript.config.kind)
     )
 
 
@@ -883,9 +885,9 @@ def messages_jsonl(transcript):
     """The message log built round by round with a fresh network stream each."""
     config = transcript.config
     messages = []
-    for i, rec in enumerate(rows(transcript.records)):
+    for i, rec in enumerate(rows(transcript.records, config.kind)):
         net = np.random.default_rng((config.seed, i, 0xA11CE))
-        messages.extend(_round_messages(rec, config.verifier, net))
+        messages.extend(_round_messages(rec, simnet.VERIFIER, net))
     return "\n".join(
         json.dumps(m.to_json_dict(), sort_keys=True, separators=(",", ":")) for m in messages
     )

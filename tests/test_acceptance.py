@@ -31,8 +31,8 @@ def test_criterion_01_ideal_correctness():
     for n in range(2, 7):
         state = qstate.ghz_state(n)
         rho = state.to_density()
-        assert abs(protocol.exact_pass_probability_theta(rho) - 1.0) <= 1e-12
-        assert abs(protocol.exact_pass_probability_xy(rho) - 1.0) <= 1e-12
+        assert abs(protocol.exact_pass_probability(rho, "theta") - 1.0) <= 1e-12
+        assert abs(protocol.exact_pass_probability(rho, "xy") - 1.0) <= 1e-12
         for kind in ProtocolKind:
             stats = protocol.estimate_pass_probability(state, None, kind, rounds, 1000 + n)
             assert stats.estimate == 1.0 and stats.valid == rounds, (n, kind)
@@ -54,7 +54,7 @@ def test_criterion_02_povm_monte_carlo_equivalence():
     worst_a = worst_b = 0.0
     for i in range(20):
         rho = random_density(3, rng)
-        exact = protocol.exact_pass_probability_theta(rho)
+        exact = protocol.exact_pass_probability(rho, "theta")
 
         free = rng.uniform(0.0, np.pi, (assignments, 2))
         vals = np.empty(assignments)
@@ -92,8 +92,8 @@ def test_criterion_03_honest_fidelity_bound():
             rho = random_density(n, rng)
             fid = qstate.fidelity(rho, target)
             for exact in (
-                protocol.exact_pass_probability_theta(rho),
-                protocol.exact_pass_probability_xy(rho),
+                protocol.exact_pass_probability(rho, "theta"),
+                protocol.exact_pass_probability(rho, "xy"),
             ):
                 slack = fid - (2.0 * exact - 1.0)
                 worst = max(worst, -slack)

@@ -28,7 +28,13 @@ from ghzverify.protocol import (
 from ghzverify.qstate import ghz_state, plus_state, tensor
 
 import oracles
-from conftest import random_density, random_ghz_diagonal, random_pure
+from conftest import (
+    dephased_ghz,
+    depolarized_ghz,
+    random_density,
+    random_ghz_diagonal,
+    random_pure,
+)
 
 
 def _coalition_last(n, d=1):
@@ -191,7 +197,7 @@ def test_best_fidelity_of_a_record_matches_its_matrix(n, rng):
 def test_record_corner_matches_its_matrix(n, rng):
     records = (
         qstate.ghz_diagonal(n),
-        qstate.apply_channel(qstate.ghz_diagonal(n), qstate.ChannelSpec.depolarizing(0.6)),
+        depolarized_ghz(n, 0.6),
         random_ghz_diagonal(n, rng),
         random_ghz_diagonal(n, rng),
     )
@@ -207,8 +213,7 @@ def test_record_corner_matches_its_matrix(n, rng):
 
 def test_best_fidelity_of_a_record_above_the_dense_cap():
     n = 40
-    for spec in (qstate.ChannelSpec.ghz_dephasing(0.3), qstate.ChannelSpec.depolarizing(0.7)):
-        record = qstate.apply_channel(qstate.ghz_diagonal(n), spec)
+    for record in (dephased_ghz(n, 0.3), depolarized_ghz(n, 0.7)):
         w, b = record.weight, record.background
         for d in range(1, n):
             expected = 2.0 * (w + (2.0**d - 1.0) * b)
@@ -423,17 +428,16 @@ def test_strategy_keys_round_trip(name, n, d, x, theta_prime):
 @pytest.mark.parametrize("name", sorted(STRATEGY_PARAMS))
 @pytest.mark.parametrize("n,d", [(3, 1), (3, 2), (4, 1), (4, 2)])
 def test_strategy_matches_closure_oracle(name, n, d):
-    source = sources.prepare(sources.SourceModel.dephased(n, 0.3))
+    source = dephased_ghz(n, 0.3)
     kwargs = STRATEGY_PARAMS[name]
     strat = make_strategy(name, n_parties=n, dishonest_count=d, **kwargs)
     oracle = oracles.make_strategy(name, n_parties=n, dishonest_count=d, **kwargs)
     for kind, seed in ((ProtocolKind.THETA, 101 + n + d), (ProtocolKind.XY, 202 + n + d)):
-        assert oracles.rows(run_rounds(source, strat, kind, 150, seed)) == oracles.run_rounds(
-            source, strat, kind, 150, seed, oracle=oracle
-        )
+        rows = oracles.rows(run_rounds(source, strat, kind, 150, seed), kind)
+        assert rows == oracles.run_rounds(source, strat, kind, 150, seed, oracle=oracle)
         gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         for i in range(100):
-            (rec,) = oracles.rows(run_block(source, strat, kind, 1, gen), start=i)
+            (rec,) = oracles.rows(run_block(source, strat, kind, 1, gen), kind, start=i)
             script = oracles.row_script(oracles.draw_block(twin, strat, kind, n, 1), 0, strat)
             expected = oracles.run_round(source, oracle, kind, oracles.ScriptedRng(script), index=i)
             assert rec == expected
@@ -442,7 +446,7 @@ def test_strategy_matches_closure_oracle(name, n, d):
 
 def _row_sources(n, rng):
     return {
-        "record": sources.prepare(sources.SourceModel.dephased(n, 0.3)),
+        "record": dephased_ghz(n, 0.3),
         "pure": random_pure(n, rng),
         "dense": random_density(n, rng),
     }
@@ -460,7 +464,9 @@ def test_every_row_matches_the_per_round_engine(name, n, d, honest_loss, rng):
     for label, source in _row_sources(n, rng).items():
         for kind in ProtocolKind:
             seed = int(rng.integers(2**32))
-            rows = oracles.rows(run_rounds(source, strat, kind, 60, seed, honest_loss=honest_loss))
+            rows = oracles.rows(
+                run_rounds(source, strat, kind, 60, seed, honest_loss=honest_loss), kind
+            )
             expected = oracles.run_rounds(source, strat, kind, 60, seed, honest_loss=honest_loss)
             assert rows == expected, (label, kind)
 
@@ -468,7 +474,9 @@ def test_every_row_matches_the_per_round_engine(name, n, d, honest_loss, rng):
 def test_rows_match_the_per_round_engine_across_blocks():
     strat = make_strategy("theta-rotated-bell", n_parties=3, lam=0.3, theta_prime=0.4)
     rounds = protocol.B + 5
-    rows = oracles.rows(run_rounds(None, strat, ProtocolKind.THETA, rounds, 7, honest_loss=0.1))
+    rows = oracles.rows(
+        run_rounds(None, strat, ProtocolKind.THETA, rounds, 7, honest_loss=0.1), ProtocolKind.THETA
+    )
     assert rows == oracles.run_rounds(None, strat, ProtocolKind.THETA, rounds, 7,
                                             honest_loss=0.1)
     assert rows[-1].index == rounds - 1
@@ -506,7 +514,7 @@ DRAW_CONTRACT = {
 @pytest.mark.parametrize("name", sorted(DRAW_CONTRACT))
 def test_strategy_draw_contract(name):
     for n, d in ((3, 1), (4, 2)):
-        source = sources.prepare(sources.SourceModel.dephased(n, 0.3))
+        source = dephased_ghz(n, 0.3)
         strat = make_strategy(name, n_parties=n, dishonest_count=d, **STRATEGY_PARAMS[name])
         gen, twin = np.random.default_rng(9), np.random.default_rng(9)
         for m in (1, 40):
@@ -526,7 +534,7 @@ def test_xy_perfect_loss_has_balanced_bases():
     stats = PassStats.from_records(records)
     assert stats.estimate == 1.0
     by_basis = {0.0: [0, 0], np.pi / 2: [0, 0]}
-    for rec in oracles.rows(records):
+    for rec in oracles.rows(records, ProtocolKind.XY):
         lost = rec.outcomes[2] == LOSS
         by_basis[rec.assignment.angles[2]][0 if lost else 1] += 1
     table = np.array([by_basis[0.0], by_basis[np.pi / 2]])
@@ -539,7 +547,7 @@ def test_xy_perfect_loss_has_balanced_bases():
 def test_xy_naive_loss_is_basis_correlated():
     strat = make_strategy("xy-naive-loss", n_parties=3)
     records = run_rounds(None, strat, ProtocolKind.XY, 2000, 43)
-    for rec in oracles.rows(records):
+    for rec in oracles.rows(records, ProtocolKind.XY):
         basis = rec.assignment.angles[2]
         assert (rec.outcomes[2] == LOSS) == (basis > 0.1)
     assert PassStats.from_records(records).estimate == 1.0
@@ -561,7 +569,9 @@ def test_theta_rotated_bell_matches_curve_and_hides_loss_angles():
     assert abs(stats.estimate - theta_cheat_pass_curve(lam)) < 3 * stats.stderr
     assert stats.loss_rates[2] == pytest.approx(lam, abs=0.02)
     lost_angles = [
-        rec.assignment.angles[2] for rec in oracles.rows(records) if rec.outcomes[2] == LOSS
+        rec.assignment.angles[2]
+        for rec in oracles.rows(records, ProtocolKind.THETA)
+        if rec.outcomes[2] == LOSS
     ]
     p = scipy_stats.kstest(lost_angles, scipy_stats.uniform(0, np.pi).cdf).pvalue
     assert p > 0.01  # declared-loss angles look uniform
@@ -585,7 +595,7 @@ def test_two_party_coalition_acts_as_one_responder():
     )
     stats = PassStats.from_records(records)
     assert abs(stats.estimate - theta_cheat_pass_curve(0.0)) < 4 * stats.stderr
-    assert all(rec.outcomes[3] == 0 for rec in oracles.rows(records))
+    assert all(rec.outcomes[3] == 0 for rec in oracles.rows(records, ProtocolKind.THETA))
 
 
 def test_strategy_respond_is_deterministic(rng):
@@ -638,7 +648,7 @@ def test_projective_cheat_requires_source(rng):
 def test_noisy_projection_underperforms_clean_biseparable():
     """Steering a dephased GHZ inherits its phase noise, so the coalition does
     worse than with a cleanly prepared rotated state."""
-    noisy = sources.prepare(sources.SourceModel.dephased(4, 0.5))
+    noisy = dephased_ghz(4, 0.5)
     projective = make_strategy("projective-cheat", n_parties=4, lam=0.0)
     noisy_stats = PassStats.from_records(
         run_rounds(noisy, projective, ProtocolKind.THETA, 15_000, 73)
@@ -679,7 +689,7 @@ def test_measure_parties_matches_oracle_for_every_coalition(n, rng):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_measure_parties_on_a_record_matches_the_density_path(n, rng):
-    dephased = sources.prepare(sources.SourceModel.dephased(n, 0.3))
+    dephased = dephased_ghz(n, 0.3)
     for coalition in _coalitions(n):
         order = _dishonest_first(coalition)
         for record in (dephased, random_ghz_diagonal(n, rng), random_ghz_diagonal(n, rng)):

@@ -8,22 +8,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from ghzverify import adversary, qstate, simnet, sources
+from ghzverify import adversary, qstate, simnet
 from ghzverify.protocol import (
     LOSS,
     PassStats,
     ProtocolKind,
     estimate_pass_probability,
     exact_pass_probability,
-    exact_pass_probability_theta,
-    exact_pass_probability_xy,
     run_block,
     run_rounds,
 )
 from ghzverify.qstate import ghz_state, setting_pass_probability
 
 import oracles
-from conftest import block_assignment, random_density, random_ghz_diagonal, random_pure
+from conftest import (
+    block_assignment,
+    dephased_ghz,
+    depolarized_ghz,
+    random_density,
+    random_ghz_diagonal,
+    random_pure,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +115,7 @@ def test_pinned_last_angle_layout(n, theta, seed, rows):
     free = twin.uniform(0.0, np.pi, (rows, n - 2))
     twin.random((rows, n))  # the measurement uniforms follow the angles
     assert rng.bit_generator.state == twin.bit_generator.state
-    for r, asg in enumerate(rec.assignment for rec in oracles.rows(block)):
+    for r, asg in enumerate(rec.assignment for rec in oracles.rows(block, ProtocolKind.THETA)):
         assert asg.angles[-1] == theta
         assert asg.angles[:-2] == tuple(free[r])
         total = sum(asg.angles)
@@ -153,7 +158,7 @@ def test_block_draw_layout(kind, name, n, d, rows, honest_loss, theta, seed):
         d = min(d, n - 1)
         strat = adversary.make_strategy(name, n_parties=n, dishonest_count=d,
                                         **STRATEGY_PARAMS[name])
-    source = qstate.apply_channel(qstate.ghz_diagonal(n), qstate.ChannelSpec.ghz_dephasing(0.3))
+    source = dephased_ghz(n, 0.3)
     rng = np.random.default_rng(seed)
     twin = copy.deepcopy(rng)
     block = run_block(source, strat, kind, rows, rng, honest_loss=honest_loss,
@@ -211,7 +216,7 @@ def test_chunks_change_no_bits(rng):
 @pytest.mark.parametrize("kind", list(ProtocolKind))
 def test_record_estimate_matches_exact_value(n, kind, rng):
     record = random_ghz_diagonal(n, rng)
-    exact = exact_pass_probability_theta(record)
+    exact = exact_pass_probability(record, "theta")
     stats = estimate_pass_probability(record, None, kind, 200_000, 40 + n)
     assert abs(stats.estimate - exact) < 4 * stats.stderr
     assert stats.valid == 200_000
@@ -220,9 +225,7 @@ def test_record_estimate_matches_exact_value(n, kind, rng):
 @pytest.mark.parametrize("n", [20, 40, 64])
 @pytest.mark.parametrize("kind", list(ProtocolKind))
 def test_record_estimate_above_the_dense_cap_matches_exact_value(n, kind):
-    specs = (qstate.ChannelSpec.ghz_dephasing(0.3), qstate.ChannelSpec.depolarizing(0.8))
-    for i, spec in enumerate(specs):
-        record = qstate.apply_channel(qstate.ghz_diagonal(n), spec)
+    for i, record in enumerate((dephased_ghz(n, 0.3), depolarized_ghz(n, 0.8))):
         stats = estimate_pass_probability(record, None, kind, 100_000, 1000 + n + i)
         assert abs(stats.estimate - (0.5 + record.coherence.real)) < 4 * stats.stderr
 
@@ -231,7 +234,7 @@ def test_projective_cheat_measures_a_record_above_the_dense_cap():
     """The coalition measures its qubits of a dephased record first; the
     honest parties are left its coherence times the theta cheat's."""
     p, lam = 0.3, 0.2
-    record = qstate.apply_channel(qstate.ghz_diagonal(20), qstate.ChannelSpec.ghz_dephasing(p))
+    record = dephased_ghz(20, p)
     strategy = adversary.make_strategy("projective-cheat", n_parties=20, lam=lam)
     stats = estimate_pass_probability(record, strategy, ProtocolKind.THETA, 100_000, 21)
     expected = 0.5 + (1.0 - p) * (adversary.theta_cheat_pass_curve(lam) - 0.5)
@@ -280,7 +283,7 @@ def test_ideal_ghz_round_always_passes(rng):
     state = ghz_state(3)
     for kind in ProtocolKind:
         for _ in range(200):
-            (rec,) = oracles.rows(run_block(state, None, kind, 1, rng))
+            (rec,) = oracles.rows(run_block(state, None, kind, 1, rng), kind)
             assert rec.passed == 1
 
 
@@ -293,7 +296,9 @@ def test_round_with_always_loss_party(rng):
         arms=(adversary.PhaseArm((0.0,), "arc"),),
         lam=1.0,
     )
-    (rec,) = oracles.rows(run_block(None, always_loss, ProtocolKind.THETA, 1, rng))
+    (rec,) = oracles.rows(
+        run_block(None, always_loss, ProtocolKind.THETA, 1, rng), ProtocolKind.THETA
+    )
     assert rec.passed is None
     assert rec.outcomes[2] == LOSS
 
@@ -314,7 +319,9 @@ def test_honest_parties_measure_their_own_qubits(n, d):
     minus = qstate.PureState(1, np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0))
     source = qstate.tensor(qstate.tensor(qstate.plus_state(1), minus), qstate.plus_state(n - 2))
     strat = adversary.make_strategy("projective-cheat", n_parties=n, dishonest_count=d, lam=0.0)
-    records = oracles.rows(run_rounds(source, strat, ProtocolKind.THETA, 4000, 29 + n))
+    records = oracles.rows(
+        run_rounds(source, strat, ProtocolKind.THETA, 4000, 29 + n), ProtocolKind.THETA
+    )
     for party, p_zero in ((0, lambda t: np.cos(t / 2) ** 2), (1, lambda t: np.sin(t / 2) ** 2)):
         p = np.array([p_zero(rec.assignment.angles[party]) for rec in records])
         zeros = np.array([rec.outcomes[party] == 0 for rec in records])
@@ -343,7 +350,7 @@ def test_round_record_serialization():
                                                          strategy=strat))
     lines = transcript.records_jsonl().split("\n")
     assert len(lines) == 40
-    for i, (line, rec) in enumerate(zip(lines, oracles.rows(transcript.records))):
+    for i, (line, rec) in enumerate(zip(lines, oracles.rows(transcript.records, transcript.config.kind))):
         doc = json.loads(line)
         assert list(doc) == ["round", "angles", "outcomes", "passed"]
         assert doc["round"] == i
@@ -369,8 +376,8 @@ def test_ideal_ghz4_estimate_is_exactly_one():
 def test_depolarized_estimate_matches_exact_value():
     # visibility tuned so the exact theta pass probability is 0.834
     v = 2 * 0.834 - 1
-    rho = sources.prepare(sources.SourceModel.depolarized(3, v))
-    assert exact_pass_probability_theta(rho) == pytest.approx(0.834, abs=1e-12)
+    rho = depolarized_ghz(3, v)
+    assert exact_pass_probability(rho, "theta") == pytest.approx(0.834, abs=1e-12)
     stats = estimate_pass_probability(rho, None, ProtocolKind.THETA, 20_000, 5)
     assert abs(stats.estimate - 0.834) < 4 * stats.stderr
 
@@ -397,7 +404,7 @@ def test_estimate_requires_valid_rounds(rng):
 
 
 def test_estimate_is_seed_deterministic():
-    rho = sources.prepare(sources.SourceModel.dephased(3, 0.4))
+    rho = dephased_ghz(3, 0.4)
     a = estimate_pass_probability(rho, None, ProtocolKind.XY, 300, 11)
     b = estimate_pass_probability(rho, None, ProtocolKind.XY, 300, 11)
     assert a == b
@@ -411,8 +418,8 @@ def test_bad_seed_is_named(seed):
 
 
 def test_honest_loss_rounds_are_excluded_without_bias():
-    rho = sources.prepare(sources.SourceModel.dephased(3, 0.5))
-    exact = exact_pass_probability_theta(rho)
+    rho = dephased_ghz(3, 0.5)
+    exact = exact_pass_probability(rho, "theta")
     lossless = estimate_pass_probability(rho, None, ProtocolKind.THETA, 15_000, 31)
     lossy = estimate_pass_probability(
         rho, None, ProtocolKind.THETA, 15_000, 31, honest_loss=0.2
@@ -436,20 +443,18 @@ def test_ideal_state_estimate_unaffected_by_honest_loss():
 
 def test_exact_theta_ideal_and_mixed(rng):
     for n in (2, 3, 4):
-        assert exact_pass_probability_theta(ghz_state(n).to_density()) == pytest.approx(
+        assert exact_pass_probability(ghz_state(n).to_density(), "theta") == pytest.approx(
             1.0, abs=1e-12
         )
-        assert exact_pass_probability_theta(oracles.maximally_mixed(n)) == pytest.approx(
+        assert exact_pass_probability(oracles.maximally_mixed(n), "theta") == pytest.approx(
             0.5, abs=1e-12
         )
 
 
 def test_exact_theta_fully_dephased_from_angle_average(rng):
     """Closed form agrees with brute-force averaging over sampled settings."""
-    rho = qstate.apply_channel(
-        ghz_state(3).to_density(), qstate.ChannelSpec.ghz_dephasing(1.0)
-    )
-    exact = exact_pass_probability_theta(rho)
+    rho = dephased_ghz(3, 1.0).to_density()
+    exact = exact_pass_probability(rho, "theta")
     samples = 40_000
     vals = np.empty(samples)
     for i in range(samples):
@@ -465,7 +470,7 @@ def test_povm_average_consistency(rng):
     """Exact theta value equals the sampled-assignment average (20 states)."""
     for _ in range(20):
         rho = random_density(3, rng)
-        exact = exact_pass_probability_theta(rho)
+        exact = exact_pass_probability(rho, "theta")
         samples = 10_000
         vals = np.empty(samples)
         for i in range(samples):
@@ -477,8 +482,8 @@ def test_povm_average_consistency(rng):
 
 
 def test_exact_xy_enumeration(rng):
-    assert exact_pass_probability_xy(ghz_state(3).to_density()) == pytest.approx(1.0)
-    assert exact_pass_probability_xy(oracles.maximally_mixed(3)) == pytest.approx(0.5)
+    assert exact_pass_probability(ghz_state(3).to_density(), "xy") == pytest.approx(1.0)
+    assert exact_pass_probability(oracles.maximally_mixed(3), "xy") == pytest.approx(0.5)
     assert len(oracles.xy_valid_settings(4)) == 8
     # honest-measurement average for the pi/4-rotated Bell plus an unentangled
     # qubit: two settings at (1+cos(pi/4))/2, two at 1/2
@@ -489,25 +494,23 @@ def test_exact_xy_enumeration(rng):
     assert values[0] == pytest.approx(0.5, abs=1e-12)
     assert values[1] == pytest.approx(0.5, abs=1e-12)
     assert values[2] == pytest.approx(0.5 * (1 + np.cos(np.pi / 4)), abs=1e-12)
-    assert exact_pass_probability_xy(psi.to_density()) == pytest.approx(
+    assert exact_pass_probability(psi.to_density(), "xy") == pytest.approx(
         np.mean(values), abs=1e-12
     )
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_exact_closed_forms_match_oracles(n, rng):
-    states = [random_density(n, rng) for _ in range(3)] + [
-        random_pure(n, rng).to_density(),
-        qstate.apply_channel(
-            ghz_state(n, float(rng.uniform(0, 2 * np.pi))).to_density(),
-            qstate.ChannelSpec.ghz_dephasing(float(rng.uniform())),
-        ),
-    ]
+    states = [random_density(n, rng) for _ in range(3)] + [random_pure(n, rng).to_density()]
+    # a rotated GHZ state with its corner coherences damped by 1 - p
+    dephased = ghz_state(n, float(rng.uniform(0, 2 * np.pi))).to_density().entries.copy()
+    dephased[[0, -1], [-1, 0]] *= 1.0 - float(rng.uniform())
+    states.append(qstate.DensityMatrix(n, dephased))
     for rho in states:
-        assert exact_pass_probability_theta(rho) == pytest.approx(
+        assert exact_pass_probability(rho, "theta") == pytest.approx(
             oracles.exact_pass_probability_theta(rho), abs=1e-12
         )
-        assert exact_pass_probability_xy(rho) == pytest.approx(
+        assert exact_pass_probability(rho, "xy") == pytest.approx(
             oracles.exact_pass_probability_xy(rho), abs=1e-12
         )
 
@@ -533,5 +536,5 @@ def test_honest_fidelity_bound_holds_on_random_states(rng):
         for _ in range(10):
             rho = random_density(n, rng)
             fid = qstate.fidelity(rho, target)
-            assert fid >= 2 * exact_pass_probability_theta(rho) - 1 - 1e-9
-            assert fid >= 2 * exact_pass_probability_xy(rho) - 1 - 1e-9
+            assert fid >= 2 * exact_pass_probability(rho, "theta") - 1 - 1e-9
+            assert fid >= 2 * exact_pass_probability(rho, "xy") - 1 - 1e-9

@@ -7,14 +7,12 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ghzverify import protocol, qstate
+from ghzverify import protocol, qstate, sources
 from ghzverify.adversary import Coalition, best_dishonest_fidelity
 from ghzverify.qstate import (
-    ChannelSpec,
     DensityMatrix,
     GhzDiagonal,
     PureState,
-    apply_channel,
     fidelity,
     ghz_diagonal,
     ghz_state,
@@ -27,6 +25,8 @@ from ghzverify.qstate import (
 import oracles
 from conftest import (
     block_assignment,
+    dephased_ghz,
+    depolarized_ghz,
     random_density,
     random_ghz_diagonal,
     random_pure,
@@ -224,7 +224,7 @@ def test_ghz_diagonal_to_density_is_the_record_matrix(rng):
 
 def test_ghz_diagonal_takes_up_to_64_qubits():
     for n in (11, 40, qstate.MAX_RECORD_QUBITS):
-        record = apply_channel(ghz_diagonal(n), ChannelSpec.depolarizing(0.9))
+        record = depolarized_ghz(n, 0.9)
         assert record.background == (1.0 - 0.9) / 2**n
         # the dense matrix keeps its own cap
         with pytest.raises(ValueError, match=r"qubit count must be in \[1, 10\], got"):
@@ -373,8 +373,8 @@ def test_ghz_diagonal_sampling_matches_density_kernel(n, kind, rng):
     kernel on its dense matrix the same bits."""
     records = (
         ghz_diagonal(n),
-        apply_channel(ghz_diagonal(n), ChannelSpec.ghz_dephasing(float(rng.random()))),
-        apply_channel(ghz_diagonal(n), ChannelSpec.depolarizing(float(rng.random()))),
+        dephased_ghz(n, float(rng.random())),
+        depolarized_ghz(n, float(rng.random())),
         random_ghz_diagonal(n, rng),
     )
     rows = max(20, 2 ** (12 - n))
@@ -434,8 +434,8 @@ def _plain(value):
 
 # each public function that takes a prepared state, on a state and a generator
 RECORD_FUNCTIONS = {
-    "exact_pass_probability_theta": lambda s, g: protocol.exact_pass_probability_theta(s),
-    "exact_pass_probability_xy": lambda s, g: protocol.exact_pass_probability_xy(s),
+    "exact_pass_probability_theta": lambda s, g: protocol.exact_pass_probability(s, "theta"),
+    "exact_pass_probability_xy": lambda s, g: protocol.exact_pass_probability(s, "xy"),
     "exact_pass_probability": lambda s, g: [
         protocol.exact_pass_probability(s, kind) for kind in ("theta", "xy")
     ],
@@ -446,10 +446,6 @@ RECORD_FUNCTIONS = {
     "fidelity": lambda s, g: [fidelity(s, ghz_state(s.n)), fidelity(random_density(s.n, g), s)],
     "best_dishonest_fidelity": lambda s, g: [
         best_dishonest_fidelity(s, Coalition(s.n, dishonest)) for dishonest in ([0], [s.n - 1])
-    ],
-    "apply_channel": lambda s, g: [
-        apply_channel(s, spec)
-        for spec in (ChannelSpec.ghz_dephasing(0.3), ChannelSpec.depolarizing(0.6))
     ],
 }
 
@@ -695,7 +691,7 @@ def test_record_fidelity_against_a_rank_one_target_is_its_closed_form(n, rng, mo
     """Against a vector or a rank-1 matrix a record reads its three numbers,
     never its dense matrix, and agrees with the dense value."""
     records = [random_ghz_diagonal(n, rng) for _ in range(3)] + [
-        apply_channel(ghz_diagonal(n), ChannelSpec.depolarizing(float(rng.random()))),
+        depolarized_ghz(n, float(rng.random())),
     ]
     targets = (random_pure(n, rng), ghz_state(n, float(rng.uniform(0, 2 * np.pi))))
     targets += (random_pure(n, rng).to_density(),)
@@ -708,7 +704,7 @@ def test_record_fidelity_against_a_rank_one_target_is_its_closed_form(n, rng, mo
 
 def test_dephased_record_fidelity_above_the_dense_cap():
     for p in (0.0, 0.3, 1.0):
-        record = apply_channel(ghz_diagonal(20), ChannelSpec.ghz_dephasing(p))
+        record = dephased_ghz(20, p)
         assert fidelity(record, ghz_state(20)) == pytest.approx(1.0 - p / 2.0, abs=1e-12)
 
 
@@ -718,8 +714,8 @@ def test_record_pair_fidelity_matches_the_eigen_path(n, rng, monkeypatch):
     ideal = ghz_diagonal(n)
     records = [random_ghz_diagonal(n, rng) for _ in range(4)] + [
         ideal,
-        apply_channel(ideal, ChannelSpec.ghz_dephasing(float(rng.random()))),
-        apply_channel(ideal, ChannelSpec.depolarizing(float(rng.random()))),
+        dephased_ghz(n, float(rng.random())),
+        depolarized_ghz(n, float(rng.random())),
     ]
     cases = [(a, b, _eigen_path(a, b)) for a in records for b in records]
     monkeypatch.setattr(GhzDiagonal, "to_density", None)
@@ -730,11 +726,11 @@ def test_record_pair_fidelity_matches_the_eigen_path(n, rng, monkeypatch):
 def test_record_pair_fidelity_above_the_dense_cap():
     ideal = ghz_diagonal(64)
     for v in (0.0, 0.4, 1.0):
-        noisy = apply_channel(ideal, ChannelSpec.depolarizing(v))
+        noisy = depolarized_ghz(64, v)
         assert fidelity(ideal, noisy) == pytest.approx(v + (1 - v) / 2**64, abs=1e-12)
         assert fidelity(noisy, noisy) == pytest.approx(1.0, abs=1e-12)
     for p in (0.0, 0.3, 1.0):
-        dephased = apply_channel(ideal, ChannelSpec.ghz_dephasing(p))
+        dephased = dephased_ghz(64, p)
         assert fidelity(dephased, ideal) == pytest.approx(1.0 - p / 2.0, abs=1e-12)
 
 
@@ -754,7 +750,7 @@ def test_fidelity_of_mixed_arguments_takes_the_eigen_path(n, rng, monkeypatch):
     eigen = qstate._eigen_fidelity
     monkeypatch.setattr(qstate, "_eigen_fidelity", counted)
     near = _mixed_by(random_pure(n, rng), 1e-6, rng)
-    dephased = apply_channel(ghz_state(n).to_density(), ChannelSpec.ghz_dephasing(1e-6))
+    dephased = dephased_ghz(n, 1e-6).to_density()
     mixed = random_density(n, rng)
     pairs = [(near, mixed), (mixed, near), (dephased, mixed), (mixed, dephased)]
     for a, b in pairs + [(mixed, random_density(n, rng))]:
@@ -770,39 +766,31 @@ def test_fidelity_of_mixed_arguments_takes_the_eigen_path(n, rng, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# channels
+# noisy sources
 
 
 def test_identity_channels_leave_state_unchanged():
-    rho = ghz_state(3).to_density()
-    assert np.allclose(apply_channel(rho, ChannelSpec.ghz_dephasing(0.0)).entries, rho.entries)
-    assert np.allclose(apply_channel(rho, ChannelSpec.depolarizing(1.0)).entries, rho.entries)
+    assert dephased_ghz(3, 0.0) == ghz_diagonal(3)
+    assert depolarized_ghz(3, 1.0) == ghz_diagonal(3)
 
 
 @pytest.mark.parametrize("n,v", [(2, 0.3), (3, 0.8), (4, 0.5)])
 def test_depolarizing_fidelity(n, v):
     rho = ghz_state(n).to_density()
-    noisy = apply_channel(rho, ChannelSpec.depolarizing(v))
+    noisy = depolarized_ghz(n, v).to_density()
     assert fidelity(noisy, rho) == pytest.approx(v + (1 - v) / 2**n, abs=1e-9)
 
 
 def test_full_dephasing_halves_fidelity():
     rho = ghz_state(3).to_density()
-    noisy = apply_channel(rho, ChannelSpec.ghz_dephasing(1.0))
+    noisy = dephased_ghz(3, 1.0).to_density()
     assert fidelity(noisy, rho) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_channel_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        ChannelSpec.ghz_dephasing(1.5)
-    with pytest.raises(ValueError):
-        ChannelSpec.depolarizing(-0.1)
-    with pytest.raises(ValueError):
-        ChannelSpec("amplitude-damping", 0.5)
-
-
-def test_channel_outputs_are_valid_states(rng):
-    rho = random_density(3, rng)
-    for spec in (ChannelSpec.ghz_dephasing(0.7), ChannelSpec.depolarizing(0.2)):
-        out = apply_channel(rho, spec)
-        assert isinstance(out, DensityMatrix)  # constructor revalidates
+    with pytest.raises(ValueError, match=re.escape("dephasing probability must lie in [0, 1]")):
+        dephased_ghz(3, 1.5)
+    with pytest.raises(ValueError, match=re.escape("visibility must lie in [0, 1]")):
+        depolarized_ghz(3, -0.1)
+    with pytest.raises(ValueError, match="unknown source variant 'amplitude-damping'"):
+        sources.SourceModel("amplitude-damping", 3, {"p": 0.5})

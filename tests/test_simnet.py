@@ -15,7 +15,7 @@ def _config(**overrides):
         kind=ProtocolKind.XY,
         rounds=400,
         seed=97,
-        source=sources.SourceModel.ideal(3),
+        source=sources.SourceModel("ideal-ghz", 3),
     )
     defaults.update(overrides)
     return SessionConfig(
@@ -40,16 +40,9 @@ def test_session_config_validation():
         _config(rounds=0)
     with pytest.raises(ValueError):
         _config(lambda_max=1.0)
-    strat = adversary.make_strategy("xy-perfect-loss50", n_parties=3)
-    with pytest.raises(ValueError):
-        SessionConfig(
-            n_parties=3,
-            kind=ProtocolKind.XY,
-            rounds=10,
-            seed=1,
-            strategy=strat,
-            verifier=2,
-        )
+    # a coalition leaves a party honest, so the Verifier, party 0, is never in it
+    with pytest.raises(ValueError, match="dishonest_count must be at most n_parties - 1 = 2"):
+        adversary.make_strategy("xy-perfect-loss50", n_parties=3, dishonest_count=3)
 
 
 @pytest.mark.parametrize("seed", [-5, 1.5])
@@ -72,7 +65,7 @@ def test_session_config_places_the_strategy_on_the_last_parties():
     with pytest.raises(ValueError, match="built for 4 parties, the session has 3"):
         SessionConfig(3, "theta", 10, 1, strategy=strat)
     with pytest.raises(ValueError, match="source covers 3 parties, the session has 4"):
-        SessionConfig(4, "theta", 10, 1, source=sources.SourceModel.ideal(3))
+        SessionConfig(4, "theta", 10, 1, source=sources.SourceModel("ideal-ghz", 3))
 
 
 def test_hidden_cheat_passes_undetected():
@@ -127,8 +120,9 @@ def test_loss_cap_flag_raised_when_exceeded():
 
 
 def test_session_matches_protocol_estimate():
-    rho = sources.prepare(sources.SourceModel.dephased(3, 0.4))
-    config = _config(kind=ProtocolKind.THETA, rounds=600, seed=303, source=rho)
+    model = sources.SourceModel("dephased-ghz", 3, {"p": 0.4})
+    rho = sources.prepare(model)
+    config = _config(kind=ProtocolKind.THETA, rounds=600, seed=303, source=model)
     transcript = run_session(config)
     direct = protocol.estimate_pass_probability(
         rho, None, ProtocolKind.THETA, 600, 303
@@ -148,7 +142,7 @@ def test_session_is_byte_deterministic():
 def test_message_log_covers_every_round():
     config = _config(rounds=50)
     transcript = run_session(config)
-    for rec in oracles.rows(transcript.records):
+    for rec in oracles.rows(transcript.records, transcript.config.kind):
         angle_msgs = [
             m
             for m in transcript.messages()
@@ -170,7 +164,7 @@ def test_message_log_covers_every_round():
 def test_round_scoring_is_order_independent(rng):
     """The verifier's pass bit depends only on the set of outcome messages."""
     transcript = run_session(_config(rounds=100, honest_loss=0.1))
-    for rec in oracles.rows(transcript.records):
+    for rec in oracles.rows(transcript.records, transcript.config.kind):
         collected = list(enumerate(rec.outcomes))
         for _ in range(3):
             rng.shuffle(collected)
@@ -185,7 +179,7 @@ def test_round_scoring_is_order_independent(rng):
 
 def test_abort_message_emitted_on_loss():
     transcript = run_session(_config(rounds=200, honest_loss=0.2))
-    lossy_rounds = {rec.index for rec in oracles.rows(transcript.records) if rec.passed is None}
+    lossy_rounds = {rec.index for rec in oracles.rows(transcript.records, transcript.config.kind) if rec.passed is None}
     abort_rounds = {m["round"] for m in transcript.messages() if m["type"] == "abort"}
     assert abort_rounds == lossy_rounds
 
@@ -193,9 +187,9 @@ def test_abort_message_emitted_on_loss():
 def test_message_log_matches_stored_message_oracle():
     strat = adversary.make_strategy("xy-mixed", n_parties=3, lam=0.3)
     transcript = run_session(
-        _config(rounds=300, seed=5, strategy=strat, source=None, honest_loss=0.1, verifier=1)
+        _config(rounds=300, seed=5, strategy=strat, source=None, honest_loss=0.1)
     )
-    assert any(rec.passed is None for rec in oracles.rows(transcript.records))
+    assert any(rec.passed is None for rec in oracles.rows(transcript.records, transcript.config.kind))
     assert transcript.messages_jsonl() == oracles.messages_jsonl(transcript)
 
 
@@ -204,7 +198,7 @@ def test_records_file_matches_the_row_oracle():
                                     lam=0.4)
     transcript = run_session(_config(n_parties=4, kind=ProtocolKind.THETA, rounds=300, seed=8,
                                      strategy=strat, source=None, honest_loss=0.1))
-    assert any(rec.passed is None for rec in oracles.rows(transcript.records))
+    assert any(rec.passed is None for rec in oracles.rows(transcript.records, transcript.config.kind))
     assert transcript.records_jsonl() == oracles.records_jsonl(transcript)
 
 

@@ -1,13 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ghzverify import adversary, protocol, qstate
-from ghzverify.qstate import ChannelSpec, DensityMatrix, GhzDiagonal, PureState, ghz_state
+from ghzverify.qstate import DensityMatrix, GhzDiagonal, PureState, ghz_state
 from ghzverify.sources import (
+    FAMILIES,
     SOURCE_KEYS,
-    VARIANTS,
     SourceModel,
     alpha_from_mean_pairs,
     calibrate_to_fidelity,
@@ -26,12 +28,12 @@ PURE_VARIANTS = ("biseparable-ghz-plus", "rotated-bell-plus")
 
 def test_prepare_yields_valid_density_matrices():
     models = [
-        SourceModel.ideal(3),
-        SourceModel.dephased(3, 0.35),
-        SourceModel.depolarized(4, 0.6),
-        SourceModel.biseparable_plus(4),
-        SourceModel.rotated_bell_plus(np.pi / 4, 3),
-        SourceModel.higher_order(3, 0.22),
+        SourceModel("ideal-ghz", 3),
+        SourceModel("dephased-ghz", 3, {"p": 0.35}),
+        SourceModel("depolarized-ghz", 4, {"v": 0.6}),
+        SourceModel("biseparable-ghz-plus", 4),
+        SourceModel("rotated-bell-plus", 3, {"theta": np.pi / 4}),
+        SourceModel("higher-order-calibrated", 3, {"alpha": 0.22}),
     ]
     for model in models:
         rho = prepare(model)
@@ -49,12 +51,12 @@ def test_pure_families_run_up_to_the_pure_cap(variant):
 
 
 def test_ideal_model_has_unit_fidelity():
-    rho = prepare(SourceModel.ideal(3))
+    rho = prepare(SourceModel("ideal-ghz", 3))
     assert qstate.fidelity(rho, ghz_state(3)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_biseparable_reduced_fidelity_is_half():
-    rho = prepare(SourceModel.biseparable_plus(4))
+    rho = prepare(SourceModel("biseparable-ghz-plus", 4))
     coalition = adversary.Coalition(4, [3])  # the |+> holder
     assert adversary.best_dishonest_fidelity(rho, coalition) == pytest.approx(
         0.5, abs=1e-9
@@ -63,7 +65,7 @@ def test_biseparable_reduced_fidelity_is_half():
 
 def test_rotated_bell_plus_reaches_xy_optimum():
     psi = qstate.tensor(ghz_state(2, np.pi / 4), qstate.plus_state(1))
-    rho = prepare(SourceModel.rotated_bell_plus(np.pi / 4, 3))
+    rho = prepare(SourceModel("rotated-bell-plus", 3, {"theta": np.pi / 4}))
     assert np.array_equal(rho.amplitudes, psi.amplitudes)
     value = adversary.xy_optimal_pass_probability(psi, adversary.Coalition(3, [2]))
     assert value == pytest.approx(adversary.XY_OPTIMUM, abs=1e-9)
@@ -153,14 +155,14 @@ def test_calibrate_range_errors():
 def test_higher_order_surrogate_matches_model_fidelity():
     alpha = alpha_from_mean_pairs(0.05)
     for n in (3, 4):
-        rho = prepare(SourceModel.higher_order(n, alpha))
+        rho = prepare(SourceModel("higher-order-calibrated", n, {"alpha": alpha}))
         assert qstate.fidelity(rho, ghz_state(n)) == pytest.approx(
             higher_order_fidelity(n, alpha), abs=1e-9
         )
 
 
 def test_from_key_parsing():
-    assert from_key("ideal-ghz", 3) == SourceModel.ideal(3)
+    assert from_key("ideal-ghz", 3) == SourceModel("ideal-ghz", 3)
     assert from_key("dephased-ghz:p=0.2", 3).params["p"] == 0.2
     assert from_key("depolarized-ghz:v=0.9", 4).params["v"] == 0.9
     assert from_key("rotated-bell-plus:theta=0.5", 3).params["theta"] == 0.5
@@ -217,24 +219,45 @@ def test_from_key_parsing():
             from_key(key, 3)
 
 
+def test_models_check_their_parameters_when_built():
+    for variant, n, params, message in (
+        ("dephased-ghz", 3, {"p": 1.5}, "dephasing probability must lie in [0, 1]"),
+        ("depolarized-ghz", 3, {"v": -0.1}, "visibility must lie in [0, 1]"),
+        ("biseparable-ghz-plus", 2, {}, "the biseparable model needs at least 3 parties"),
+        ("rotated-bell-plus", 2, {"theta": 0.5}, "the rotated-Bell model needs at least 3 parties"),
+        ("higher-order-calibrated", 5, {"alpha": 0.2}, "the pump model covers 3 or 4 parties only"),
+        ("higher-order-calibrated", 3, {"alpha": 1.0}, "alpha must lie in (0, 1)"),
+        ("stabilizer-farm", 3, {}, "unknown source variant 'stabilizer-farm'"),
+        ("ideal-ghz", 0, {}, "party count must be positive"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SourceModel(variant, n, params)
+    # parameters are held as floats, so a numpy scalar keeps the key syntax
+    assert SourceModel("dephased-ghz", 3, {"p": np.float64(0.25)}).key() == "dephased-ghz:p=0.25"
+
+
 def test_model_key_round_trip():
-    model = SourceModel.dephased(3, 0.25)
+    model = SourceModel("dephased-ghz", 3, {"p": 0.25})
     assert from_key(model.key(), 3) == model
 
 
 # a model of every source family from a parameter x in [0, 1]
 _FAMILIES = {
-    "ideal-ghz": lambda n, x: SourceModel.ideal(n),
-    "dephased-ghz": lambda n, x: SourceModel.dephased(n, x),
-    "depolarized-ghz": lambda n, x: SourceModel.depolarized(n, x),
-    "biseparable-ghz-plus": lambda n, x: SourceModel.biseparable_plus(n),
-    "rotated-bell-plus": lambda n, x: SourceModel.rotated_bell_plus(2 * np.pi * x - np.pi, n),
-    "higher-order-calibrated": lambda n, x: SourceModel.higher_order(n, 0.001 + 0.998 * x),
+    "ideal-ghz": lambda n, x: SourceModel("ideal-ghz", n),
+    "dephased-ghz": lambda n, x: SourceModel("dephased-ghz", n, {"p": x}),
+    "depolarized-ghz": lambda n, x: SourceModel("depolarized-ghz", n, {"v": x}),
+    "biseparable-ghz-plus": lambda n, x: SourceModel("biseparable-ghz-plus", n),
+    "rotated-bell-plus": lambda n, x: SourceModel(
+        "rotated-bell-plus", n, {"theta": 2 * np.pi * x - np.pi}
+    ),
+    "higher-order-calibrated": lambda n, x: SourceModel(
+        "higher-order-calibrated", n, {"alpha": 0.001 + 0.998 * x}
+    ),
 }
 
 
 def test_families_cover_every_variant():
-    assert set(_FAMILIES) == set(VARIANTS)
+    assert set(_FAMILIES) == set(FAMILIES)
 
 
 @settings(max_examples=200, deadline=None)
@@ -276,7 +299,7 @@ def test_pure_sources_sample_the_bits_of_their_dense_matrix(variant, n):
             assert np.array_equal(getattr(pure, column), getattr(dense, column))
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant", list(FAMILIES))
 def test_prepare_validates_one_density_matrix(variant, monkeypatch):
     """No source builds a dense matrix.  A pure source validates its vector
     and the two factors it is the tensor product of.  A record source
@@ -307,12 +330,9 @@ def test_noisy_sources_are_bit_identical_to_the_channel_formulas(n):
     dephased[0, -1] *= 1.0 - 0.2
     dephased[-1, 0] *= 1.0 - 0.2
     depolarized = 0.8 * projector + (1.0 - 0.8) * np.eye(2**n) / 2**n
-    for model, spec, expected in (
-        (SourceModel.ideal(n), None, projector),
-        (SourceModel.dephased(n, 0.2), ChannelSpec.ghz_dephasing(0.2), dephased),
-        (SourceModel.depolarized(n, 0.8), ChannelSpec.depolarizing(0.8), depolarized),
+    for model, expected in (
+        (SourceModel("ideal-ghz", n), projector),
+        (SourceModel("dephased-ghz", n, {"p": 0.2}), dephased),
+        (SourceModel("depolarized-ghz", n, {"v": 0.8}), depolarized),
     ):
         assert np.array_equal(prepare(model).to_density().entries, expected)
-        if spec is not None:
-            on_density = qstate.apply_channel(ghz_state(n).to_density(), spec)
-            assert np.array_equal(on_density.entries, expected)
