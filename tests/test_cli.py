@@ -660,14 +660,13 @@ def test_too_few_rounds_are_named(monkeypatch, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [conf]
 
 
-@pytest.mark.parametrize("flag", ["--lambda-max", "--honest-loss"])
-def test_a_loss_rate_out_of_range_is_named(flag, monkeypatch, tmp_path, capsys):
+def test_a_lambda_max_out_of_range_is_named(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "_run_session", _no_rounds)
     for command in ("verify", "session"):
         out = str(tmp_path / command)
         for value, shown in (("1", "1.0"), ("-0.1", "-0.1"), ("nan", "nan")):
-            assert _run(command, f"{flag}={value}", "--out", out) == 1
-            expected = f"error: {flag} must lie in [0, 1), got {shown}\n"
+            assert _run(command, f"--lambda-max={value}", "--out", out) == 1
+            expected = f"error: --lambda-max must lie in [0, 1), got {shown}\n"
             assert capsys.readouterr() == ("", expected)
     assert list(tmp_path.iterdir()) == []
 
