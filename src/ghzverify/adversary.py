@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -57,6 +58,20 @@ class Coalition:
         return self.n - len(self.dishonest)
 
 
+@lru_cache(maxsize=128)
+def _corner_indices(coalition: Coalition) -> tuple[np.ndarray, np.ndarray]:
+    """The indices ``L`` and ``L|H`` of ``_corner``, read-only and built once
+    per coalition, over the dishonest bits in ascending order so that the
+    order of the sums does not depend on how the frozenset was built."""
+    low = np.zeros(1, dtype=np.int64)
+    for j in sorted(coalition.dishonest):
+        low = np.concatenate([low, low + (1 << j)])
+    high = low + sum(1 << j for j in coalition.honest)
+    low.setflags(write=False)
+    high.setflags(write=False)
+    return low, high
+
+
 def _corner(state: State, coalition: Coalition) -> tuple[float, float, complex]:
     """The corner block ``(r00, rNN, x)`` of the honest reduced state.
 
@@ -77,10 +92,7 @@ def _corner(state: State, coalition: Coalition) -> tuple[float, float, complex]:
     if isinstance(state, GhzDiagonal):
         share = state.weight + (2.0 ** len(coalition.dishonest) - 1.0) * state.background
         return share, share, (0j if coalition.dishonest else state.coherence.conjugate())
-    low = np.zeros(1, dtype=np.int64)
-    for j in coalition.dishonest:
-        low = np.concatenate([low, low + (1 << j)])
-    high = low + sum(1 << j for j in coalition.honest)
+    low, high = _corner_indices(coalition)
     if isinstance(state, PureState):
         a, b = state.amplitudes[low], state.amplitudes[high]
         return float(np.vdot(a, a).real), float(np.vdot(b, b).real), complex(np.vdot(a, b))
@@ -194,7 +206,7 @@ def xy_optimal_pass_probability(psi: PureState, coalition: Coalition) -> float:
     """
     r00, rnn, x = _pure_corner(psi, coalition, "xy_optimal_pass_probability")
     parts = (x.imag, x.real) if coalition.dishonest else (x.imag,)
-    return float(np.mean([0.5 + math.sqrt(_radicand(r00 * rnn, v * v)) for v in parts]))
+    return sum(0.5 + math.sqrt(_radicand(r00 * rnn, v * v)) for v in parts) / len(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,43 @@ def test_record_corner_matches_its_matrix(n, rng):
             assert x == pytest.approx(ex, abs=1e-12)
 
 
+def _corner_by_partial_trace(state, coalition):
+    reduced = oracles.partial_trace(state.to_density() if isinstance(state, qstate.PureState)
+                                    else state, coalition.honest).entries
+    return reduced[0, 0].real, reduced[-1, -1].real, reduced[-1, 0]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_corner_matches_the_partial_trace(n, rng):
+    dishonests = [(), (n - 1,), (0,), tuple(range(1, n))] + [
+        tuple(rng.choice(n, size=d, replace=False)) for d in range(1, n)
+    ]
+    if n >= 9:
+        # small ints iterate by their hash modulo the set's table size, so
+        # these iterate with the higher index first
+        dishonests += [(n - 1, 3), (1, n - 1, 4)]
+        assert list(Coalition(n, (n - 1, 3)).dishonest) == [n - 1, 3]
+    for state in (random_pure(n, rng), random_density(n, rng)):
+        for dishonest in dishonests:
+            coalition = Coalition(n, dishonest)
+            r00, rnn, x = adversary._corner(state, coalition)
+            e00, enn, ex = _corner_by_partial_trace(state, coalition)
+            assert r00 == pytest.approx(e00, abs=1e-12)
+            assert rnn == pytest.approx(enn, abs=1e-12)
+            assert x == pytest.approx(ex, abs=1e-12)
+
+
+def test_equal_coalitions_built_in_another_order_give_the_same_corner(rng):
+    # 1 and 9 share a slot of the set's table, so the one inserted first iterates first
+    first, second = Coalition(10, [1, 9, 4]), Coalition(10, [9, 1, 4])
+    assert first == second and list(first.dishonest) != list(second.dishonest)
+    for state in (random_pure(10, rng), random_density(10, rng)):
+        adversary._corner_indices.cache_clear()
+        corner = adversary._corner(state, first)
+        adversary._corner_indices.cache_clear()
+        assert adversary._corner(state, second) == corner
+
+
 def test_best_fidelity_of_a_record_above_the_dense_cap():
     n = 40
     for record in (dephased_ghz(n, 0.3), depolarized_ghz(n, 0.7)):

@@ -546,14 +546,22 @@ def test_setting_pass_matches_empirical_frequency(rng):
 def test_setting_pass_matches_the_sign_table_oracle(n, rng):
     # n = 1 leaves the low half of the qubits empty, odd n splits unevenly
     # and n = 10 is the dense cap; one qubit has one valid setting, (0,)
-    states = (random_density(n, rng), random_ghz_diagonal(n, rng), ghz_diagonal(n))
+    states = (random_density(n, rng), random_ghz_diagonal(n, rng), ghz_diagonal(n),
+              random_pure(n, rng))
+    # an even and an odd multiple of pi, then drawn settings
+    fixed = [(0.0,) * n] + ([(np.pi / 2,) * 2 + (0.0,) * (n - 2)] if n > 1 else [])
+    parities = set()
     for state in states:
-        for kind in ("theta", "xy", "theta", "xy"):
-            angles = block_assignment(kind, n, rng).angles if n > 1 else (0.0,)
+        dense = state.to_density() if isinstance(state, PureState) else state
+        drawn = [block_assignment(kind, n, rng).angles if n > 1 else (0.0,)
+                 for kind in ("theta", "xy", "theta", "xy")]
+        for angles in fixed + drawn:
+            parities.add(round(sum(angles) / np.pi) % 2)
             assert abs(
                 setting_pass_probability(state, angles)
-                - oracles.setting_pass_probability(state, angles)
+                - oracles.setting_pass_probability(dense, angles)
             ) <= 1e-12
+    assert parities == ({0, 1} if n > 1 else {0})
 
 
 @pytest.mark.parametrize(
@@ -570,7 +578,7 @@ def test_setting_pass_matches_the_sign_table_oracle(n, rng):
     ],
 )
 def test_setting_pass_rejections_name_the_problem(angles, message):
-    for state in (ghz_state(3).to_density(), ghz_diagonal(3)):
+    for state in (ghz_state(3).to_density(), ghz_diagonal(3), ghz_state(3)):
         for form in (angles, tuple(angles), np.array(angles)):
             with pytest.raises(ValueError) as err:
                 setting_pass_probability(state, form)
