@@ -311,8 +311,6 @@ def _profile_point(theta_d: float, theta_prime: float, args) -> tuple[float, flo
 
 
 def cmd_profile(args) -> int:
-    if args.angle_points < 1:
-        raise CliError("need at least one angle point")
     thetas = np.linspace(0.0, np.pi, args.angle_points, endpoint=False)
     rows = []
     for theta_d in thetas:
@@ -399,6 +397,8 @@ def main(argv=None) -> int:
                     raise CliError(f"{flag} must lie in [0, 1), got {value}")
         if "theta_prime" in args and not math.isfinite(args.theta_prime):
             raise CliError(f"--theta-prime must be a finite number, got {args.theta_prime}")
+        if "angle_points" in args and args.angle_points < 1:
+            raise CliError(f"--angle-points must be at least 1, got {args.angle_points}")
         handler = {
             "verify": cmd_verify,
             "curves": cmd_curves,

@@ -25,6 +25,13 @@ class SourceModel:
             raise ValueError(f"unknown source variant {self.variant!r}")
         if self.n < 1:
             raise ValueError("party count must be positive")
+        own = key_params(FAMILIES[self.variant][0])
+        for pname in self.params:
+            if pname not in own:
+                raise ValueError(f"source {self.variant!r} takes no parameter {pname}")
+        for pname in own:
+            if pname not in self.params:
+                raise ValueError(f"source {self.variant!r} needs parameter {pname}")
         object.__setattr__(self, "params", {k: float(v) for k, v in self.params.items()})
         for ok, message in FAMILIES[self.variant][1]:
             if not ok(self.n, self.params):
@@ -114,7 +121,7 @@ def _pumped(n: int, params: dict) -> GhzDiagonal:
 
 _PUMP_SYNTAX = "{0}:alpha=<0..1> or {0}:mean-pairs=<mean pair number>"
 
-# variant: (key syntax, with {} for the name, listing the accepted
+# variant: (key syntax, with {} for the name, listing the model's
 # parameters; checks, each a test of (n, params) and its error message;
 # builder of the state from (n, params))
 FAMILIES = {
@@ -140,7 +147,7 @@ FAMILIES = {
         _rotated_bell,
     ),
     "higher-order-calibrated": (
-        _PUMP_SYNTAX,
+        "{}:alpha=<0..1>",
         [
             (lambda n, p: n in (3, 4), "the pump model covers 3 or 4 parties only"),
             (lambda n, p: 0.0 < p["alpha"] < 1.0, "alpha must lie in (0, 1)"),
@@ -202,10 +209,12 @@ def reject_unaccepted(what: str, name: str, params, syntax: str) -> None:
             raise ValueError(message)
 
 
-# every source key and its syntax: the families, and two aliases that
-# ``from_key`` turns into a family's model
+# every source key and its syntax: the families, of which the pump family's
+# key also takes mean-pairs, and two aliases that ``from_key`` turns into a
+# family's model
 SOURCE_KEYS = {
     **{variant: family[0] for variant, family in FAMILIES.items()},
+    "higher-order-calibrated": _PUMP_SYNTAX,
     "higher-order": _PUMP_SYNTAX,
     "calibrated": "{}:fidelity=<0..1>,family=dephased|depolarized",
 }

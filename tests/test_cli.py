@@ -660,6 +660,19 @@ def test_too_few_rounds_are_named(monkeypatch, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [conf]
 
 
+def test_too_few_angle_points_are_named(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "_profile_point", _no_rounds)
+    conf = tmp_path / "points.conf"
+    conf.write_text("angle-points = 0\n")
+    out = str(tmp_path / "profile.csv")
+    for argv, shown in ((("--angle-points", "0"), 0), (("--angle-points", "-3"), -3),
+                        (("--config", str(conf)), 0)):
+        assert _run("dishonest-angle-profile", *argv, "--out", out) == 1
+        expected = f"error: --angle-points must be at least 1, got {shown}\n"
+        assert capsys.readouterr() == ("", expected)
+    assert list(tmp_path.iterdir()) == [conf]
+
+
 def test_a_lambda_max_out_of_range_is_named(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "_run_session", _no_rounds)
     for command in ("verify", "session"):

@@ -227,6 +227,15 @@ def test_models_check_their_parameters_when_built():
         ("higher-order-calibrated", 5, {"alpha": 0.2}, "the pump model covers 3 or 4 parties only"),
         ("higher-order-calibrated", 3, {"alpha": 1.0}, "alpha must lie in (0, 1)"),
         ("ideal-ghz", 0, {}, "party count must be positive"),
+        ("dephased-ghz", 3, {}, "source 'dephased-ghz' needs parameter p"),
+        ("depolarized-ghz", 3, {}, "source 'depolarized-ghz' needs parameter v"),
+        ("rotated-bell-plus", 3, {}, "source 'rotated-bell-plus' needs parameter theta"),
+        ("higher-order-calibrated", 3, {}, "source 'higher-order-calibrated' needs parameter alpha"),
+        ("dephased-ghz", 3, {"p": 0.1, "q": 2}, "source 'dephased-ghz' takes no parameter q"),
+        ("ideal-ghz", 3, {"p": 0.1}, "source 'ideal-ghz' takes no parameter p"),
+        # from_key turns the key's mean-pairs into the model's alpha
+        ("higher-order-calibrated", 3, {"mean-pairs": 0.1},
+         "source 'higher-order-calibrated' takes no parameter mean-pairs"),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             SourceModel(variant, n, params)
