@@ -212,8 +212,9 @@ def test_record_corner_matches_its_matrix(n, rng):
 
 
 def _corner_by_partial_trace(state, coalition):
-    reduced = oracles.partial_trace(state.to_density() if isinstance(state, qstate.PureState)
-                                    else state, coalition.honest).entries
+    if isinstance(state, qstate.PureState):
+        state = state.to_density()
+    reduced = oracles.partial_trace(state, coalition.honest).entries
     return reduced[0, 0].real, reduced[-1, -1].real, reduced[-1, 0]
 
 
