@@ -213,20 +213,22 @@ def xy_optimal_pass_probability(psi: PureState, coalition: Coalition) -> float:
 # loss-dependent optimal cheating curves
 
 
-def theta_cheat_pass_curve(lam: float) -> float:
+def theta_cheat_pass_curve(lam: float, name: str = "loss rate") -> float:
     """Best non-GME pass probability for the theta protocol at loss rate lam:
-    ``1/2 + sin(a)/(2a)`` with ``a = pi(1-lam)/2``."""
+    ``1/2 + sin(a)/(2a)`` with ``a = pi(1-lam)/2``; a range error calls lam
+    ``name``."""
     if not 0.0 <= lam < 1.0:
-        raise ValueError(f"loss rate must lie in [0, 1), got {lam}")
+        raise ValueError(f"{name} must lie in [0, 1), got {lam}")
     a = math.pi * (1.0 - lam) / 2.0
     return 0.5 + math.sin(a) / (2.0 * a)
 
 
-def xy_cheat_pass_curve(lam: float) -> float:
+def xy_cheat_pass_curve(lam: float, name: str = "loss rate") -> float:
     """Best non-GME pass probability for the xy protocol at loss rate lam:
-    ``(lam + (1-2*lam) cos^2(pi/8)) / (1-lam)``."""
+    ``(lam + (1-2*lam) cos^2(pi/8)) / (1-lam)``; a range error calls lam
+    ``name``."""
     if not 0.0 <= lam <= 0.5:
-        raise ValueError(f"loss rate must lie in [0, 1/2], got {lam}")
+        raise ValueError(f"{name} must lie in [0, 1/2], got {lam}")
     return (lam + (1.0 - 2.0 * lam) * XY_OPTIMUM) / (1.0 - lam)
 
 

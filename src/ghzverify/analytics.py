@@ -62,28 +62,31 @@ def dishonest_fidelity_bound(pass_probability: float) -> float:
     return 4.0 * pass_probability - 3.0
 
 
-def gme_threshold(kind: ProtocolKind, trust: TrustModel, lam: float = 0.0) -> float:
+def gme_threshold(
+    kind: ProtocolKind, trust: TrustModel, lam: float = 0.0, name: str = "loss rate"
+) -> float:
     """Pass probability a non-GME state can reach at the given loss rate.
 
     All-honest trust: 3/4 for either protocol (loss-independent, since honest
     loss is outcome-independent).  Dishonest-allowed trust: the optimal
     cheating curves, cos^2(pi/8)-based for xy and 1/2 + sin(a)/2a for theta.
+    A loss rate outside the range the two allow is rejected as ``name``.
     """
     kind = ProtocolKind(kind)
     trust = TrustModel(trust)
     if trust is TrustModel.ALL_HONEST:
         if not 0.0 <= lam < 1.0:
-            raise ValueError("loss rate must lie in [0, 1)")
+            raise ValueError(f"{name} must lie in [0, 1), got {lam}")
         return HONEST_GME_THRESHOLD
     if kind is ProtocolKind.THETA:
-        return theta_cheat_pass_curve(lam)
-    return xy_cheat_pass_curve(lam)
+        return theta_cheat_pass_curve(lam, name)
+    return xy_cheat_pass_curve(lam, name)
 
 
-def check_sigma(sigma: float) -> None:
-    """Reject a negative or non-finite sigma by name."""
+def check_sigma(sigma: float, name: str = "sigma") -> None:
+    """Reject a negative or non-finite sigma, calling it ``name``."""
     if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"sigma must be a non-negative finite number, got {sigma}")
+        raise ValueError(f"{name} must be a non-negative finite number, got {sigma}")
 
 
 def verdict(

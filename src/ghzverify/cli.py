@@ -270,13 +270,14 @@ def cmd_curves(args) -> int:
     grid = []
     for entry in filter(str.strip, args.lambda_grid.split(",")):
         try:
-            grid.append(float(entry))
+            lam = float(entry)
         except ValueError:
             raise CliError(f"--lambda-grid entry {entry.strip()!r} is not a number") from None
+        if not 0.0 <= lam < 1.0:
+            raise CliError(f"--lambda-grid entry {lam} must lie in [0, 1)")
+        grid.append(lam)
     if not grid:
         raise CliError("empty lambda grid")
-    if any(not 0.0 <= lam < 1.0 for lam in grid):
-        raise CliError("lambda grid must lie within [0, 1)")
     rows = []
     for i, lam in enumerate(grid):
         row = {"lambda": lam}
@@ -388,9 +389,9 @@ def main(argv=None) -> int:
                 args.dishonest_count, args.parties, "--dishonest-count", "--parties"
             )
         if "sigma" in args:
-            analytics.check_sigma(args.sigma)
+            analytics.check_sigma(args.sigma, "--sigma")
             # the range errors of --assumed-loss, which the verdict may not read
-            analytics.gme_threshold(args.protocol, args.trust, args.assumed_loss)
+            analytics.gme_threshold(args.protocol, args.trust, args.assumed_loss, "--assumed-loss")
             for flag in ("--lambda-max", "--honest-loss"):
                 value = getattr(args, flag[2:].replace("-", "_"))
                 if not 0.0 <= value < 1.0:
@@ -406,12 +407,10 @@ def main(argv=None) -> int:
             "session": cmd_session,
         }[command]
         return handler(args)
-    except CliError as exc:
+    except (CliError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+
 
 if __name__ == "__main__":
     sys.exit(main())

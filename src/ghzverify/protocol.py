@@ -39,15 +39,15 @@ class ProtocolKind(str, Enum):
 class Rounds:
     """The rounds of a run as arrays, one row per round.
 
-    ``angles`` (m, n) and ``parity`` (m,) are the assignments, ``bits``
-    (m, n) the outcome bits (0 for the coalition members that answer
+    ``angles`` (m, n) are the assignments, whose sums are multiples of pi,
+    ``bits`` (m, n) the outcome bits (0 for the coalition members that answer
     nothing), ``lost`` (m, n) the declared losses, which stand for the bits
-    beneath them in records, and ``passed`` (m,) the pass bits, which count
-    only in rounds without loss.
+    beneath them in records, and ``passed`` (m,) the pass bits: 1 when the
+    XOR of a row's bits equals the parity of its angle sum over pi.  They
+    count only in rounds without loss.
     """
 
     angles: np.ndarray
-    parity: np.ndarray
     bits: np.ndarray
     lost: np.ndarray
     passed: np.ndarray
@@ -102,9 +102,9 @@ def _completion(partial: np.ndarray) -> np.ndarray:
 
 def _angle_block(
     kind: ProtocolKind, n: int, m: int, rng: np.random.Generator, last_angle: float | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Angles (m, n) and parity bits (m,) of m assignments; the draws are
-    the first step of the block layout in ``run_block``."""
+) -> np.ndarray:
+    """The angles (m, n) of m assignments, each row summing to a multiple of
+    pi; the draws are the first step of the block layout in ``run_block``."""
     if n < 2:
         raise ValueError(f"need at least 2 parties, got {n}")
     if last_angle is not None:
@@ -112,23 +112,13 @@ def _angle_block(
             raise ValueError("last_angle pins a theta assignment; the xy kind takes none")
         if not 0.0 <= last_angle < np.pi:
             raise ValueError(f"last_angle must lie in [0, pi), got {last_angle}")
-        free = rng.uniform(0.0, np.pi, (m, n - 2))
-        completion = _completion(free.sum(axis=1) + last_angle)
-        pinned = np.full(m, float(last_angle))
-        angles = np.column_stack([free, completion, pinned])
-        turns = angles.sum(axis=1) / np.pi
-    elif kind is ProtocolKind.THETA:
-        free = rng.uniform(0.0, np.pi, (m, n - 1))
-        partial = free.sum(axis=1)
-        last = _completion(partial)
-        angles = np.column_stack([free, last])
-        turns = (partial + last) / np.pi
-    else:
-        free = rng.integers(0, 2, (m, n - 1))
-        count = free.sum(axis=1)
-        angles = np.column_stack([free, count % 2]) * (np.pi / 2)
-        turns = (count + count % 2) / 2
-    return angles, np.rint(turns).astype(np.int64) % 2
+    if kind is ProtocolKind.THETA:
+        pinned = [] if last_angle is None else [np.full(m, float(last_angle))]
+        free = rng.uniform(0.0, np.pi, (m, n - 1 - len(pinned)))
+        last = _completion(free.sum(axis=1) + (last_angle or 0.0))
+        return np.column_stack([free, last, *pinned])
+    free = rng.integers(0, 2, (m, n - 1))
+    return np.column_stack([free, free.sum(axis=1) % 2]) * (np.pi / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +180,7 @@ def run_block(
         raise ValueError(f"honest_loss must lie in [0, 1), got {honest_loss}")
     kind = ProtocolKind(kind)
     n, k = _parties(source, strategy)
-    angles, parity = _angle_block(kind, n, m, rng, last_angle)
+    angles = _angle_block(kind, n, m, rng, last_angle)
     lost = np.zeros((m, n), dtype=bool)
     if strategy is None:
         bits = qstate.sample_rows(source, angles, rng.random((m, n)))
@@ -199,8 +189,9 @@ def run_block(
         bits, lost[:, k] = strategy.play(source, arm, phase, angles, rng.random((m, n)))
     if honest_loss > 0.0:
         lost[:, :k] = rng.random((m, k)) < honest_loss
+    parity = np.rint(angles.sum(axis=1) / np.pi).astype(np.int64) % 2
     passed = (bits.sum(axis=1) % 2 == parity).view(np.int8)
-    return Rounds(angles, parity, bits, lost, passed)
+    return Rounds(angles, bits, lost, passed)
 
 
 def base_seed(rng: Union[int, np.random.Generator]) -> int:
@@ -237,7 +228,7 @@ def run_rounds(
     ]
     if len(blocks) == 1:
         return blocks[0]
-    columns = ("angles", "parity", "bits", "lost", "passed")
+    columns = ("angles", "bits", "lost", "passed")
     arrays = (np.concatenate([getattr(r, c) for r in blocks]) for c in columns)
     return Rounds(*arrays)
 

@@ -144,28 +144,12 @@ class DensityMatrix:
         object.__setattr__(self, "entries", mat)
 
 
-# rows per block of the Hermitian test.  The blocks save time, not memory:
-# at n = 10 the test takes 4-5 ms against 18-20 ms for one whole-matrix
-# comparison, while the constructor's peak stays at 32 MiB either way, set by
-# the two copies it makes after the test
-_HERMITIAN_BLOCK = 64
-
-
 def _is_hermitian(mat: np.ndarray) -> bool:
-    """True when ``mat`` equals its conjugate transpose within 1e-9 entrywise.
-
-    Rows i..i+B are compared with columns i..i+B from column (row) i on, which
-    covers every pair once and the diagonal; at most B rows this is one
-    comparison of the whole matrix.  A NaN or infinite entry makes a block's
-    maximum NaN or infinite and fails the test.
-    """
+    """True when ``mat`` equals its conjugate transpose within 1e-9 entrywise;
+    a NaN or infinite entry makes the maximum NaN or infinite and fails."""
     # inf - inf is a NaN, which fails the test as intended: no warning
     with np.errstate(invalid="ignore"):
-        for i in range(0, len(mat), _HERMITIAN_BLOCK):
-            j = i + _HERMITIAN_BLOCK
-            if not np.max(np.abs(mat[i:j, i:] - mat[i:, i:j].conj().T)) <= NORM_TOL:
-                return False
-    return True
+        return bool(np.max(np.abs(mat - mat.conj().T)) <= NORM_TOL)
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,7 @@ def block_assignment(kind, n: int, rng, *, last_angle: float | None = None):
     """One assignment drawn as the angle step of a one-row block of
     ``protocol.run_block``."""
     kind = protocol.ProtocolKind(kind)
-    angles, parity = protocol._angle_block(kind, n, 1, rng, last_angle)
-    return oracles.Assignment(tuple(angles[0].tolist()), kind, int(parity[0]))
+    return oracles.Assignment.of(protocol._angle_block(kind, n, 1, rng, last_angle)[0], kind)
 
 
 @pytest.fixture

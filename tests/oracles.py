@@ -492,6 +492,12 @@ class Assignment:
     def n(self):
         return len(self.angles)
 
+    @classmethod
+    def of(cls, angles, kind):
+        """The assignment of ``angles``, with the parity of their sum."""
+        angles = tuple(float(a) for a in angles)
+        return cls(angles, kind, round(sum(angles) / np.pi) % 2)
+
 
 @dataclass(frozen=True)
 class Row:
@@ -513,10 +519,8 @@ def rows(rounds, kind, start=0):
     for r in range(len(rounds.angles)):
         lost = [bool(x) for x in rounds.lost[r]]
         outcomes = tuple(LOSS if l else int(b) for b, l in zip(rounds.bits[r], lost))
-        angles = tuple(float(a) for a in rounds.angles[r])
         passed = None if any(lost) else int(rounds.passed[r])
-        out.append(Row(start + r, Assignment(angles, kind, int(rounds.parity[r])),
-                       outcomes, passed))
+        out.append(Row(start + r, Assignment.of(rounds.angles[r], kind), outcomes, passed))
     return out
 
 
@@ -561,7 +565,7 @@ def sample_angles(kind, n, rng, last_angle=None):
         free = rng.integers(0, 2, n - 1)
         last = (int(free.sum()) % 2) * (np.pi / 2)
         angles = tuple(float(b) * (np.pi / 2) for b in free) + (last,)
-    return Assignment(angles, kind, int(round(sum(angles) / np.pi)) % 2)
+    return Assignment.of(angles, kind)
 
 
 def run_round(source, strategy, kind, rng, *, honest_loss=0.0, index=0, last_angle=None):
@@ -696,9 +700,7 @@ def profile_point(theta_d, theta_prime, n, rounds, seed):
         for r in range(m):
             completion = (-(free[r].sum() + theta_d)) % np.pi
             angles = tuple(free[r].tolist()) + (float(completion), float(theta_d))
-            assignment = Assignment(
-                angles, protocol.ProtocolKind.THETA, int(round(sum(angles) / np.pi)) % 2
-            )
+            assignment = Assignment.of(angles, protocol.ProtocolKind.THETA)
             side = strat.sample_side_info(None, None)
             bits = sample_outcomes(side.honest_state, angles[:-1],
                                    ScriptedRng(uniforms[r, : n - 1].tolist()))

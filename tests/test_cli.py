@@ -118,10 +118,11 @@ def test_honest_loss_sets_the_verdict_loss_rate_unless_more_is_assumed(tmp_path)
 
 
 @pytest.mark.parametrize("flags,expected", [
-    (("--assumed-loss", "-0.1"), "loss rate must lie in [0, 1), got -0.1"),
-    (("--assumed-loss", "nan"), "loss rate must lie in [0, 1), got nan"),
-    (("--protocol", "xy", "--assumed-loss", "0.6"), "loss rate must lie in [0, 1/2], got 0.6"),
-])
+    (("--assumed-loss", "-0.1"), "--assumed-loss must lie in [0, 1), got -0.1"),
+    (("--assumed-loss", "nan"), "--assumed-loss must lie in [0, 1), got nan"),
+    (("--protocol", "xy", "--assumed-loss", "0.6"), "--assumed-loss must lie in [0, 1/2], got 0.6"),
+    (("--trust", "all-honest", "--assumed-loss", "1"), "--assumed-loss must lie in [0, 1), got 1.0"),
+], ids=["negative", "nan", "xy-above-half", "all-honest-one"])
 def test_assumed_loss_out_of_range_is_named(flags, expected, capsys):
     assert _run("verify", "--honest-loss", "0.1", *flags) == 1
     assert capsys.readouterr().err == f"error: {expected}\n"
@@ -359,8 +360,9 @@ def test_flags_a_subcommand_does_not_read_are_rejected(argv, flag, capsys):
 
 
 def test_bad_lambda_grid_entry_is_named(capsys):
-    assert _run("curves", "--lambda-grid", "0,abc", "--rounds", "10") == 1
-    assert capsys.readouterr().err == "error: --lambda-grid entry 'abc' is not a number\n"
+    for grid, expected in (("0,abc", "'abc' is not a number"), ("0.6,1.2", "1.2 must lie in [0, 1)")):
+        assert _run("curves", "--lambda-grid", grid, "--rounds", "10") == 1
+        assert capsys.readouterr().err == f"error: --lambda-grid entry {expected}\n"
 
 
 def test_dishonest_count_with_an_honest_strategy_is_rejected(tmp_path, capsys):
@@ -530,11 +532,11 @@ def test_a_bad_sigma_is_named(monkeypatch, tmp_path, capsys):
                     "--sigma", value, "--out", out)
             assert _run(*argv) == 1
             assert capsys.readouterr().err == (
-                f"error: sigma must be a non-negative finite number, got {shown}\n"
+                f"error: --sigma must be a non-negative finite number, got {shown}\n"
             )
         assert _run(command, "--config", str(conf), "--out", out) == 1
         assert capsys.readouterr().err == (
-            "error: sigma must be a non-negative finite number, got -1.0\n"
+            "error: --sigma must be a non-negative finite number, got -1.0\n"
         )
     assert list(tmp_path.iterdir()) == [conf]
 

@@ -80,10 +80,17 @@ def test_theta_sampler_constraint_and_marginals(rng):
 
 
 def test_sampler_output_survives_full_validation(rng):
-    # every sampled assignment sums to a multiple of pi, lies in [0, pi),
-    # takes only 0 and pi/2 under xy and carries the parity of its sum
-    for kind, n in ((ProtocolKind.THETA, 3), (ProtocolKind.THETA, 5), (ProtocolKind.XY, 4)):
-        block = run_block(qstate.ghz_diagonal(n), None, kind, 500, rng)
+    # every sampled assignment sums to a multiple of pi, lies in [0, pi) and
+    # takes only 0 and pi/2 under xy; a row passes exactly when the XOR of its
+    # bits equals the parity of that multiple.  From 8 angles on numpy may sum
+    # a row in another order than the completion did
+    cases = [(ProtocolKind.THETA, 3, None), (ProtocolKind.THETA, 5, None),
+             (ProtocolKind.XY, 4, None)]
+    for n in range(8, 13):
+        cases += [(ProtocolKind.THETA, n, None), (ProtocolKind.THETA, n, 1.0),
+                  (ProtocolKind.XY, n, None)]
+    for kind, n, last_angle in cases:
+        block = run_block(dephased_ghz(n, 0.3), None, kind, 500, rng, last_angle=last_angle)
         total = block.angles.sum(axis=1)
         m = np.round(total / np.pi)
         assert np.all(np.abs(total - m * np.pi) <= 1e-9)
@@ -91,7 +98,8 @@ def test_sampler_output_survives_full_validation(rng):
         if kind is ProtocolKind.XY:
             off = np.minimum(np.abs(block.angles), np.abs(block.angles - np.pi / 2))
             assert np.all(off <= 1e-12)
-        np.testing.assert_array_equal(block.parity, m % 2)
+        assert 0 < block.passed.sum() < len(block)
+        np.testing.assert_array_equal(block.passed, block.bits.sum(axis=1) % 2 == m % 2)
 
 
 def test_xy_sampler_always_even_half_pi_count(rng):
@@ -177,7 +185,7 @@ def test_block_draw_layout(kind, name, n, d, rows, honest_loss, theta, seed):
     assert np.all((block.angles >= 0.0) & (block.angles < np.pi))
     turns = block.angles.sum(axis=1) / np.pi
     assert np.all(np.abs(turns - np.rint(turns)) <= 1e-9 / np.pi)
-    np.testing.assert_array_equal(block.parity, np.rint(turns) % 2)
+    np.testing.assert_array_equal(block.passed, block.bits.sum(axis=1) % 2 == np.rint(turns) % 2)
     k = n if strat is None else n - d
     expected_lost = np.zeros((rows, k), dtype=bool)
     if honest_loss:
@@ -194,7 +202,7 @@ def test_block_completion_that_rounds_to_pi_is_zero():
                           last_angle=last_angle)
         assert script.exhausted()
         assert block.angles[0, n - 1 if last_angle is None else n - 2] == 0.0
-        assert block.parity[0] == 0
+        assert block.passed[0] == (block.bits[0].sum() % 2 == 0)
         assert block.angles[1, 0] == 0.5
 
 

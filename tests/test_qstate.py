@@ -135,8 +135,7 @@ def test_positivity_check_matches_eigenvalue_oracle(n, lowest, seed):
         DensityMatrix(n, mat)
 
 
-# at n = 8 the comparison runs in several blocks of rows; there the entry
-# sits past the first block of rows and columns
+# at n = 8 the entry sits far from the diagonal of a 256 x 256 matrix
 @pytest.mark.parametrize("n,low,high", [(2, 1, 3), (8, 70, 200)])
 @pytest.mark.parametrize("bad", [2e-9, np.nan])
 @pytest.mark.parametrize("upper", [True, False])
