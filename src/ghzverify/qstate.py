@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NoReturn, Sequence, Union
 
 import numpy as np
@@ -45,26 +45,31 @@ def check_qubits(n: int, cap: int) -> None:
         raise ValueError(f"qubit count must be in [1, {cap}], got {n}")
 
 
-def angle_values(
-    angles: Sequence[float] | np.ndarray, n: int, *, setting: bool = False
-) -> np.ndarray:
-    """Angles as a float array of any rank whose last axis holds ``n``
-    angles, each validated to lie in [0, pi).  With ``setting`` the array
-    must be one setting, a single row of ``n`` angles."""
-    vals = np.asarray(angles, dtype=float)
-    if setting and vals.ndim > 1:
-        raise ValueError(f"expected one setting of {n} angles, got shape {vals.shape}")
+def _half_shape(n: int) -> tuple[int, int]:
+    """``(2^hi, 2^lo)`` for the high ``hi = ceil(n/2)`` and the low
+    ``lo = floor(n/2)`` qubits: basis index ``i = k * 2^lo + j`` sits at row
+    k, column j of an array of this shape."""
+    return 2 ** (n - n // 2), 2 ** (n // 2)
+
+
+_ANGLE_RANGE = "measurement angles must lie in [0, pi)"
+
+
+def _check_angle_count(vals: np.ndarray, n: int) -> None:
     count = vals.shape[-1] if vals.ndim else 0
     if count != n:
         raise ValueError(f"expected {n} angles, got {count}")
-    # comparisons, so that a NaN fails wherever it sits; a row of n floats
-    # is tested in Python, which beats three ufuncs and a reduction
-    if vals.ndim == 1:
-        valid = all(0.0 <= t < math.pi for t in vals.tolist())
-    else:
-        valid = ((vals >= 0.0) & (vals < np.pi)).all()
-    if not valid:
-        raise ValueError("measurement angles must lie in [0, pi)")
+
+
+def angle_values(angles: Sequence[float] | np.ndarray, n: int) -> np.ndarray:
+    """Angles as a float array of any rank whose last axis holds ``n``
+    angles, each validated to lie in [0, pi).  ``setting_pass_probability``
+    checks its one setting itself, in one pass over a Python list."""
+    vals = np.asarray(angles, dtype=float)
+    _check_angle_count(vals, n)
+    # comparisons, so that a NaN fails wherever it sits
+    if not ((vals >= 0.0) & (vals < np.pi)).all():
+        raise ValueError(_ANGLE_RANGE)
     return vals
 
 
@@ -90,6 +95,21 @@ class PureState:
 
     def to_density(self) -> "DensityMatrix":
         return DensityMatrix(self.n, np.outer(self.amplitudes, self.amplitudes.conj()))
+
+    @cached_property
+    def anti_diagonal(self) -> np.ndarray:
+        """``v_i conj(v_{2^n-1-i})`` as a read-only ``_half_shape(n)`` array,
+        computed on the first call of the setting kernel: one more ``2^n``
+        complex array per state, held as long as the state."""
+        v = self.amplitudes
+        anti = v * v[::-1].conj()
+        anti.setflags(write=False)
+        return anti.reshape(_half_shape(self.n))
+
+    @property
+    def rank_one(self) -> np.ndarray:
+        """The amplitudes: a state vector is always rank 1."""
+        return self.amplitudes
 
 
 def _reject(values: np.ndarray, what: str, message: str) -> NoReturn:
@@ -142,6 +162,19 @@ class DensityMatrix:
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
+
+    @cached_property
+    def anti_diagonal(self) -> np.ndarray:
+        """``rho[i, 2^n-1-i]`` as a read-only strided ``_half_shape(n)`` view
+        of the entries, made on first use."""
+        # flat indices d-1, 2(d-1), ..., d(d-1) are [i, d-1-i] for i = 0..d-1
+        d = 2**self.n
+        return self.entries.reshape(-1)[d - 1 : d * d - 1 : d - 1].reshape(_half_shape(self.n))
+
+    @cached_property
+    def rank_one(self) -> np.ndarray | None:
+        """``_rank_one_vector(self)``, found on first use."""
+        return _rank_one_vector(self)
 
 
 def _is_hermitian(mat: np.ndarray) -> bool:
@@ -365,28 +398,32 @@ def setting_pass_probability(rho: State, angles: Sequence[float]) -> float:
     ``PureState`` ``v`` has the anti-diagonal ``v_i conj(v_{2^n-1-i})``.  On a
     ``GhzDiagonal`` record only the corners are nonzero, and the sum is
     ``2 Re(c e^{i*T})`` with ``c = rho[0, 2^n - 1]`` and ``T`` the angle sum.
-    The angles must be one setting of n angles, checked as ``angle_values``
-    checks them, and their sum must be a multiple of pi within 1e-9.
+    The angles must be one setting of n angles, each in [0, pi), checked in
+    one pass over their Python list, and their sum must be a multiple of pi
+    within 1e-9.  The anti-diagonal is the state's ``anti_diagonal``,
+    computed on the first call and held by the state.
     """
     n = rho.n
-    vals = angle_values(angles, n, setting=True)
-    total = sum(vals.tolist())
+    vals = np.asarray(angles, dtype=float)
+    if vals.ndim > 1:
+        raise ValueError(f"expected one setting of {n} angles, got shape {vals.shape}")
+    _check_angle_count(vals, n)
+    # comparisons, so that a NaN fails wherever it sits; a row of n floats
+    # is tested in Python, which beats three ufuncs and a reduction
+    row = vals.tolist()
+    if not all(0.0 <= t < math.pi for t in row):
+        raise ValueError(_ANGLE_RANGE)
+    total = sum(row)
     m = round(total / math.pi)
     if abs(total - m * math.pi) > NORM_TOL:
         raise ValueError("angle sum must be a multiple of pi within 1e-9")
     if isinstance(rho, GhzDiagonal):
         expectation = 2.0 * (rho.coherence * cmath.exp(1j * total)).real
     else:
-        hi, lo = 2 ** (n - n // 2), 2 ** (n // 2)
-        # i = k * lo + j sits at row k, column j of the (hi, lo) view
-        if isinstance(rho, PureState):
-            anti = (rho.amplitudes * rho.amplitudes[::-1].conj()).reshape(hi, lo)
-        else:
-            # flat indices d-1, 2(d-1), ..., d(d-1) are [i, d-1-i] for i = 0..d-1
-            d = hi * lo
-            anti = rho.entries.reshape(-1)[d - 1 : d * d - 1 : d - 1].reshape(hi, lo)
+        anti = rho.anti_diagonal
         # ndarray.dot: at these sizes matmul's ufunc dispatch costs about twice as much
         phases = np.exp(_half_sign_table(n).dot(vals))
+        hi = len(anti)
         expectation = float(phases[:hi].dot(anti.dot(phases[hi:])).real)
     return 0.5 * (1.0 + (expectation if m % 2 == 0 else -expectation))
 
@@ -416,16 +453,14 @@ def _eigen_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(w).sum()) ** 2
 
 
-def _rank_one_vector(state: Union[PureState, DensityMatrix]) -> np.ndarray | None:
+def _rank_one_vector(state: DensityMatrix) -> np.ndarray | None:
     """A unit vector ``v`` with ``state = v v*``, or None when there is none.
 
-    A ``PureState`` gives its amplitudes.  A matrix is rank 1 when it equals
-    ``v v*`` within 1e-9 entrywise, ``v`` its largest-diagonal column
-    normalised: for ``rho = w w*`` that column is ``w conj(w_j)``, which is
-    ``w`` up to a phase once normalised.
+    A matrix is rank 1 when it equals ``v v*`` within 1e-9 entrywise, ``v``
+    its largest-diagonal column normalised: for ``rho = w w*`` that column
+    is ``w conj(w_j)``, which is ``w`` up to a phase once normalised, and it
+    is returned read-only.
     """
-    if isinstance(state, PureState):
-        return state.amplitudes
     mat = state.entries
     diag = mat.diagonal().real
     col = mat[:, int(np.argmax(diag))]
@@ -433,6 +468,7 @@ def _rank_one_vector(state: Union[PureState, DensityMatrix]) -> np.ndarray | Non
     # the diagonal first: it rejects most mixed states in O(2^n)
     if (np.max(np.abs(v.real**2 + v.imag**2 - diag)) <= NORM_TOL
             and np.max(np.abs(np.outer(v, v.conj()) - mat)) <= NORM_TOL):
+        v.setflags(write=False)
         return v
     return None
 
@@ -442,10 +478,12 @@ def fidelity(rho: State, sigma: State) -> float:
 
     Symmetric in its arguments.  Two ``GhzDiagonal`` records take a closed
     form in O(1).  Otherwise, when an argument other than a record
-    is rank 1, ``v v*`` (``_rank_one_vector``, a ``PureState`` first), the
+    is rank 1, ``v v*`` (its ``rank_one``, a ``PureState`` first), the
     value is ``<v|other|v>``: ``|<v|w>|^2`` for a pure ``other``, and
     ``b + (w - b)(|v_0|^2 + |v_N|^2) + 2 Re(c conj(v_0) v_N)`` for a record,
     read without its dense matrix.  Any other pair takes ``_eigen_fidelity``.
+    A state's ``rank_one`` is found on first use and held by the state, so
+    a second call with the same target skips its O(4^n) rank-one test.
     """
     if rho.n != sigma.n:
         raise ValueError(f"dimension mismatch: {rho.n} vs {sigma.n} qubits")
@@ -461,7 +499,7 @@ def fidelity(rho: State, sigma: State) -> float:
         return min((root + (2.0**rho.n - 2.0) * math.sqrt(backs)) ** 2, 1.0)
     pair = sorted((rho, sigma), key=lambda s: not isinstance(s, PureState))
     for pure, other in (pair, pair[::-1]):
-        v = None if isinstance(pure, GhzDiagonal) else _rank_one_vector(pure)
+        v = None if isinstance(pure, GhzDiagonal) else pure.rank_one
         if v is None:
             continue
         if isinstance(other, PureState):

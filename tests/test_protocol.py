@@ -129,7 +129,7 @@ def test_pinned_last_angle_layout(n, theta, seed, rows):
         total = sum(asg.angles)
         m = round(total / np.pi)
         assert abs(total - m * np.pi) <= 1e-9
-        assert asg.parity == m % 2
+        assert block.passed[r] == (block.bits[r].sum() % 2 == m % 2)
         assert 0.0 <= asg.angles[-2] < np.pi
 
 

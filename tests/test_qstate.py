@@ -773,6 +773,65 @@ def test_fidelity_of_mixed_arguments_takes_the_eigen_path(n, rng, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# derived data held per state
+
+
+def _fresh_anti_diagonal(state):
+    """The anti-diagonal computed anew, shaped (2^ceil(n/2), 2^floor(n/2))."""
+    n = state.n
+    shape = (2 ** (n - n // 2), 2 ** (n // 2))
+    if isinstance(state, PureState):
+        v = state.amplitudes
+        return (v * v[::-1].conj()).reshape(shape)
+    d = 2**n
+    return state.entries[np.arange(d), d - 1 - np.arange(d)].reshape(shape)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_anti_diagonal_is_made_on_first_use_read_only_and_kept(n, rng):
+    psi = random_pure(n, rng)
+    for state in (random_density(n, rng), psi.to_density(), psi):
+        assert "anti_diagonal" not in vars(state)
+        anti = state.anti_diagonal
+        assert anti is state.anti_diagonal
+        np.testing.assert_array_equal(anti, _fresh_anti_diagonal(state))
+        with pytest.raises(ValueError):
+            anti[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            anti.base.flat[0] = 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_rank_one_is_none_for_a_mixed_matrix_and_v_v_star_for_a_rank_one_one(n, rng):
+    mixed = random_density(n, rng)
+    assert "rank_one" not in vars(mixed)
+    assert mixed.rank_one is None
+    assert "rank_one" in vars(mixed)
+    psi = random_pure(n, rng)
+    assert psi.rank_one is psi.amplitudes
+    for rank1 in (psi.to_density(), ghz_state(n).to_density()):
+        v = rank1.rank_one
+        assert v is rank1.rank_one
+        assert np.max(np.abs(np.outer(v, v.conj()) - rank1.entries)) <= 1e-9
+        with pytest.raises(ValueError):
+            v[0] = 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_a_second_call_returns_the_first_float_bit_for_bit(n, rng):
+    states = (random_density(n, rng), random_pure(n, rng).to_density(), random_pure(n, rng))
+    drawn = [block_assignment("theta", n, rng).angles if n > 1 else (0.0,) for _ in range(3)]
+    target = ghz_state(n).to_density()
+    for state in states:
+        for angles in drawn:
+            first = setting_pass_probability(state, angles)
+            assert setting_pass_probability(state, angles).hex() == first.hex()
+        for a, b in ((state, target), (target, state)):
+            first = fidelity(a, b)
+            assert fidelity(a, b).hex() == first.hex()
+
+
+# ---------------------------------------------------------------------------
 # noisy sources
 
 
