@@ -72,11 +72,8 @@ def gme_threshold(
     cheating curves, cos^2(pi/8)-based for xy and 1/2 + sin(a)/2a for theta.
     A loss rate outside the range the two allow is rejected as ``name``.
     """
-    return _threshold(ProtocolKind(kind), TrustModel(trust), lam, name)
-
-
-def _threshold(kind: ProtocolKind, trust: TrustModel, lam: float, name: str = "loss rate") -> float:
-    """``gme_threshold`` for a ``kind`` and a ``trust`` that are already members."""
+    kind = ProtocolKind(kind)
+    trust = TrustModel(trust)
     if trust is TrustModel.ALL_HONEST:
         if not 0.0 <= lam < 1.0:
             raise ValueError(f"{name} must lie in [0, 1), got {lam}")
@@ -103,9 +100,7 @@ def verdict(
     if stats.valid < 1:
         raise ValueError("verdict needs at least one valid round")
     check_sigma(sigma)
-    kind = ProtocolKind(kind)
-    trust = TrustModel(trust)
-    threshold = _threshold(kind, trust, lam)
+    threshold = gme_threshold(kind, trust, lam)
     gap = stats.estimate - threshold
     if stats.stderr > 0.0:
         margin = gap / stats.stderr
@@ -116,7 +111,7 @@ def verdict(
         decision="GME-VERIFIED" if verified else "INCONCLUSIVE",
         margin=margin,
         threshold=threshold,
-        trust=trust,
+        trust=TrustModel(trust),
         lam=lam,
         sigma=sigma,
         estimate=stats.estimate,
@@ -140,7 +135,7 @@ def max_tolerable_loss(
     trust = TrustModel(trust)
     if not 0.0 <= pass_probability <= 1.0:
         raise ValueError("pass probability must lie in [0, 1]")
-    floor = _threshold(kind, trust, 0.0)
+    floor = gme_threshold(kind, trust, 0.0)
     if pass_probability < floor:
         raise ValueError(
             f"pass probability {pass_probability} is below the zero-loss threshold {floor}"

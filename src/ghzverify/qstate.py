@@ -45,11 +45,11 @@ def check_qubits(n: int, cap: int) -> None:
         raise ValueError(f"qubit count must be in [1, {cap}], got {n}")
 
 
-def _half_shape(n: int) -> tuple[int, int]:
-    """``(2^hi, 2^lo)`` for the high ``hi = ceil(n/2)`` and the low
-    ``lo = floor(n/2)`` qubits: basis index ``i = k * 2^lo + j`` sits at row
-    k, column j of an array of this shape."""
-    return 2 ** (n - n // 2), 2 ** (n // 2)
+def _halves(n: int) -> tuple[int, int]:
+    """``(hi, lo)``: the counts ``ceil(n/2)`` of high and ``floor(n/2)`` of
+    low qubits.  Basis index ``i = k * 2^lo + j`` sits at row k, column j of
+    a ``(2^hi, 2^lo)`` array."""
+    return n - n // 2, n // 2
 
 
 _ANGLE_RANGE = "measurement angles must lie in [0, pi)"
@@ -98,18 +98,14 @@ class PureState:
 
     @cached_property
     def anti_diagonal(self) -> np.ndarray:
-        """``v_i conj(v_{2^n-1-i})`` as a read-only ``_half_shape(n)`` array,
-        computed on the first call of the setting kernel: one more ``2^n``
-        complex array per state, held as long as the state."""
+        """``v_i conj(v_{2^n-1-i})`` as a read-only ``(2^hi, 2^lo)`` array
+        (``_halves``), computed on the first call of the setting kernel: one
+        more ``2^n`` complex array per state, held as long as the state."""
         v = self.amplitudes
         anti = v * v[::-1].conj()
         anti.setflags(write=False)
-        return anti.reshape(_half_shape(self.n))
-
-    @property
-    def rank_one(self) -> np.ndarray:
-        """The amplitudes: a state vector is always rank 1."""
-        return self.amplitudes
+        hi, lo = _halves(self.n)
+        return anti.reshape(2**hi, 2**lo)
 
 
 def _reject(values: np.ndarray, what: str, message: str) -> NoReturn:
@@ -165,16 +161,12 @@ class DensityMatrix:
 
     @cached_property
     def anti_diagonal(self) -> np.ndarray:
-        """``rho[i, 2^n-1-i]`` as a read-only strided ``_half_shape(n)`` view
-        of the entries, made on first use."""
+        """``rho[i, 2^n-1-i]`` as a read-only strided ``(2^hi, 2^lo)`` view
+        of the entries (``_halves``), made on first use."""
         # flat indices d-1, 2(d-1), ..., d(d-1) are [i, d-1-i] for i = 0..d-1
         d = 2**self.n
-        return self.entries.reshape(-1)[d - 1 : d * d - 1 : d - 1].reshape(_half_shape(self.n))
-
-    @cached_property
-    def rank_one(self) -> np.ndarray | None:
-        """``_rank_one_vector(self)``, found on first use."""
-        return _rank_one_vector(self)
+        hi, lo = _halves(self.n)
+        return self.entries.reshape(-1)[d - 1 : d * d - 1 : d - 1].reshape(2**hi, 2**lo)
 
 
 def _is_hermitian(mat: np.ndarray) -> bool:
@@ -371,8 +363,7 @@ def _half_sign_table(n: int) -> np.ndarray:
     ``k < 2^hi`` holds ``1j * (-1)^bit`` of the bits of k in the high
     columns, row ``2^hi + k`` those of k in the low columns, and every
     other entry is 0."""
-    lo = n // 2
-    hi = n - lo
+    hi, lo = _halves(n)
     high, low = ((np.arange(2**w)[:, None] >> np.arange(w)) & 1 for w in (hi, lo))
     table = np.zeros((2**hi + 2**lo, n), dtype=complex)
     table[: 2**hi, lo:] = 1j * (1.0 - 2.0 * high)
@@ -453,14 +444,16 @@ def _eigen_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(w).sum()) ** 2
 
 
-def _rank_one_vector(state: DensityMatrix) -> np.ndarray | None:
+def _rank_one_vector(state: Union[PureState, DensityMatrix]) -> np.ndarray | None:
     """A unit vector ``v`` with ``state = v v*``, or None when there is none.
 
-    A matrix is rank 1 when it equals ``v v*`` within 1e-9 entrywise, ``v``
-    its largest-diagonal column normalised: for ``rho = w w*`` that column
-    is ``w conj(w_j)``, which is ``w`` up to a phase once normalised, and it
-    is returned read-only.
+    A ``PureState`` gives its amplitudes.  A matrix is rank 1 when it equals
+    ``v v*`` within 1e-9 entrywise, ``v`` its largest-diagonal column
+    normalised: for ``rho = w w*`` that column is ``w conj(w_j)``, which is
+    ``w`` up to a phase once normalised.
     """
+    if isinstance(state, PureState):
+        return state.amplitudes
     mat = state.entries
     diag = mat.diagonal().real
     col = mat[:, int(np.argmax(diag))]
@@ -468,7 +461,6 @@ def _rank_one_vector(state: DensityMatrix) -> np.ndarray | None:
     # the diagonal first: it rejects most mixed states in O(2^n)
     if (np.max(np.abs(v.real**2 + v.imag**2 - diag)) <= NORM_TOL
             and np.max(np.abs(np.outer(v, v.conj()) - mat)) <= NORM_TOL):
-        v.setflags(write=False)
         return v
     return None
 
@@ -478,12 +470,10 @@ def fidelity(rho: State, sigma: State) -> float:
 
     Symmetric in its arguments.  Two ``GhzDiagonal`` records take a closed
     form in O(1).  Otherwise, when an argument other than a record
-    is rank 1, ``v v*`` (its ``rank_one``, a ``PureState`` first), the
+    is rank 1, ``v v*`` (``_rank_one_vector``, a ``PureState`` first), the
     value is ``<v|other|v>``: ``|<v|w>|^2`` for a pure ``other``, and
     ``b + (w - b)(|v_0|^2 + |v_N|^2) + 2 Re(c conj(v_0) v_N)`` for a record,
     read without its dense matrix.  Any other pair takes ``_eigen_fidelity``.
-    A state's ``rank_one`` is found on first use and held by the state, so
-    a second call with the same target skips its O(4^n) rank-one test.
     """
     if rho.n != sigma.n:
         raise ValueError(f"dimension mismatch: {rho.n} vs {sigma.n} qubits")
@@ -499,7 +489,7 @@ def fidelity(rho: State, sigma: State) -> float:
         return min((root + (2.0**rho.n - 2.0) * math.sqrt(backs)) ** 2, 1.0)
     pair = sorted((rho, sigma), key=lambda s: not isinstance(s, PureState))
     for pure, other in (pair, pair[::-1]):
-        v = None if isinstance(pure, GhzDiagonal) else pure.rank_one
+        v = None if isinstance(pure, GhzDiagonal) else _rank_one_vector(pure)
         if v is None:
             continue
         if isinstance(other, PureState):

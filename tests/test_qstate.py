@@ -802,33 +802,13 @@ def test_anti_diagonal_is_made_on_first_use_read_only_and_kept(n, rng):
 
 
 @pytest.mark.parametrize("n", range(1, 11))
-def test_rank_one_is_none_for_a_mixed_matrix_and_v_v_star_for_a_rank_one_one(n, rng):
-    mixed = random_density(n, rng)
-    assert "rank_one" not in vars(mixed)
-    assert mixed.rank_one is None
-    assert "rank_one" in vars(mixed)
-    psi = random_pure(n, rng)
-    assert psi.rank_one is psi.amplitudes
-    for rank1 in (psi.to_density(), ghz_state(n).to_density()):
-        v = rank1.rank_one
-        assert v is rank1.rank_one
-        assert np.max(np.abs(np.outer(v, v.conj()) - rank1.entries)) <= 1e-9
-        with pytest.raises(ValueError):
-            v[0] = 0.0
-
-
-@pytest.mark.parametrize("n", range(1, 11))
-def test_a_second_call_returns_the_first_float_bit_for_bit(n, rng):
+def test_a_second_setting_call_returns_the_first_float_bit_for_bit(n, rng):
     states = (random_density(n, rng), random_pure(n, rng).to_density(), random_pure(n, rng))
     drawn = [block_assignment("theta", n, rng).angles if n > 1 else (0.0,) for _ in range(3)]
-    target = ghz_state(n).to_density()
     for state in states:
         for angles in drawn:
             first = setting_pass_probability(state, angles)
             assert setting_pass_probability(state, angles).hex() == first.hex()
-        for a, b in ((state, target), (target, state)):
-            first = fidelity(a, b)
-            assert fidelity(a, b).hex() == first.hex()
 
 
 # ---------------------------------------------------------------------------
