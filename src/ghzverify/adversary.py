@@ -23,7 +23,7 @@ import numpy as np
 
 from . import qstate
 from .qstate import DensityMatrix, GhzDiagonal, PureState, State
-from .sources import key_number, key_params, reject_unaccepted, split_key
+from .sources import check_key_params, format_key, key_number, key_params, split_key
 
 XY_OPTIMUM = math.cos(math.pi / 8) ** 2
 
@@ -273,11 +273,8 @@ class CheatStrategy:
         """The strategy key that ``from_key`` parses back into this strategy;
         theta-prime is left out at its default 0."""
         values = {"lam": self.lam, "theta-prime": self.theta_prime}
-        inner = ",".join(
-            f"{p}={values[p]!r}" for p in key_params(_syntax(self.name))
-            if p == "lam" or values[p] != 0.0
-        )
-        return f"{self.name}:{inner}" if inner else self.name
+        shown = [p for p in key_params(_syntax(self.name)) if p == "lam" or values[p] != 0.0]
+        return format_key(self.name, {p: values[p] for p in shown})
 
     def draw_side(self, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The arm (m,) and the GHZ phase ``phi`` (m,) of m rounds, drawing as
@@ -362,7 +359,7 @@ _THETA_ARC = PhaseArm((0.0,), "arc")
 _THETA_SYNTAX = "{}:lam=<0..1>[,theta-prime=<radians>]"
 
 # name: (key syntax, CheatStrategy fields).  A strategy takes the parameters
-# its syntax names; lam, where named, is required and is the target loss rate.
+# its syntax names, those in [...] optional; lam is the target loss rate.
 STRATEGIES = {
     "xy-perfect-loss50": ("{}", dict(arms=(_XY_LOSS50,))),
     "xy-naive-loss": ("{}", dict(arms=(PhaseArm((0.0,), "xy-basis"),))),
@@ -428,16 +425,16 @@ def make_strategy(
     """
     syntax = _syntax(name)
     given = [p for p, v in (("lam", lam), ("theta-prime", theta_prime)) if v is not None]
-    reject_unaccepted("strategy", name, given, syntax)
+    check_key_params("strategy", name, given, syntax)
     fields = STRATEGIES[name][1]
     check_dishonest_count(dishonest_count, n_parties)
     tp = 0.0 if theta_prime is None else float(theta_prime)
     if not 0.0 <= tp < 2.0 * math.pi:
         raise ValueError("theta_prime must lie in [0, 2*pi)")
-    if "lam" in key_params(syntax):
+    if lam is not None:
         # a two-arm mixture plays its first arm with probability 2*lam
         mixed = len(fields["arms"]) > 1
-        if lam is None or not (0.0 <= lam <= 0.5 if mixed else 0.0 <= lam < 1.0):
+        if not (0.0 <= lam <= 0.5 if mixed else 0.0 <= lam < 1.0):
             raise ValueError(f"{name} needs lam in [0, {'1/2]' if mixed else '1)'}")
         fields = dict(fields, lam=float(lam))
     return CheatStrategy(name, n_parties, dishonest_count, theta_prime=tp, **fields)
@@ -460,7 +457,7 @@ def from_key(key: str, n_parties: int, dishonest_count: int = 1) -> CheatStrateg
     for a coalition of the last ``dishonest_count`` of ``n_parties`` parties."""
     name, params = split_key(key, "strategy")
     syntax = _syntax(name)
-    reject_unaccepted("strategy", name, params, syntax)
+    check_key_params("strategy", name, params, syntax)
     values = {
         p.replace("-", "_"): key_number(v, f"strategy {name!r} parameter {p}", syntax)
         for p, v in params.items()

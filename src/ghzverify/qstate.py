@@ -96,6 +96,10 @@ class PureState:
     def to_density(self) -> "DensityMatrix":
         return DensityMatrix(self.n, np.outer(self.amplitudes, self.amplitudes.conj()))
 
+    def __reduce__(self):
+        # copies and pickles rebuild through the constructor: read-only, no cache
+        return PureState, (self.n, self.amplitudes)
+
     @cached_property
     def anti_diagonal(self) -> np.ndarray:
         """``v_i conj(v_{2^n-1-i})`` as a read-only ``(2^hi, 2^lo)`` array
@@ -158,6 +162,9 @@ class DensityMatrix:
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
+
+    def __reduce__(self):
+        return DensityMatrix, (self.n, self.entries)
 
     @cached_property
     def anti_diagonal(self) -> np.ndarray:

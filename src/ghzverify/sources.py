@@ -25,13 +25,8 @@ class SourceModel:
             raise ValueError(f"unknown source variant {self.variant!r}")
         if self.n < 1:
             raise ValueError("party count must be positive")
-        own = key_params(FAMILIES[self.variant][0])
-        for pname in self.params:
-            if pname not in own:
-                raise ValueError(f"source {self.variant!r} takes no parameter {pname}")
-        for pname in own:
-            if pname not in self.params:
-                raise ValueError(f"source {self.variant!r} needs parameter {pname}")
+        syntax = FAMILIES[self.variant][0].format(self.variant)
+        check_key_params("source", self.variant, self.params, syntax)
         object.__setattr__(self, "params", {k: float(v) for k, v in self.params.items()})
         for ok, message in FAMILIES[self.variant][1]:
             if not ok(self.n, self.params):
@@ -39,10 +34,7 @@ class SourceModel:
 
     def key(self) -> str:
         """The CLI string key reproducing this model."""
-        if not self.params:
-            return self.variant
-        inner = ",".join(f"{k}={v!r}" for k, v in sorted(self.params.items()))
-        return f"{self.variant}:{inner}"
+        return format_key(self.variant, dict(sorted(self.params.items())))
 
 
 def alpha_from_mean_pairs(mean_pairs: float) -> float:
@@ -196,17 +188,29 @@ def key_number(value: str, label: str, syntax: str) -> float:
 
 
 def key_params(syntax: str) -> list[str]:
-    """The parameter names a key syntax such as ``{}:p=<0..1>`` lists."""
-    return re.findall(r"([\w-]+)=", syntax)
+    """The parameter names, each after a ``:`` or ``,``, that a key syntax
+    such as ``{}:p=<0..1>`` lists."""
+    return re.findall(r"[:,]([\w-]+)=", syntax)
 
 
-def reject_unaccepted(what: str, name: str, params, syntax: str) -> None:
-    """Raise on the first parameter name that ``syntax`` does not list."""
-    accepted = key_params(syntax)
-    for pname in params:
-        if pname not in accepted:
-            message = f"{what} {name!r} takes no parameter {pname}; key syntax: {syntax}"
-            raise ValueError(message)
+def check_key_params(what: str, name: str, given, syntax: str, required=None) -> None:
+    """Raise on the first name in ``given`` that ``syntax`` does not list,
+    then on the first name in ``required`` that ``given`` lacks; ``required``
+    defaults to the names before the optional ones, which ``[...]`` holds."""
+    required = key_params(syntax.partition("[")[0]) if required is None else required
+    listed = key_params(syntax)
+    for pname in given:
+        if pname not in listed:
+            raise ValueError(f"{what} {name!r} takes no parameter {pname}; key syntax: {syntax}")
+    for pname in required:
+        if pname not in given:
+            raise ValueError(f"{what} {name!r} needs parameter {pname}; key syntax: {syntax}")
+
+
+def format_key(name: str, params: dict) -> str:
+    """``name:k=v,...`` over ``params`` in order, values as reprs; ``name`` if empty."""
+    inner = ",".join(f"{k}={v!r}" for k, v in params.items())
+    return f"{name}:{inner}" if inner else name
 
 
 # every source key and its syntax: the families, of which the pump family's
@@ -223,35 +227,24 @@ SOURCE_KEYS = {
 def from_key(key: str, n: int) -> SourceModel:
     """Parse a CLI source key like ``dephased-ghz:p=0.2`` for n parties.
 
-    ``SOURCE_KEYS`` lists the keys and their syntax.  A missing, non-numeric
-    or unlisted parameter is an error naming the key syntax.
+    ``SOURCE_KEYS`` lists the keys and their syntax.  Errors name the key
+    syntax: an unlisted, then a missing, then a non-numeric parameter.
     """
     name, params = split_key(key, "source")
     if name not in SOURCE_KEYS:
         raise ValueError(f"unknown source key {name!r}")
     syntax = SOURCE_KEYS[name].format(name)
-
-    def param(pname: str) -> str:
-        if pname not in params:
-            raise ValueError(f"source {name!r} needs parameter {pname}; key syntax: {syntax}")
-        return params[pname]
-
-    def number(pname: str) -> float:
-        return key_number(param(pname), f"source {name!r} parameter {pname}", syntax)
-
+    # the pump keys take alpha or mean-pairs, and name mean-pairs given neither
+    pump = name in ("higher-order", "higher-order-calibrated")
+    required = ["alpha" if "alpha" in params else "mean-pairs"] if pump else None
+    check_key_params("source", name, params, syntax, required)
+    if pump and len(params) > 1:
+        both = "takes alpha or mean-pairs, not both"
+        raise ValueError(f"source {name!r} {both}; key syntax: {syntax}")
+    label = f"source {name!r} parameter"
+    values = {p: key_number(v, f"{label} {p}", syntax) for p, v in params.items() if p != "family"}
     if name == "calibrated":
-        model = calibrate_to_fidelity(n, number("fidelity"), param("family"))
-    elif name in ("higher-order", "higher-order-calibrated"):  # alpha or mean-pairs
-        if "alpha" in params and "mean-pairs" in params:
-            raise ValueError(
-                f"source {name!r} takes alpha or mean-pairs, not both; key syntax: {syntax}"
-            )
-        if "alpha" in params:
-            alpha = number("alpha")
-        else:
-            alpha = alpha_from_mean_pairs(number("mean-pairs"))
-        model = SourceModel("higher-order-calibrated", n, {"alpha": alpha})
-    else:
-        model = SourceModel(name, n, {p: number(p) for p in key_params(syntax)})
-    reject_unaccepted("source", name, params, syntax)
-    return model
+        return calibrate_to_fidelity(n, values["fidelity"], params["family"])
+    if "mean-pairs" in values:
+        values = {"alpha": alpha_from_mean_pairs(values["mean-pairs"])}
+    return SourceModel("higher-order-calibrated" if pump else name, n, values)

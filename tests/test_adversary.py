@@ -432,7 +432,7 @@ def test_make_strategy_rejects_parameters_a_strategy_does_not_take():
         expected = f"'{name}' takes no parameter {pname}; key syntax"
         with pytest.raises(ValueError, match=expected):
             make_strategy(name, n_parties=3, **kwargs)
-    with pytest.raises(ValueError, match="needs lam"):
+    with pytest.raises(ValueError, match="'theta-rotated-bell' needs parameter lam; key syntax"):
         make_strategy("theta-rotated-bell", n_parties=3)
 
 

@@ -308,7 +308,7 @@ def test_bad_strategy_parameters_are_named(capsys):
          "got 'abc'; key syntax: xy-mixed:lam=<0..1/2>"),
         ("theta-rotated-bell:lamda=0.2", "strategy 'theta-rotated-bell' takes no parameter "
          "lamda; key syntax: theta-rotated-bell:lam=<0..1>[,theta-prime=<radians>]"),
-        ("xy-mixed", "xy-mixed needs lam in [0, 1/2]"),
+        ("xy-mixed", "strategy 'xy-mixed' needs parameter lam; key syntax: xy-mixed:lam=<0..1/2>"),
     ):
         assert _run("verify", "--strategy", key, "--rounds", "10") == 1
         assert capsys.readouterr().err == f"error: bad strategy {key!r}: {expected}\n"

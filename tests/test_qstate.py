@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 import warnings
 
@@ -809,6 +811,23 @@ def test_a_second_setting_call_returns_the_first_float_bit_for_bit(n, rng):
         for angles in drawn:
             first = setting_pass_probability(state, angles)
             assert setting_pass_probability(state, angles).hex() == first.hex()
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_copies_and_pickles_of_a_state_are_rebuilt_read_only(n, rng):
+    psi = random_pure(n, rng)
+    for state in (psi, psi.to_density(), random_density(n, rng)):
+        values = state.amplitudes if isinstance(state, PureState) else state.entries
+        state.anti_diagonal  # made before copying, so a copy could carry it along
+        for copied in (copy.copy(state), copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+            assert type(copied) is type(state) and copied.n == n
+            assert "anti_diagonal" not in vars(copied)
+            kept = copied.amplitudes if isinstance(copied, PureState) else copied.entries
+            np.testing.assert_array_equal(kept, values)
+            np.testing.assert_array_equal(copied.anti_diagonal, state.anti_diagonal)
+            for array in (kept, copied.anti_diagonal):
+                with pytest.raises(ValueError):
+                    array.flat[0] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,6 @@ def test_from_key_parsing():
         from_key("dephased-ghz:p", 3)
     missing = [
         ("dephased-ghz", "p"),
-        ("depolarized-ghz:p=0.9", "v"),
         ("rotated-bell-plus", "theta"),
         ("higher-order", "mean-pairs"),
         ("calibrated:fidelity=0.8", "family"),
@@ -190,6 +189,8 @@ def test_from_key_parsing():
     unaccepted = [
         ("ideal-ghz:p=0.3", "p"),
         ("depolarized-ghz:v=0.9,p=0.1", "p"),
+        # an unlisted name is reported before a missing one
+        ("depolarized-ghz:p=0.9", "p"),
         ("biseparable-ghz-plus:theta=0.5", "theta"),
         ("calibrated:fidelity=0.8,family=dephased,v=0.9", "v"),
     ]
@@ -217,6 +218,77 @@ def test_from_key_parsing():
             f"key syntax: {name}:",
         ):
             from_key(key, 3)
+
+
+# a valid key of every source and strategy; its parameters outside [...] in
+# the key syntax are the required ones
+VALID_KEYS = {
+    ("source", "ideal-ghz"): "ideal-ghz",
+    ("source", "dephased-ghz"): "dephased-ghz:p=0.1",
+    ("source", "depolarized-ghz"): "depolarized-ghz:v=0.9",
+    ("source", "biseparable-ghz-plus"): "biseparable-ghz-plus",
+    ("source", "rotated-bell-plus"): "rotated-bell-plus:theta=0.5",
+    ("source", "higher-order-calibrated"): "higher-order-calibrated:mean-pairs=0.05",
+    ("source", "higher-order"): "higher-order:mean-pairs=0.05",
+    ("source", "calibrated"): "calibrated:fidelity=0.8,family=dephased",
+    ("strategy", "xy-perfect-loss50"): "xy-perfect-loss50",
+    ("strategy", "xy-naive-loss"): "xy-naive-loss",
+    ("strategy", "xy-rotated-bell"): "xy-rotated-bell",
+    ("strategy", "xy-mixed"): "xy-mixed:lam=0.2",
+    ("strategy", "theta-rotated-bell"): "theta-rotated-bell:lam=0.3,theta-prime=0.5",
+    ("strategy", "projective-cheat"): "projective-cheat:lam=0.2",
+    ("strategy", "product-guesser"): "product-guesser:theta-prime=0.5",
+}
+
+
+def _raises(what, name, syntax, problem):
+    message = f"{what} '{name}' {problem}; key syntax: {syntax}"
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
+
+
+@pytest.mark.parametrize(
+    "what,name",
+    [("source", k) for k in SOURCE_KEYS] + [("strategy", k) for k in adversary.STRATEGIES],
+)
+def test_every_key_names_a_bad_parameter_and_its_syntax(what, name):
+    if what == "source":
+        parse, syntax = (lambda key: from_key(key, 3)), SOURCE_KEYS[name].format(name)
+    else:
+        parse, syntax = (lambda key: adversary.from_key(key, 3)), adversary._syntax(name)
+    valid = VALID_KEYS[what, name]
+    parse(valid)
+    params = dict(item.split("=") for item in valid.partition(":")[2].split(",") if item)
+    required = key_params(re.sub(r"\[.*?\]", "", syntax))
+
+    def key_of(values):
+        return name + (":" + ",".join(f"{k}={v}" for k, v in values.items()) if values else "")
+
+    with _raises(what, name, syntax, "takes no parameter bogus"):
+        parse(key_of({**params, "bogus": "1"}))
+    for pname in params:
+        if pname in required:
+            with _raises(what, name, syntax, f"needs parameter {pname}"):
+                parse(key_of({k: v for k, v in params.items() if k != pname}))
+        if pname != "family":
+            with _raises(what, name, syntax, f"parameter {pname} must be a finite number, "
+                         "got 'abc'"):
+                parse(key_of({**params, pname: "abc"}))
+    # the constructors check the names too, a model against its family's syntax
+    if what == "source" and name in FAMILIES:
+        own = FAMILIES[name][0].format(name)
+        with _raises(what, name, own, "takes no parameter bogus"):
+            SourceModel(name, 3, {"bogus": 0.5})
+        for pname in key_params(own):
+            with _raises(what, name, own, f"needs parameter {pname}"):
+                SourceModel(name, 3, {})
+    if what == "strategy":
+        for pname, given in (("lam", {"lam": 0.1}), ("theta-prime", {"theta_prime": 0.1})):
+            if pname not in key_params(syntax):
+                with _raises(what, name, syntax, f"takes no parameter {pname}"):
+                    adversary.make_strategy(name, n_parties=3, **given)
+            elif pname in required:
+                with _raises(what, name, syntax, f"needs parameter {pname}"):
+                    adversary.make_strategy(name, n_parties=3)
 
 
 def test_models_check_their_parameters_when_built():
