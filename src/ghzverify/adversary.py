@@ -17,12 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Union
 
 import numpy as np
 
 from . import qstate
-from .qstate import DensityMatrix, GhzDiagonal, PureState, State
+from .qstate import GhzDiagonal, PureState, State
 from .sources import check_key_params, format_key, key_number, key_params, split_key
 
 XY_OPTIMUM = math.cos(math.pi / 8) ** 2
@@ -121,12 +120,7 @@ def _pure_corner(psi: PureState, coalition: Coalition, caller: str) -> tuple[flo
     return _corner(psi, coalition)
 
 
-LabeledMixture = Sequence[tuple[float, State]]
-
-
-def best_dishonest_fidelity(
-    state: Union[State, LabeledMixture], coalition: Coalition
-) -> float:
+def best_dishonest_fidelity(state: State, coalition: Coalition) -> float:
     """Fidelity to the ideal GHZ state maximized over the coalition's local
     operations: the fidelity between the reduced honest states.
 
@@ -139,20 +133,7 @@ def best_dishonest_fidelity(
     Without a coalition there is nothing to optimise, and the value is the
     GHZ fidelity ``<GHZ|rho|GHZ> = (r00 + rNN)/2 + Re x``, clamped to [0, 1]
     as ``qstate.fidelity`` clamps it.
-
-    A labeled mixture ``[(weight, state), ...]`` models a source that also
-    hands the coalition a classical label; the value is then the
-    weight-averaged optimum over the components.
     """
-    if not isinstance(state, (PureState, DensityMatrix, GhzDiagonal)):
-        parts = list(state)
-        weights = np.array([w for w, _ in parts], dtype=float)
-        # written as `not (...)` so that a NaN or infinite weight fails too
-        if not (abs(weights.sum() - 1.0) <= 1e-9 and (weights >= 0).all()):
-            raise ValueError("mixture weights must be nonnegative and sum to 1")
-        return float(
-            sum(w * best_dishonest_fidelity(s, coalition) for w, s in parts)
-        )
     r00, rnn, x = _corner(state, coalition)
     if not coalition.dishonest:
         return min(max(0.5 * (r00 + rnn) + x.real, 0.0), 1.0)
@@ -421,22 +402,26 @@ def make_strategy(
       always answers the likelier parity.  Draws nothing.
 
     ``play`` draws nothing.  ``lam`` is required where listed; passing a
-    parameter a strategy does not take is an error.
+    parameter a strategy does not take is an error.  Values are read as a
+    key's are (``sources.key_number``): one that is not a finite number
+    fails with an error naming its parameter.
     """
     syntax = _syntax(name)
-    given = [p for p, v in (("lam", lam), ("theta-prime", theta_prime)) if v is not None]
+    given = {p: v for p, v in (("lam", lam), ("theta-prime", theta_prime)) if v is not None}
     check_key_params("strategy", name, given, syntax)
+    label = f"strategy {name!r} parameter"
+    values = {p: key_number(v, f"{label} {p}", syntax) for p, v in given.items()}
     fields = STRATEGIES[name][1]
     check_dishonest_count(dishonest_count, n_parties)
-    tp = 0.0 if theta_prime is None else float(theta_prime)
+    tp = values.get("theta-prime", 0.0)
     if not 0.0 <= tp < 2.0 * math.pi:
         raise ValueError("theta_prime must lie in [0, 2*pi)")
-    if lam is not None:
+    if "lam" in values:
         # a two-arm mixture plays its first arm with probability 2*lam
         mixed = len(fields["arms"]) > 1
-        if not (0.0 <= lam <= 0.5 if mixed else 0.0 <= lam < 1.0):
+        if not (0.0 <= values["lam"] <= 0.5 if mixed else 0.0 <= values["lam"] < 1.0):
             raise ValueError(f"{name} needs lam in [0, {'1/2]' if mixed else '1)'}")
-        fields = dict(fields, lam=float(lam))
+        fields = dict(fields, lam=values["lam"])
     return CheatStrategy(name, n_parties, dishonest_count, theta_prime=tp, **fields)
 
 
@@ -456,10 +441,7 @@ def from_key(key: str, n_parties: int, dishonest_count: int = 1) -> CheatStrateg
     """Parse a strategy key like ``theta-rotated-bell:lam=0.3,theta-prime=0.5``
     for a coalition of the last ``dishonest_count`` of ``n_parties`` parties."""
     name, params = split_key(key, "strategy")
-    syntax = _syntax(name)
-    check_key_params("strategy", name, params, syntax)
-    values = {
-        p.replace("-", "_"): key_number(v, f"strategy {name!r} parameter {p}", syntax)
-        for p, v in params.items()
-    }
-    return make_strategy(name, n_parties=n_parties, dishonest_count=dishonest_count, **values)
+    # checked here too, so that an unlisted name fails before it is a keyword
+    check_key_params("strategy", name, params, _syntax(name))
+    kwargs = {p.replace("-", "_"): v for p, v in params.items()}
+    return make_strategy(name, n_parties=n_parties, dishonest_count=dishonest_count, **kwargs)

@@ -96,7 +96,11 @@ def verdict(
     lam: float = 0.0,
     sigma: float = 3.0,
 ) -> Verdict:
-    """GME-VERIFIED iff the estimate clears the threshold by sigma stderrs."""
+    """GME-VERIFIED iff the estimate clears the threshold by sigma stderrs.
+
+    ``lam`` is taken as given; a session's verdict takes it from
+    ``simnet.Transcript.verdict``, which bounds it below by the share of
+    aborted rounds."""
     if stats.valid < 1:
         raise ValueError("verdict needs at least one valid round")
     check_sigma(sigma)

@@ -186,13 +186,7 @@ def _write_or_print(text: str, out: str | None):
 
 
 def _run_session(args) -> tuple[simnet.Transcript, analytics.Verdict]:
-    """The session the flags describe and the verdict on its statistics.
-
-    The verdict's loss rate is ``--assumed-loss`` or the share of aborted
-    rounds, whichever is larger: a coalition can spread its loss
-    declarations over its members, so only the aborted share bounds its
-    loss rate.  Under xy the observed share counts up to 1/2, where the
-    threshold reaches 1."""
+    """The session the flags describe and its verdict (``Transcript.verdict``)."""
     strategy = parse_strategy_key(args.strategy, args.parties, args.dishonest_count)
     model = sources.from_key(args.source, args.parties)
     config = simnet.SessionConfig(
@@ -206,13 +200,7 @@ def _run_session(args) -> tuple[simnet.Transcript, analytics.Verdict]:
         honest_loss=args.honest_loss,
     )
     transcript = simnet.run_session(config)
-    aborted = 1.0 - transcript.stats.valid / args.rounds
-    if args.protocol == "xy":
-        aborted = min(aborted, 0.5)
-    lam = max(args.assumed_loss, aborted)
-    return transcript, analytics.verdict(
-        transcript.stats, args.protocol, args.trust, lam, args.sigma
-    )
+    return transcript, transcript.verdict(args.trust, args.assumed_loss, args.sigma)
 
 
 def _self_check(transcript: simnet.Transcript) -> str:

@@ -6,22 +6,26 @@ collects one outcome (or loss declaration) per party, and scores the round.
 A session runs its rounds through ``protocol.run_rounds`` with its seed, so
 its statistics coincide with ``protocol.estimate_pass_probability`` under
 the same seed, and the Verifier's scoring depends only on the set of
-collected responses, not their order.  A session stores its rounds as
-arrays (``protocol.Rounds``); statistics, loss flags and audits are computed
-from them, and the records file and the message log are written from one
-walk over their rows (``Transcript.records_jsonl``, ``Transcript.messages``),
-with each round's delivery order drawn from a dedicated seeded stream.
+collected responses, not their order.  A transcript stores only the
+session's config, its rounds as arrays (``protocol.Rounds``) and the source
+state.  Statistics, loss flags and audits are views computed from the rounds
+on first read, and ``Transcript.verdict`` bounds the verdict's loss rate by
+the share of aborted rounds.  The records file and the message log are
+written from one walk over the rows (``Transcript.records_jsonl``,
+``Transcript.messages``), with each round's delivery order drawn from a
+dedicated seeded stream.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 
-from . import sources
+from . import analytics, sources
 from .adversary import CheatStrategy
 from .protocol import LOSS, PassStats, ProtocolKind, Rounds, run_rounds
 from .qstate import State
@@ -110,15 +114,44 @@ def _rows(rounds: Rounds) -> Iterator[tuple[list, list, int | None]]:
 
 @dataclass(frozen=True)
 class Transcript:
-    """A session's rounds plus everything derived from them, and the
-    prepared source state the rounds were sampled from (None without one)."""
+    """A session's config, its rounds and the prepared source state the
+    rounds were sampled from (None without one).  The other attributes are
+    views of these, computed on first read and kept."""
 
     config: SessionConfig
     records: Rounds
-    stats: PassStats
-    loss_flags: tuple[bool, ...]
-    audits: dict = field(default_factory=dict)
     state: State | None = None
+
+    @cached_property
+    def stats(self) -> PassStats:
+        """The pass statistics; raises when every round had loss."""
+        return PassStats.from_records(self.records)
+
+    @cached_property
+    def loss_flags(self) -> tuple[bool, ...]:
+        """Per party, whether its loss rate exceeds lambda_max by more than
+        three binomial standard deviations."""
+        cap = self.config.lambda_max
+        spread = 3.0 * float(np.sqrt(cap * (1.0 - cap) / self.config.rounds))
+        return tuple(bool(rate > cap + spread) for rate in self.stats.loss_rates)
+
+    @cached_property
+    def audits(self) -> dict:
+        """Each party's loss-pattern audit (``audit_records``)."""
+        return audit_records(self.records, self.config.kind)
+
+    def verdict(self, trust, assumed_loss: float = 0.0, sigma: float = 3.0) -> analytics.Verdict:
+        """``analytics.verdict`` on the statistics, at the loss rate
+        ``assumed_loss`` or the share of aborted rounds, whichever is larger.
+
+        A coalition can spread its loss declarations over its members, so
+        only the aborted share bounds its loss rate.  Under xy that share
+        counts up to 1/2, where the threshold reaches 1."""
+        aborted = 1.0 - self.stats.valid / self.config.rounds
+        if self.config.kind is ProtocolKind.XY:
+            aborted = min(aborted, 0.5)
+        lam = max(assumed_loss, aborted)
+        return analytics.verdict(self.stats, self.config.kind, trust, lam, sigma)
 
     def messages(self) -> Iterator[dict]:
         """The message log, derived from the rounds and the seed.
@@ -218,14 +251,8 @@ def audit_records(records: Rounds, kind: ProtocolKind) -> dict:
 
 
 def run_session(config: SessionConfig) -> Transcript:
-    """Execute a full session and return its transcript.
-
-    The rounds are ``protocol.run_rounds`` with the session's seed, so the
-    resulting PassStats match a direct Monte Carlo estimate with the same
-    seed.  At session end each party's loss rate is checked
-    against the cap: a party exceeding lambda_max by more than three binomial
-    standard deviations is flagged.  Loss-pattern audits run for every party.
-    """
+    """Prepare the source state, run the session's rounds through
+    ``protocol.run_rounds`` with its seed, and return their transcript."""
     state = None if config.source is None else sources.prepare(config.source)
     rounds = run_rounds(
         state,
@@ -235,16 +262,4 @@ def run_session(config: SessionConfig) -> Transcript:
         config.seed,
         honest_loss=config.honest_loss,
     )
-    stats = PassStats.from_records(rounds)
-    cap = config.lambda_max
-    spread = 3.0 * float(np.sqrt(cap * (1.0 - cap) / config.rounds))
-    flags = tuple(bool(rate > cap + spread) for rate in stats.loss_rates)
-    audits = audit_records(rounds, config.kind)
-    return Transcript(
-        config=config,
-        records=rounds,
-        stats=stats,
-        loss_flags=flags,
-        audits=audits,
-        state=state,
-    )
+    return Transcript(config, rounds, state)

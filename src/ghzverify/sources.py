@@ -27,7 +27,9 @@ class SourceModel:
             raise ValueError("party count must be positive")
         syntax = FAMILIES[self.variant][0].format(self.variant)
         check_key_params("source", self.variant, self.params, syntax)
-        object.__setattr__(self, "params", {k: float(v) for k, v in self.params.items()})
+        label = f"source {self.variant!r} parameter"
+        numbers = {k: key_number(v, f"{label} {k}", syntax) for k, v in self.params.items()}
+        object.__setattr__(self, "params", numbers)
         for ok, message in FAMILIES[self.variant][1]:
             if not ok(self.n, self.params):
                 raise ValueError(message)
@@ -174,12 +176,12 @@ def split_key(key: str, what: str) -> tuple[str, dict[str, str]]:
     return name, params
 
 
-def key_number(value: str, label: str, syntax: str) -> float:
-    """``value`` as a finite float, or an error naming ``label`` and the key
-    syntax."""
+def key_number(value, label: str, syntax: str) -> float:
+    """``value``, a key's text or a number, as a finite float, or an error
+    naming ``label`` and the key syntax."""
     try:
         number = float(value)
-    except ValueError:
+    except (TypeError, ValueError):
         number = math.nan
     if not math.isfinite(number):
         message = f"{label} must be a finite number, got {value!r}; key syntax: {syntax}"

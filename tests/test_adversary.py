@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -289,13 +290,6 @@ def test_helstrom_closed_forms_reject_mixed_states_by_name():
                 function(state, coalition)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_best_fidelity_rejects_non_finite_mixture_weights(bad):
-    mixture = [(bad, ghz_state(3)), (1.0, ghz_state(3))]
-    with pytest.raises(ValueError, match="mixture weights must be nonnegative and sum to 1"):
-        best_dishonest_fidelity(mixture, _coalition_last(3))
-
-
 def test_dishonest_bound_on_random_states(rng):
     for n, k in ((3, 1), (3, 2), (4, 2)):
         for _ in range(10):
@@ -331,14 +325,6 @@ def test_best_dishonest_fidelity_pure_path_matches_partial_trace(rng):
         reduced = oracles.partial_trace(psi.to_density(), coalition.honest)
         sigma = oracles.partial_trace(ghz_state(3).to_density(), coalition.honest)
         assert direct == pytest.approx(qstate.fidelity(reduced, sigma), abs=1e-9)
-
-
-def test_best_dishonest_fidelity_labeled_mixture():
-    coalition = _coalition_last(3)
-    mixture = [(0.5, ghz_state(3)), (0.5, oracles.basis_state(3, 0))]
-    assert best_dishonest_fidelity(mixture, coalition) == pytest.approx(0.75, abs=1e-9)
-    with pytest.raises(ValueError):
-        best_dishonest_fidelity([(0.7, ghz_state(3))], coalition)
 
 
 def test_xy_optimal_pass_probability_examples():
@@ -434,6 +420,21 @@ def test_make_strategy_rejects_parameters_a_strategy_does_not_take():
             make_strategy(name, n_parties=3, **kwargs)
     with pytest.raises(ValueError, match="'theta-rotated-bell' needs parameter lam; key syntax"):
         make_strategy("theta-rotated-bell", n_parties=3)
+
+
+def test_make_strategy_reads_its_numbers_as_keys_do():
+    assert make_strategy("xy-mixed", n_parties=3, lam="0.2") == make_strategy(
+        "xy-mixed", n_parties=3, lam=0.2
+    )
+    for kwargs, pname, shown in (
+        ({"lam": "abc"}, "lam", "'abc'"),
+        ({"lam": 0.2, "theta_prime": float("nan")}, "theta-prime", "nan"),
+    ):
+        syntax = "theta-rotated-bell:lam=<0..1>[,theta-prime=<radians>]"
+        expected = (f"strategy 'theta-rotated-bell' parameter {pname} must be a finite number, "
+                    f"got {shown}; key syntax: {syntax}")
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            make_strategy("theta-rotated-bell", n_parties=3, **kwargs)
 
 
 def test_cheat_strategy_has_no_callable_fields():

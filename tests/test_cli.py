@@ -326,6 +326,15 @@ def test_bad_source_parameters_are_named(capsys):
         assert capsys.readouterr().err == f"error: {expected}\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "session"])
+def test_an_all_lost_session_is_an_error_and_writes_nothing(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = (command, "--rounds", "2", "--honest-loss", "0.9", "--seed", "1", "--out", out)
+    assert _run(*map(str, argv)) == 1
+    assert capsys.readouterr().err == "error: pass probability is undefined: every round had loss\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_honest_loss_is_named(capsys):
     for value, shown in (("-0.5", "-0.5"), ("nan", "nan"), ("2", "2.0")):
         assert _run("verify", "--honest-loss", value, "--rounds", "10") == 1

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
-from ghzverify import adversary, protocol, sources
+from ghzverify import adversary, analytics, protocol, sources
 from ghzverify.protocol import LOSS, ProtocolKind
-from ghzverify.simnet import SessionConfig, run_session
+from ghzverify.simnet import SessionConfig, Transcript, run_session
 
 import oracles
 
@@ -208,3 +209,32 @@ def test_summary_is_json_parseable():
     assert doc["config"]["protocol"] == "xy"
     assert doc["stats"]["valid_rounds"] == 120
     assert not doc["loss_cap"]["violated"]
+
+
+def test_transcript_stores_only_its_rounds_and_computes_views_on_first_read():
+    assert [f.name for f in dataclasses.fields(Transcript)] == ["config", "records", "state"]
+    transcript = run_session(_config(rounds=300, honest_loss=0.05))
+    assert not {"stats", "loss_flags", "audits"} & set(vars(transcript))
+    for view in ("stats", "loss_flags", "audits"):
+        assert getattr(transcript, view) is getattr(transcript, view)
+
+
+def test_an_all_lost_session_fails_on_the_first_read_of_its_stats():
+    transcript = run_session(_config(rounds=2, seed=1, honest_loss=0.9))
+    assert transcript.records.lost.any(axis=1).all()
+    with pytest.raises(ValueError, match="every round had loss"):
+        transcript.stats
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+def test_verdict_takes_the_larger_of_the_assumed_loss_and_the_aborted_share(kind):
+    heavy = run_session(_config(kind=kind, rounds=400, honest_loss=0.3))
+    aborted = 1.0 - heavy.stats.valid / 400  # about 1 - 0.7**3
+    assert aborted > 0.5
+    # under xy the aborted share counts up to 1/2
+    expected = 0.5 if kind is ProtocolKind.XY else aborted
+    assert heavy.verdict("dishonest-allowed").lam == expected
+    light = run_session(_config(kind=kind, rounds=400, honest_loss=0.05))
+    assert 1.0 - light.stats.valid / 400 < 0.4
+    got = light.verdict("all-honest", assumed_loss=0.4, sigma=2.0)
+    assert got == analytics.verdict(light.stats, kind, "all-honest", 0.4, 2.0)

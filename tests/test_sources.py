@@ -308,6 +308,10 @@ def test_models_check_their_parameters_when_built():
         # from_key turns the key's mean-pairs into the model's alpha
         ("higher-order-calibrated", 3, {"mean-pairs": 0.1},
          "source 'higher-order-calibrated' takes no parameter mean-pairs"),
+        ("dephased-ghz", 3, {"p": "abc"}, "source 'dephased-ghz' parameter p must be a finite "
+         "number, got 'abc'; key syntax: dephased-ghz:p=<0..1>"),
+        ("rotated-bell-plus", 3, {"theta": float("nan")}, "source 'rotated-bell-plus' parameter "
+         "theta must be a finite number, got nan; key syntax: rotated-bell-plus:theta=<radians>"),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             SourceModel(variant, n, params)
