@@ -168,12 +168,15 @@ class DensityMatrix:
 
     @cached_property
     def anti_diagonal(self) -> np.ndarray:
-        """``rho[i, 2^n-1-i]`` as a read-only strided ``(2^hi, 2^lo)`` view
-        of the entries (``_halves``), made on first use."""
+        """``rho[i, 2^n-1-i]`` as a read-only, C-contiguous ``(2^hi, 2^lo)``
+        copy (``_halves``), made on first use: one more ``2^n`` complex array
+        per matrix, read without gathering entries ``2^n - 1`` apart."""
         # flat indices d-1, 2(d-1), ..., d(d-1) are [i, d-1-i] for i = 0..d-1
         d = 2**self.n
         hi, lo = _halves(self.n)
-        return self.entries.reshape(-1)[d - 1 : d * d - 1 : d - 1].reshape(2**hi, 2**lo)
+        anti = self.entries.reshape(-1)[d - 1 : d * d - 1 : d - 1].copy()
+        anti.setflags(write=False)
+        return anti.reshape(2**hi, 2**lo)
 
 
 def _is_hermitian(mat: np.ndarray) -> bool:
@@ -389,23 +392,27 @@ def setting_pass_probability(rho: State, angles: Sequence[float]) -> float:
     ``s_i`` the signs ``(-1)^bit`` of the bits of i.  The phase factors over
     the high ``ceil(n/2)`` and low ``floor(n/2)`` qubits,
     ``e^{i s_i.t} = e^{i s_hi.t_hi} e^{i s_lo.t_lo}``, so with the
-    anti-diagonal read as a strided ``(2^hi, 2^lo)`` view ``A`` of the
-    matrix the sum is ``e_hi . (A . e_lo)``, one product of a ``(2^hi, 2^lo)``
-    matrix and a vector and one inner product, after ``2^hi + 2^lo`` complex
-    exponentials instead of ``2^n`` (48 instead of 512 at n = 9).  A
-    ``PureState`` ``v`` has the anti-diagonal ``v_i conj(v_{2^n-1-i})``.  On a
-    ``GhzDiagonal`` record only the corners are nonzero, and the sum is
-    ``2 Re(c e^{i*T})`` with ``c = rho[0, 2^n - 1]`` and ``T`` the angle sum.
-    The angles must be one setting of n angles, each in [0, pi), checked in
-    one pass over their Python list, and their sum must be a multiple of pi
-    within 1e-9.  The anti-diagonal is the state's ``anti_diagonal``,
-    computed on the first call and held by the state.
+    anti-diagonal held as a contiguous ``(2^hi, 2^lo)`` array ``A`` the sum
+    is ``e_hi . (A . e_lo)``, one product of a ``(2^hi, 2^lo)`` matrix and a
+    vector and one inner product, after ``2^hi + 2^lo`` complex exponentials
+    instead of ``2^n`` (48 instead of 512 at n = 9).  A matrix's ``A`` holds
+    ``rho[i, 2^n-1-i]`` and a ``PureState`` ``v``'s holds
+    ``v_i conj(v_{2^n-1-i})``.  On a ``GhzDiagonal`` record only the corners
+    are nonzero, and the sum is ``2 Re(c e^{i*T})`` with
+    ``c = rho[0, 2^n - 1]`` and ``T`` the angle sum.  The angles must be one
+    setting of n angles: a well-formed setting passes one shape comparison,
+    and only a setting of another shape is examined to pick its message.
+    Each angle must lie in [0, pi), checked in one pass over their Python
+    list, and their sum must be a multiple of pi within 1e-9.  ``A`` is the
+    state's ``anti_diagonal``, computed on the first call and held by the
+    state; a setting that fails a check never reads it.
     """
     n = rho.n
     vals = np.asarray(angles, dtype=float)
-    if vals.ndim > 1:
-        raise ValueError(f"expected one setting of {n} angles, got shape {vals.shape}")
-    _check_angle_count(vals, n)
+    if vals.shape != (n,):
+        if vals.ndim > 1:
+            raise ValueError(f"expected one setting of {n} angles, got shape {vals.shape}")
+        _check_angle_count(vals, n)
     # comparisons, so that a NaN fails wherever it sits; a row of n floats
     # is tested in Python, which beats three ufuncs and a reduction
     row = vals.tolist()

@@ -6,7 +6,9 @@ density matrices, separate pure and density versions of the coalition's
 projective measurement, the exact pass probabilities as GHZ-projector
 overlaps and as a sum over the 2**(n-1) xy settings, the single-setting
 pass probability from an integer sign table and a copied anti-diagonal, and
-the xy-optimal cheat as a sum over those settings.  The loss tolerance is a
+the xy-optimal cheat as a sum over those settings.  The setting kernel is
+also replayed on a matrix's strided anti-diagonal view, the layout the
+package read before it held a contiguous copy.  The loss tolerance is a
 bisection on ``analytics.gme_threshold``.  The coalition analysis is done
 the long way: a partial trace and ``qstate.fidelity`` for the best fidelity,
 and the rotated-GHZ decomposition with its Helstrom guess, averaged over a
@@ -259,6 +261,23 @@ def setting_pass_probability(rho, angles):
     phases = np.exp(1j * ((1 - 2 * bits) @ vals))
     anti = np.diag(np.fliplr(rho.entries))
     return 0.5 * (1.0 + (-1) ** (m % 2) * float((anti @ phases).real))
+
+
+def strided_setting_pass_probability(rho, angles):
+    """The package's setting kernel on a ``DensityMatrix``, reading its
+    anti-diagonal as the strided ``(2^hi, 2^lo)`` view of the entries that the
+    package held before it kept a contiguous copy; the same phases and the
+    same contraction, so it must give the package's float bit for bit."""
+    n = rho.n
+    vals = np.asarray(angles, dtype=float)
+    total = sum(vals.tolist())
+    m = round(total / math.pi)
+    d = 2**n
+    hi, lo = n - n // 2, n // 2
+    anti = rho.entries.reshape(-1)[d - 1 : d * d - 1 : d - 1].reshape(2**hi, 2**lo)
+    phases = np.exp(qstate._half_sign_table(n).dot(vals))
+    expectation = float(phases[: 2**hi].dot(anti.dot(phases[2**hi :])).real)
+    return 0.5 * (1.0 + (expectation if m % 2 == 0 else -expectation))
 
 
 def exact_pass_probability_xy(rho):

@@ -792,15 +792,47 @@ def _fresh_anti_diagonal(state):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_anti_diagonal_is_made_on_first_use_read_only_and_kept(n, rng):
     psi = random_pure(n, rng)
-    for state in (random_density(n, rng), psi.to_density(), psi):
+    for state in (random_density(n, rng), psi.to_density(), ghz_state(n).to_density(), psi):
         assert "anti_diagonal" not in vars(state)
         anti = state.anti_diagonal
         assert anti is state.anti_diagonal
         np.testing.assert_array_equal(anti, _fresh_anti_diagonal(state))
+        # a copy of its own, not a strided view of the state's values
+        values = state.amplitudes if isinstance(state, PureState) else state.entries
+        assert anti.flags.c_contiguous and anti.size == 2**n
+        assert not np.shares_memory(anti, values)
         with pytest.raises(ValueError):
             anti[0, 0] = 0.0
         with pytest.raises(ValueError):
             anti.base.flat[0] = 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_setting_kernel_gives_the_strided_view_float_bit_for_bit(n, rng):
+    matrices = (random_density(n, rng), random_pure(n, rng).to_density(), ghz_state(n).to_density())
+    drawn = [block_assignment(kind, n, rng).angles if n > 1 else (0.0,)
+             for kind in ("theta", "xy") for _ in range(6)]
+    for rho in matrices:
+        for angles in drawn:
+            expected = oracles.strided_setting_pass_probability(rho, angles)
+            assert setting_pass_probability(rho, angles).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_a_setting_of_the_wrong_shape_is_refused_before_the_state_is_read(n, rng):
+    cases = [
+        ((), f"expected {n} angles, got 0"),
+        ((n - 1,), f"expected {n} angles, got {n - 1}"),
+        ((n + 1,), f"expected {n} angles, got {n + 1}"),
+        ((1, n), f"expected one setting of {n} angles, got shape (1, {n})"),
+        ((2, n), f"expected one setting of {n} angles, got shape (2, {n})"),
+    ]
+    for state in (random_density(n, rng), random_pure(n, rng)):
+        for shape, message in cases:
+            with pytest.raises(ValueError) as err:
+                setting_pass_probability(state, np.zeros(shape))
+            assert str(err.value) == message
+        assert "anti_diagonal" not in vars(state)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
