@@ -286,13 +286,15 @@ class CheatStrategy:
         the coalition's declared losses (m,), for rounds with the given arms,
         phases, angles (m, n) and measurement uniforms (m, n).
 
-        The honest parties measure ``GHZ_k(phi)``, a record with coherence
-        ``e^{-i*phi}/2``, with ``draws[:, :k]``.  A strategy that
-        ``measures_source`` instead measures its first qubit of the source
-        at ``-phi`` (mod pi) and its others at 0, then the honest qubits, with
-        ``draws[:, :d]`` and ``draws[:, d:]``: that leaves ``GHZ_k(phi)`` up
-        to a flip by pi per outcome 1 and per mod-pi wraparound of the first
-        angle, and the coalition answers by the flipped phase.
+        Column j of ``draws`` is qubit j's uniform.  The honest parties
+        measure ``GHZ_k(phi)``, a record with coherence ``e^{-i*phi}/2``,
+        with ``draws[:, :k]``; columns k.. go unread.  A strategy that
+        ``measures_source`` instead measures every qubit of the source in
+        ascending order: the honest ones at their angles, then the
+        coalition's first at ``-phi`` (mod pi) and its others at 0.  As local
+        measurements commute, the honest bits are those of ``GHZ_k(phi)`` up
+        to a flip by pi per coalition outcome 1 and per mod-pi wraparound of
+        the first angle, and the coalition answers by the flipped phase.
 
         With requested angles summing to ``t``, the coalition answers bit
         ``[cos(t + phi) < 0]``, which passes with probability
@@ -312,10 +314,9 @@ class CheatStrategy:
             meas = np.zeros((m, d))
             meas[:, 0] = target % math.pi
             wrap = np.rint((target - meas[:, 0]) / math.pi)
-            order = list(range(k, n)) + list(range(k))
-            seq = qstate.sample_rows(source, np.hstack([meas, angles[:, :k]]), draws, order)
-            bits[:, :k] = seq[:, d:]
-            flips = (seq[:, :d].sum(axis=1) + wrap) % 2
+            seq = qstate.sample_rows(source, np.hstack([angles[:, :k], meas]), draws)
+            bits[:, :k] = seq[:, :k]
+            flips = (seq[:, k:].sum(axis=1) + wrap) % 2
             phase = (phase + flips * math.pi) % (2.0 * math.pi)
         else:
             coherence = 0.5 * np.exp(-1j * phase)
@@ -396,13 +397,14 @@ def make_strategy(
     * ``projective-cheat`` (lam, theta_prime) -- measures the coalition's
       qubits of the (possibly noisy) source state to steer the honest parties
       into a rotated non-GME state, then plays theta-rotated-bell's rule.
-      Draws ``uniform(0, pi, m)``; its dishonest qubits take the first d of
+      Draws ``uniform(0, pi, m)``; its dishonest qubits take the last d of
       each row's measurement uniforms (``play``).
     * ``product-guesser`` (theta_prime) -- fixed rotated state, no loss,
       always answers the likelier parity.  Draws nothing.
 
-    ``play`` draws nothing.  ``lam`` is required where listed; passing a
-    parameter a strategy does not take is an error.  Values are read as a
+    ``play`` draws nothing.  ``n_parties`` may not exceed
+    ``qstate.MAX_RECORD_QUBITS``.  ``lam`` is required where listed; passing
+    a parameter a strategy does not take is an error.  Values are read as a
     key's are (``sources.key_number``): one that is not a finite number
     fails with an error naming its parameter.
     """
@@ -413,6 +415,8 @@ def make_strategy(
     values = {p: key_number(v, f"{label} {p}", syntax) for p, v in given.items()}
     fields = STRATEGIES[name][1]
     check_dishonest_count(dishonest_count, n_parties)
+    # a block holds (rows, n) angles and uniforms, with or without a source
+    qstate.check_qubits(n_parties, qstate.MAX_RECORD_QUBITS)
     tp = values.get("theta-prime", 0.0)
     if not 0.0 <= tp < 2.0 * math.pi:
         raise ValueError("theta_prime must lie in [0, 2*pi)")

@@ -102,7 +102,7 @@ def _apply_config_file(path: str, command: str, parser: _Parser) -> None:
             continue
         key, sep, val = line.partition("=")
         if not sep:
-            raise CliError(f"malformed config line {raw!r}")
+            raise CliError(f"config file {path}: malformed line {raw!r}, expected key = value")
         key, val = key.strip(), val.strip()
         where = f"config file {path}: key {key!r}"
         flag = "--" + key.replace("_", "-")
@@ -265,7 +265,7 @@ def cmd_curves(args) -> int:
             raise CliError(f"--lambda-grid entry {lam} must lie in [0, 1)")
         grid.append(lam)
     if not grid:
-        raise CliError("empty lambda grid")
+        raise CliError(f"--lambda-grid {args.lambda_grid!r} has no entries")
     rows = []
     for i, lam in enumerate(grid):
         row = {"lambda": lam}

@@ -171,8 +171,9 @@ def run_block(
        (m, n-2))`` for parties 0..n-3 and party n-2 completes the sum.
     2. with a strategy, its side information (``CheatStrategy.draw_side``):
        arm, phase index and mask, each an (m,) draw where the strategy has one.
-    3. measurement uniforms ``rng.random((m, n))``, column j for the j-th
-       qubit measured (``qstate.sample_rows``).
+    3. measurement uniforms ``rng.random((m, n))``, column j for qubit j
+       (``qstate.sample_rows``); a strategy that prepares the honest state
+       leaves columns k.. unread.
     4. with ``honest_loss`` > 0, ``rng.random((m, k)) < honest_loss`` for the
        honest parties' losses.
     """

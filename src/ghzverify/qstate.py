@@ -11,13 +11,11 @@ Conventions used throughout the package:
   ``cos(t) X + sin(t) Y``.
 
 Sampling contract (``sample_rows`` and ``sample_record``): each row of a
-block of rounds measures the qubits one at a time, in ascending order or in
-the order the caller gives (the coalition's qubits first for
-``projective-cheat``).  Each measured qubit consumes exactly one uniform
-``u``, column j of the ``(m, n)`` uniforms for the j-th qubit measured, and
-gives outcome 0 when ``u < p0``, the probability of ``|+_t>`` given the
-outcomes before it.  On a ``GhzDiagonal`` record every qubit but the last
-measured has ``p0 = 1/2``, and the last has
+block of rounds measures the qubits one at a time, in ascending order.
+Qubit j consumes exactly one uniform ``u``, column j of the ``(m, n)``
+uniforms, and gives outcome 0 when ``u < p0``, the probability of ``|+_t>``
+given the outcomes of qubits 0..j-1.  On a ``GhzDiagonal`` record every
+qubit but the last has ``p0 = 1/2``, and the last has
 ``p0 = 1/2 + (-1)^x Re(c e^{i*T})``, with ``x`` the XOR of the bits before
 it, ``c`` the corner coherence and ``T`` the sum of the angles.
 """
@@ -264,27 +262,15 @@ def tensor(low: PureState, high: PureState) -> PureState:
 # measurement
 
 
-def permute_qubits(arr: np.ndarray, order: Sequence[int]) -> np.ndarray:
-    """Relabel qubit ``order[i]`` as qubit ``i`` of a state vector (rank 1)
-    or a density matrix (rank 2)."""
-    n = len(order)
-    # tensor axis a of each index group holds qubit n-1-a
-    axes = [n - 1 - old for old in reversed(order)]
-    if arr.ndim == 2:
-        axes += [n + a for a in axes]
-    return arr.reshape((2,) * (arr.ndim * n)).transpose(axes).reshape(arr.shape)
-
-
 def sample_record(coherence, angles: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Outcome bits (m, q) of measuring all q qubits of GHZ-diagonal records,
     one record and one row of ``angles`` and ``draws`` (both (m, q)) per
-    round, in the order of the columns.
+    round, column j for qubit j.
 
     ``coherence`` is the corner coherence, one value or one per row.  Every
     bit but the last is ``u < 1/2``; the last has
     ``p0 = 1/2 + (-1)^x Re(c e^{i*T})``, with ``x`` the XOR of the bits
-    before it and ``T`` the row's angle sum (module docstring).  The
-    measurement order does not matter to this form.
+    before it and ``T`` the row's angle sum (module docstring).
     """
     bits = draws >= 0.5
     swing = (coherence * np.exp(1j * angles.sum(axis=1))).real
@@ -298,13 +284,11 @@ def sample_record(coherence, angles: np.ndarray, draws: np.ndarray) -> np.ndarra
 _CHUNK_BYTES = 1 << 23
 
 
-def sample_rows(
-    state: State, angles: np.ndarray, draws: np.ndarray, order: Sequence[int] | None = None
-) -> np.ndarray:
+def sample_rows(state: State, angles: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Outcome bits (m, n) of measuring every qubit of ``state`` once per row
     of ``angles`` and ``draws`` (both (m, n)), as the sampling contract in
-    the module docstring states: column j is the j-th qubit measured, qubit
-    ``order[j]`` (default: qubit j), and ``draws[:, j]`` is its uniform.
+    the module docstring states: column j is qubit j, measured after qubits
+    0..j-1, and ``draws[:, j]`` is its uniform.
 
     A ``GhzDiagonal`` record takes ``sample_record``.  A vector or a density
     matrix is projected one qubit at a time for all rows of a chunk at
@@ -319,8 +303,6 @@ def sample_rows(
     if isinstance(state, GhzDiagonal):
         return sample_record(state.coherence, angles, draws)
     arr = state.amplitudes if isinstance(state, PureState) else state.entries
-    if order is not None:
-        arr = permute_qubits(arr, order)
     bits = np.empty(angles.shape, dtype=np.int8)
     step = max(1, _CHUNK_BYTES // arr.nbytes)
     for lo in range(0, len(angles), step):

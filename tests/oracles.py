@@ -2,8 +2,7 @@
 
 These are the direct forms of what the package computes by shorter routes:
 separate sequential samplers for pure states (python lists and numpy) and
-density matrices, separate pure and density versions of the coalition's
-projective measurement, the exact pass probabilities as GHZ-projector
+density matrices, the exact pass probabilities as GHZ-projector
 overlaps and as a sum over the 2**(n-1) xy settings, the single-setting
 pass probability from an integer sign table and a copied anti-diagonal, and
 the xy-optimal cheat as a sum over those settings.  The setting kernel is
@@ -21,9 +20,12 @@ state and the list of xy settings are built here as test inputs.
 The positivity check of a density matrix is a full diagonalisation; the
 package factors the shifted matrix instead.
 
-The cheating strategies are written as one pair of closures each, and the
-session message log as message objects built for every round; on a shared
-seed both must give the package's records, generator states and bytes.
+The cheating strategies are written as one pair of closures each: the first
+draws the round's side information and measures the honest qubits, of a
+prepared GHZ state or, for ``projective-cheat``, of the source with every
+qubit measured in ascending order; the second answers.  The session message
+log is built as message objects for every round.  On a shared seed both must
+give the package's records, generator states and bytes.
 
 The per-round engine (``run_round``) plays one round at a time from one
 generator, with the sequential samplers and the closure strategies, and
@@ -166,74 +168,6 @@ def sample_density(mat, vals, rng):
 
 
 # ---------------------------------------------------------------------------
-# the coalition's projective measurement
-
-
-def _dishonest_first_axes(coalition):
-    """Tensor-axis permutation that relabels the dishonest qubits, then the
-    honest ones, as qubits 0, 1, ..."""
-    n = coalition.n
-    order = sorted(coalition.dishonest) + list(coalition.honest)
-    perm = [0] * n
-    for new, old in enumerate(order):
-        perm[n - 1 - new] = n - 1 - old
-    return perm
-
-
-def measure_parties(state, coalition, angles, rng):
-    """Measure the dishonest qubits, one ``rng.random()`` each, and return
-    (bits, collapsed honest state); a record goes through its dense matrix."""
-    if isinstance(state, GhzDiagonal):
-        state = state.to_density()
-    if isinstance(state, PureState):
-        return _measure_parties_pure(state, coalition, angles, rng)
-    return _measure_parties_density(state, coalition, angles, rng)
-
-
-def _measure_parties_pure(psi, coalition, angles, rng):
-    n = psi.n
-    a = psi.amplitudes.reshape((2,) * n).transpose(_dishonest_first_axes(coalition))
-    a = a.reshape(-1)
-    bits = []
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for t in angles:
-        rotated = np.exp(-1j * t) * a[1::2]
-        branch0 = (a[0::2] + rotated) * inv_sqrt2
-        p0 = float(np.vdot(branch0, branch0).real)
-        if rng.random() < p0:
-            bits.append(0)
-            a = branch0 / math.sqrt(p0)
-        else:
-            bits.append(1)
-            branch1 = (a[0::2] - rotated) * inv_sqrt2
-            a = branch1 / math.sqrt(max(1.0 - p0, 1e-300))
-    return bits, PureState(coalition.k, a)
-
-
-def _measure_parties_density(rho, coalition, angles, rng):
-    n = rho.n
-    perm = _dishonest_first_axes(coalition)
-    tens = rho.entries.reshape((2,) * (2 * n))
-    mat = tens.transpose(perm + [n + p for p in perm]).reshape(2**n, 2**n)
-    bits = []
-    for t in angles:
-        r00 = mat[0::2, 0::2]
-        r01 = mat[0::2, 1::2]
-        r10 = mat[1::2, 0::2]
-        r11 = mat[1::2, 1::2]
-        cross = np.exp(1j * t) * r01 + np.exp(-1j * t) * r10
-        block0 = 0.5 * (r00 + cross + r11)
-        p0 = float(np.trace(block0).real)
-        if rng.random() < p0:
-            bits.append(0)
-            mat = block0 / p0
-        else:
-            bits.append(1)
-            mat = 0.5 * (r00 - cross + r11) / max(1.0 - p0, 1e-300)
-    return bits, DensityMatrix(coalition.k, mat)
-
-
-# ---------------------------------------------------------------------------
 # exact pass probabilities
 
 
@@ -350,8 +284,11 @@ def honest_first_vector(psi, coalition):
     The result reshapes to (2**k, 2**d): row = honest basis index, column =
     dishonest basis index, each group keeping ascending party order.
     """
+    n = psi.n
     order = sorted(coalition.dishonest) + list(coalition.honest)
-    return qstate.permute_qubits(psi.amplitudes, order)
+    # tensor axis a holds qubit n-1-a; qubit order[i] becomes qubit i
+    axes = [n - 1 - old for old in reversed(order)]
+    return psi.amplitudes.reshape((2,) * n).transpose(axes).reshape(-1)
 
 
 def _honest_matrix(psi, coalition):
@@ -600,8 +537,8 @@ def run_round(source, strategy, kind, rng, *, honest_loss=0.0, index=0, last_ang
     if strategy is None:
         outcomes = sample_outcomes(source, assignment.angles, rng)
     else:
-        side = strategy.sample_side_info(rng, source)
-        outcomes = sample_outcomes(side.honest_state, assignment.angles[:k], rng)
+        side = strategy.sample_side_info(rng, source, assignment.angles[:k])
+        outcomes = list(side.honest_bits)
         outcomes.append(strategy.respond(side, assignment.angles[k:]))
         outcomes += [0] * (n - k - 1)
     if honest_loss > 0.0:
@@ -720,9 +657,9 @@ def profile_point(theta_d, theta_prime, n, rounds, seed):
             completion = (-(free[r].sum() + theta_d)) % np.pi
             angles = tuple(free[r].tolist()) + (float(completion), float(theta_d))
             assignment = Assignment.of(angles, protocol.ProtocolKind.THETA)
-            side = strat.sample_side_info(None, None)
-            bits = sample_outcomes(side.honest_state, angles[:-1],
-                                   ScriptedRng(uniforms[r, : n - 1].tolist()))
+            side = strat.sample_side_info(ScriptedRng(uniforms[r, : n - 1].tolist()), None,
+                                          angles[:-1])
+            bits = list(side.honest_bits)
             bits.append(strat.respond(side, (theta_d,)))
             passes += parity_test(assignment, bits)
     est = passes / rounds
@@ -738,7 +675,7 @@ _BELL_PHASES = (0.0, math.pi, math.pi / 2, 3 * math.pi / 2)
 
 class SideInfo(NamedTuple):
     label: object
-    honest_state: object
+    honest_bits: list
 
 
 class _RoundLabel(NamedTuple):
@@ -770,8 +707,11 @@ def _respond_from_label(side, angles):
     return 0 if alignment >= 0.0 else 1
 
 
-def _ghz_side(phase, k, loss_mode, lam):
-    return SideInfo(_RoundLabel(phase, loss_mode, lam), qstate.ghz_state(k, phase))
+def _ghz_side(phase, loss_mode, lam, rng, angles):
+    """The label of a prepared ``GHZ_k(phase)`` and the honest bits of
+    measuring it at ``angles``, one uniform per honest qubit."""
+    bits = sample_outcomes(qstate.ghz_state(len(angles), phase), angles, rng)
+    return SideInfo(_RoundLabel(phase, loss_mode, lam), bits)
 
 
 def make_strategy(name, *, n_parties, dishonest_count=1, lam=None, theta_prime=None):
@@ -780,65 +720,66 @@ def make_strategy(name, *, n_parties, dishonest_count=1, lam=None, theta_prime=N
     tp = 0.0 if theta_prime is None else float(theta_prime)
 
     if name == "xy-perfect-loss50":
-        def sample(rng, _source):
+        def sample(rng, _source, angles):
             phase = _BELL_PHASES[rng.integers(0, 4)]
-            return _ghz_side(phase, k, "xy-basis", 0.0)
+            return _ghz_side(phase, "xy-basis", 0.0, rng, angles)
 
         return CheatStrategy(name, n_parties, dishonest_count, sample, _respond_from_label)
 
     if name == "xy-naive-loss":
-        def sample(rng, _source):
-            return _ghz_side(0.0, k, "xy-basis", 0.0)
+        def sample(rng, _source, angles):
+            return _ghz_side(0.0, "xy-basis", 0.0, rng, angles)
 
         return CheatStrategy(name, n_parties, dishonest_count, sample, _respond_from_label)
 
     if name == "xy-rotated-bell":
-        def sample(rng, _source):
+        def sample(rng, _source, angles):
             phase = math.pi / 4 + rng.integers(0, 4) * math.pi / 2
-            return _ghz_side(phase, k, "none", 0.0)
+            return _ghz_side(phase, "none", 0.0, rng, angles)
 
         return CheatStrategy(name, n_parties, dishonest_count, sample, _respond_from_label)
 
     if name == "xy-mixed":
         lam = float(lam)
 
-        def sample(rng, _source):
+        def sample(rng, _source, angles):
             if rng.random() < 2.0 * lam:
                 phase = _BELL_PHASES[rng.integers(0, 4)]
-                return _ghz_side(phase, k, "xy-basis", 0.0)
+                return _ghz_side(phase, "xy-basis", 0.0, rng, angles)
             phase = math.pi / 4 + rng.integers(0, 4) * math.pi / 2
-            return _ghz_side(phase, k, "none", 0.0)
+            return _ghz_side(phase, "none", 0.0, rng, angles)
 
         return CheatStrategy(name, n_parties, dishonest_count, sample, _respond_from_label)
 
     if name == "theta-rotated-bell":
         lam = float(lam)
 
-        def sample(rng, _source):
+        def sample(rng, _source, angles):
             mask = rng.uniform(0.0, math.pi)
-            return _ghz_side((tp + mask) % (2.0 * math.pi), k, "arc", lam)
+            return _ghz_side((tp + mask) % (2.0 * math.pi), "arc", lam, rng, angles)
 
         return CheatStrategy(name, n_parties, dishonest_count, sample, _respond_from_label)
 
     if name == "projective-cheat":
         lam = float(lam)
-        coalition = adversary.Coalition(n_parties, range(k, n_parties))
 
-        def sample(rng, source):
+        def sample(rng, source, angles):
+            # every qubit of the source in ascending order: the honest ones,
+            # then the coalition's first at -target (mod pi) and its others at 0
             mask = rng.uniform(0.0, math.pi)
             target = (tp + mask) % (2.0 * math.pi)
             meas = [(-target) % (2.0 * math.pi) % math.pi] + [0.0] * (dishonest_count - 1)
             wrap = round((((-target) % (2.0 * math.pi)) - meas[0]) / math.pi)
-            bits, honest_state = measure_parties(source, coalition, meas, rng)
-            flips = (sum(bits) + wrap) % 2
+            bits = sample_outcomes(source, list(angles) + meas, rng)
+            flips = (sum(bits[k:]) + wrap) % 2
             phase = (target + flips * math.pi) % (2.0 * math.pi)
-            return SideInfo(_RoundLabel(phase, "arc", lam), honest_state)
+            return SideInfo(_RoundLabel(phase, "arc", lam), bits[:k])
 
         return CheatStrategy(name, n_parties, dishonest_count, sample, _respond_from_label)
 
     if name == "product-guesser":
-        def sample(rng, _source):
-            return _ghz_side(tp, k, "none", 0.0)
+        def sample(rng, _source, angles):
+            return _ghz_side(tp, "none", 0.0, rng, angles)
 
         return CheatStrategy(name, n_parties, dishonest_count, sample, _respond_from_label)
 

@@ -652,21 +652,18 @@ def test_strategy_respond_is_deterministic(rng):
 # projective measurement cheat
 
 
-def _dishonest_first(coalition):
-    return sorted(coalition.dishonest) + list(coalition.honest)
-
-
 def test_measure_parties_collapses_ideal_ghz(rng):
     # measuring qubit 2 of GHZ_3 at chi leaves GHZ_2(-chi + b*pi), so honest
-    # angles summing to m*pi - chi give the honest parity (m + b) mod 2
+    # angles summing to m*pi - chi give the honest parity (m + b) mod 2; the
+    # measurements commute, so qubit 2 may go last
     rows = 200
     chi = rng.uniform(0, np.pi, rows)
     t0 = rng.uniform(0, np.pi, rows)
     t1 = (-chi - t0) % np.pi
     m = np.rint((chi + t0 + t1) / np.pi)
-    angles = np.column_stack([chi, t0, t1])
-    bits = qstate.sample_rows(ghz_state(3), angles, rng.random((rows, 3)), [2, 0, 1])
-    np.testing.assert_array_equal((bits[:, 1] + bits[:, 2]) % 2, (m + bits[:, 0]) % 2)
+    angles = np.column_stack([t0, t1, chi])
+    bits = qstate.sample_rows(ghz_state(3), angles, rng.random((rows, 3)))
+    np.testing.assert_array_equal((bits[:, 0] + bits[:, 1]) % 2, (m + bits[:, 2]) % 2)
 
 
 def test_projective_cheat_on_ideal_ghz_matches_curve():
@@ -699,50 +696,9 @@ def test_noisy_projection_underperforms_clean_biseparable():
     assert noisy_stats.estimate + 3 * noisy_stats.stderr < clean_stats.estimate
 
 
-def _coalitions(n):
-    """Every coalition of 1..n-1 dishonest parties, party 0 included."""
-    for d in range(1, n):
-        for dishonest in itertools.combinations(range(n), d):
-            yield Coalition(n, dishonest)
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_measure_parties_matches_oracle_for_every_coalition(n, rng):
-    """Measuring the dishonest qubits first, then the honest ones, gives the
-    bits of the oracle's measurement and of the oracle sampler on the state
-    it leaves."""
-    rows = 10
-    for coalition in _coalitions(n):
-        d = n - coalition.k
-        order = _dishonest_first(coalition)
-        for state in (random_pure(n, rng), random_density(n, rng)):
-            angles = rng.uniform(0, np.pi, (rows, n))
-            draws = rng.random((rows, n))
-            bits = qstate.sample_rows(state, angles, draws, order)
-            for r in range(rows):
-                script = oracles.ScriptedRng(draws[r].tolist())
-                expected, rest = oracles.measure_parties(state, coalition, angles[r, :d], script)
-                expected += oracles.sample_outcomes(rest, angles[r, d:], script)
-                assert bits[r].tolist() == expected
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_measure_parties_on_a_record_matches_the_density_path(n, rng):
-    dephased = dephased_ghz(n, 0.3)
-    for coalition in _coalitions(n):
-        order = _dishonest_first(coalition)
-        for record in (dephased, random_ghz_diagonal(n, rng), random_ghz_diagonal(n, rng)):
-            angles = rng.uniform(0, np.pi, (10, n))
-            draws = rng.random((10, n))
-            np.testing.assert_array_equal(
-                qstate.sample_rows(record, angles, draws, order),
-                qstate.sample_rows(record.to_density(), angles, draws, order),
-            )
-
-
 def test_measure_parties_consumes_one_uniform_per_dishonest_qubit(rng):
     # projective-cheat's rounds draw the layout's uniforms and nothing more:
-    # one per dishonest qubit, then one per honest qubit
+    # one per qubit, column j for qubit j
     for n, d in ((3, 1), (4, 2), (4, 3)):
         strat = make_strategy("projective-cheat", n_parties=n, dishonest_count=d, lam=0.2)
         for state in (random_pure(n, rng), random_density(n, rng)):
@@ -760,3 +716,27 @@ def test_make_strategy_names_a_coalition_without_members_or_honest_parties():
     ):
         with pytest.raises(ValueError, match=expected):
             make_strategy("xy-mixed", n_parties=3, dishonest_count=count, lam=0.1)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: Coalition(1, []), "need at least 2 parties"),
+        (lambda: make_strategy("theta-rotated-bell", n_parties=3, lam=0.1, theta_prime=7.0),
+         "theta_prime must lie in [0, 2*pi)"),
+        (lambda: make_strategy("product-guesser", n_parties=65),
+         "qubit count must be in [1, 64], got 65"),
+    ],
+    ids=["one-party", "theta-prime", "65-parties"],
+)
+def test_coalition_and_strategy_range_errors_are_named(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("index", [0, 1, 3, 7])
+def test_averaged_guess_is_one_half_when_a_corner_is_empty(index):
+    # |index> on 3 qubits leaves the honest pair (0, 1) in one basis state,
+    # so at least one of r00 and rNN is 0 and the coalition can only guess
+    state = oracles.basis_state(3, index)
+    assert averaged_guess_probability(state, Coalition(3, [2])) == 0.5

@@ -175,3 +175,10 @@ def test_max_tolerable_loss_all_honest_is_loss_independent():
     assert max_tolerable_loss(0.9, ProtocolKind.XY, hon) == 0.5
     with pytest.raises(ValueError):
         max_tolerable_loss(0.7, ProtocolKind.THETA, hon)
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+def test_verdict_needs_a_valid_round(kind):
+    stats = PassStats(valid=0, passes=0, estimate=0.0, stderr=0.0, loss_rates=(1.0, 0.0))
+    with pytest.raises(ValueError, match="verdict needs at least one valid round"):
+        verdict(stats, kind, TrustModel.ALL_HONEST)

@@ -350,6 +350,8 @@ def test_bad_config_file_entries_are_named(tmp_path, capsys):
         ("protocol = foo\n", "key 'protocol': invalid choice 'foo' (choose from theta, xy)"),
         ("angle-points = 4\nformat = xml\n",
          "key 'format': invalid choice 'xml' (choose from json, csv)"),
+        ("seed = 3\nrounds  # the count\n",
+         "malformed line 'rounds  # the count', expected key = value"),
     ):
         conf.write_text(text)
         assert _run("verify", "--config", str(conf), "--rounds", "10") == 1
@@ -366,6 +368,12 @@ def test_bad_config_file_entries_are_named(tmp_path, capsys):
 def test_flags_a_subcommand_does_not_read_are_rejected(argv, flag, capsys):
     assert _run(*argv, "--rounds", "10") == 1
     assert capsys.readouterr().err == f"error: unrecognized arguments: {flag}\n"
+
+
+@pytest.mark.parametrize("grid", [",", " , ", ""])
+def test_an_empty_lambda_grid_is_named(grid, capsys):
+    assert _run("curves", "--lambda-grid", grid, "--rounds", "10") == 1
+    assert capsys.readouterr().err == f"error: --lambda-grid {grid!r} has no entries\n"
 
 
 def test_bad_lambda_grid_entry_is_named(capsys):
@@ -421,6 +429,11 @@ def test_party_counts_beyond_a_cap_are_named(capsys):
         assert _run("verify", *argv, "--rounds", "10") == 1
         message = f"error: qubit count must be in [1, {cap}], got {argv[1]}\n"
         assert capsys.readouterr().err == message
+    # a strategy without a source sizes its blocks by --parties too
+    for command in ("curves", "dishonest-angle-profile"):
+        assert _run(command, "--parties", "65", "--rounds", "10") == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: qubit count must be in [1, 64], got 65\n")
 
 
 def test_negative_seed_is_named(tmp_path, capsys):

@@ -13,6 +13,7 @@ from ghzverify.protocol import (
     LOSS,
     PassStats,
     ProtocolKind,
+    Rounds,
     estimate_pass_probability,
     exact_pass_probability,
     run_block,
@@ -546,3 +547,26 @@ def test_honest_fidelity_bound_holds_on_random_states(rng):
             fid = qstate.fidelity(rho, target)
             assert fid >= 2 * exact_pass_probability(rho, "theta") - 1 - 1e-9
             assert fid >= 2 * exact_pass_probability(rho, "xy") - 1 - 1e-9
+
+
+def _no_rounds(n):
+    empty = np.zeros((0, n))
+    return Rounds(empty, empty.astype(np.int8), empty.astype(bool), np.zeros(0, dtype=np.int8))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: PassStats.from_records(_no_rounds(3)), "no rounds to aggregate"),
+        (lambda: run_block(None, None, ProtocolKind.THETA, 4, np.random.default_rng(0)),
+         "an all-honest round needs a source state"),
+        (lambda: run_rounds(ghz_state(3), None, ProtocolKind.THETA, 0, 1),
+         "need at least one round"),
+        (lambda: run_rounds(ghz_state(3), None, ProtocolKind.XY, -5, 1),
+         "need at least one round"),
+    ],
+    ids=["no-rounds", "no-source", "zero-rounds", "negative-rounds"],
+)
+def test_runs_without_rounds_or_a_source_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

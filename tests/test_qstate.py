@@ -404,23 +404,6 @@ def test_sample_rows_rejects_angles_and_draws_not_of_one_shape(make):
             sample_rows(state, angles, draws)
 
 
-@pytest.mark.parametrize("n", [2, 3, 6])
-def test_measure_record_matches_density_kernel_on_low_qubits(n, rng):
-    """Measuring qubits 0..m-1 of a record last, after the others, gives the
-    kernel's bits on its dense matrix in that order: the closed form holds
-    in any qubit order."""
-    for record in (ghz_diagonal(n), random_ghz_diagonal(n, rng)):
-        dense = record.to_density()
-        for m in range(1, n):
-            order = list(range(m, n)) + list(range(m))
-            angles = rng.uniform(0, np.pi, (10, n))
-            draws = rng.random((10, n))
-            np.testing.assert_array_equal(
-                sample_rows(record, angles, draws, order),
-                sample_rows(dense, angles, draws, order),
-            )
-
-
 def _plain(value):
     """A function's value as a flat array: states become their dense
     matrices, and lists the concatenation of their items."""
@@ -891,3 +874,18 @@ def test_channel_rejects_bad_parameters():
         depolarized_ghz(3, -0.1)
     with pytest.raises(ValueError, match="unknown source variant 'amplitude-damping'"):
         sources.SourceModel("amplitude-damping", 3, {"p": 0.5})
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: PureState(2, np.ones(3) / np.sqrt(3)), "expected 4 amplitudes, got shape (3,)"),
+        (lambda: PureState(1, np.eye(2) / np.sqrt(2)), "expected 2 amplitudes, got shape (2, 2)"),
+        (lambda: DensityMatrix(1, np.eye(3) / 3), "expected a 2x2 matrix, got shape (3, 3)"),
+        (lambda: DensityMatrix(2, np.full(4, 0.25)), "expected a 4x4 matrix, got shape (4,)"),
+    ],
+    ids=["short-vector", "matrix-as-vector", "large-matrix", "vector-as-matrix"],
+)
+def test_state_shapes_are_named(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

@@ -1,9 +1,10 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from ghzverify import adversary, analytics, protocol, sources
+from ghzverify import adversary, analytics, protocol, simnet, sources
 from ghzverify.protocol import LOSS, ProtocolKind
 from ghzverify.simnet import SessionConfig, Transcript, run_session
 
@@ -238,3 +239,28 @@ def test_verdict_takes_the_larger_of_the_assumed_loss_and_the_aborted_share(kind
     assert 1.0 - light.stats.valid / 400 < 0.4
     got = light.verdict("all-honest", assumed_loss=0.4, sigma=2.0)
     assert got == analytics.verdict(light.stats, kind, "all-honest", 0.4, 2.0)
+
+
+def _xy_rounds(angle0, lost0):
+    """200 rounds of 3 parties, party 0 at the given angles and losses, the
+    others at angle 0 with no loss."""
+    m = 200
+    angles = np.zeros((m, 3))
+    angles[:, 0] = angle0
+    lost = np.zeros((m, 3), dtype=bool)
+    lost[:, 0] = lost0
+    zeros = np.zeros(m, dtype=np.int8)
+    return protocol.Rounds(angles, np.zeros((m, 3), dtype=np.int8), lost, zeros)
+
+
+@pytest.mark.parametrize(
+    "angle0,lost0,losses",
+    [
+        (0.0, np.arange(200) < 150, 150),  # one basis only: a row of the table is empty
+        (np.tile([0.0, np.pi / 2], 100), True, 200),  # every round lost: a column is empty
+    ],
+    ids=["one-basis", "every-round-lost"],
+)
+def test_xy_audit_of_a_degenerate_table_is_ok(angle0, lost0, losses):
+    audits = simnet.audit_records(_xy_rounds(angle0, lost0), ProtocolKind.XY)
+    assert audits[0] == simnet.PartyAudit(0, losses, "ok", "chi-square", 1.0)
