@@ -99,6 +99,11 @@ CALLS = [
       for n, tp in ((3, "0"), (4, "0.785"))
       for fmt in ("csv", "json")),
     ["curves", "--config", CONFIG_NAME, "--lambda-grid", "0.2", "--out", "curves.csv"],
+    # both loss audits at about 3000 losses: the chi-square (xy) and the KS test (theta)
+    *(["session", "--rounds", "6000", "--seed", "5", "--parties", "3", "--protocol", kind,
+       "--strategy", strategy, "--out", "run"]
+      for kind, strategy in (("xy", "xy-perfect-loss50"),
+                             ("theta", "theta-rotated-bell:lam=0.5"))),
 ]
 
 

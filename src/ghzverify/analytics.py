@@ -13,7 +13,10 @@ from .protocol import PassStats, ProtocolKind
 # an all-honest pass probability above 3/4 certifies GHZ fidelity above 1/2
 HONEST_GME_THRESHOLD = 0.75
 
-_THETA_LAMBDA_MAX = 1.0 - 1e-9
+# per protocol: the best pass probability a non-GME coalition reaches at loss
+# rate lam (Pappa et al.), and the loss rate where that curve ends
+CHEAT_CURVES = {ProtocolKind.THETA: (theta_cheat_pass_curve, 1.0),
+                ProtocolKind.XY: (xy_cheat_pass_curve, 0.5)}
 
 
 class TrustModel(str, Enum):
@@ -68,9 +71,9 @@ def gme_threshold(
     """Pass probability a non-GME state can reach at the given loss rate.
 
     All-honest trust: 3/4 for either protocol (loss-independent, since honest
-    loss is outcome-independent).  Dishonest-allowed trust: the optimal
-    cheating curves, cos^2(pi/8)-based for xy and 1/2 + sin(a)/2a for theta.
-    A loss rate outside the range the two allow is rejected as ``name``.
+    loss is outcome-independent).  Dishonest-allowed trust: the protocol's
+    optimal cheating curve (``CHEAT_CURVES``), which rejects a loss rate
+    outside its range as ``name``.
     """
     kind = ProtocolKind(kind)
     trust = TrustModel(trust)
@@ -78,9 +81,7 @@ def gme_threshold(
         if not 0.0 <= lam < 1.0:
             raise ValueError(f"{name} must lie in [0, 1), got {lam}")
         return HONEST_GME_THRESHOLD
-    if kind is ProtocolKind.THETA:
-        return theta_cheat_pass_curve(lam, name)
-    return xy_cheat_pass_curve(lam, name)
+    return CHEAT_CURVES[kind][0](lam, name)
 
 
 def check_sigma(sigma: float, name: str = "sigma") -> None:
@@ -144,11 +145,11 @@ def max_tolerable_loss(
         raise ValueError(
             f"pass probability {pass_probability} is below the zero-loss threshold {floor}"
         )
-    hi = 0.5 if kind is ProtocolKind.XY else _THETA_LAMBDA_MAX
+    curve, end = CHEAT_CURVES[kind]
+    hi = min(end, 1.0 - 1e-9)  # theta's curve is open at 1
     if trust is TrustModel.ALL_HONEST:
         # the honest threshold does not rise with loss; any loss is tolerable
         return 0.0 if pass_probability == floor else hi
-    curve = theta_cheat_pass_curve if kind is ProtocolKind.THETA else xy_cheat_pass_curve
     if pass_probability >= curve(hi):
         return hi
     lo = 0.0

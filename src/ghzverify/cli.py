@@ -246,12 +246,10 @@ CURVE_COLUMNS = (
 )
 
 
-# per protocol: its bound curve, the cheating strategy simulated against it,
-# the salt of that simulation's seed and the largest lambda it runs at
-_CURVES = (
-    ("theta", adversary.theta_cheat_pass_curve, "theta-rotated-bell", 101, math.inf),
-    ("xy", adversary.xy_cheat_pass_curve, "xy-mixed", 202, 0.5),
-)
+# per protocol: the cheating strategy simulated against its bound
+# (``analytics.CHEAT_CURVES``) and the salt of that simulation's seed
+_CURVES = ((protocol.ProtocolKind.THETA, "theta-rotated-bell", 101),
+           (protocol.ProtocolKind.XY, "xy-mixed", 202))
 
 
 def cmd_curves(args) -> int:
@@ -269,15 +267,16 @@ def cmd_curves(args) -> int:
     rows = []
     for i, lam in enumerate(grid):
         row = {"lambda": lam}
-        for kind, bound, name, salt, lam_max in _CURVES:
-            if lam > lam_max:
+        for kind, name, salt in _CURVES:
+            bound, end = analytics.CHEAT_CURVES[kind]
+            if lam > end:
                 continue
             strat = adversary.make_strategy(name, n_parties=args.parties, lam=lam)
             rng = np.random.default_rng((args.seed, salt, i))
             st = protocol.estimate_pass_probability(None, strat, kind, args.rounds, rng)
-            row[f"{kind}_bound"] = bound(lam)
-            row[f"simulated_{kind}_cheat"] = st.estimate
-            row[f"simulated_{kind}_cheat_stderr"] = st.stderr
+            row[f"{kind.value}_bound"] = bound(lam)
+            row[f"simulated_{kind.value}_cheat"] = st.estimate
+            row[f"simulated_{kind.value}_cheat_stderr"] = st.stderr
         rows.append(row)
     _emit_rows(rows, CURVE_COLUMNS, args)
     return 0

@@ -10,8 +10,8 @@ collected responses, not their order.  A transcript stores only the
 session's config, its rounds as arrays (``protocol.Rounds``) and the source
 state.  Statistics, loss flags and audits are views computed from the rounds
 on first read, and ``Transcript.verdict`` bounds the verdict's loss rate by
-the share of aborted rounds.  The records file and the message log are
-written from one walk over the rows (``Transcript.records_jsonl``,
+the share of aborted rounds.  The records file and the message log are each
+written from their own walk over the rows (``Transcript.records_jsonl``,
 ``Transcript.messages``), with each round's delivery order drawn from a
 dedicated seeded stream.
 """
@@ -145,12 +145,10 @@ class Transcript:
         ``assumed_loss`` or the share of aborted rounds, whichever is larger.
 
         A coalition can spread its loss declarations over its members, so
-        only the aborted share bounds its loss rate.  Under xy that share
-        counts up to 1/2, where the threshold reaches 1."""
-        aborted = 1.0 - self.stats.valid / self.config.rounds
-        if self.config.kind is ProtocolKind.XY:
-            aborted = min(aborted, 0.5)
-        lam = max(assumed_loss, aborted)
+        only the aborted share bounds its loss rate, up to where the protocol's
+        cheating curve ends (``analytics.CHEAT_CURVES``): 1/2 under xy."""
+        end = analytics.CHEAT_CURVES[self.config.kind][1]
+        lam = max(assumed_loss, min(1.0 - self.stats.valid / self.config.rounds, end))
         return analytics.verdict(self.stats, self.config.kind, trust, lam, sigma)
 
     def messages(self) -> Iterator[dict]:

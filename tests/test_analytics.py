@@ -5,6 +5,7 @@ import pytest
 
 from ghzverify.adversary import theta_cheat_pass_curve, xy_cheat_pass_curve
 from ghzverify.analytics import (
+    CHEAT_CURVES,
     TrustModel,
     dishonest_fidelity_bound,
     gme_threshold,
@@ -70,6 +71,28 @@ def test_gme_threshold_domain():
         gme_threshold(ProtocolKind.XY, TrustModel.DISHONEST_ALLOWED, 0.6)
     with pytest.raises(ValueError):
         gme_threshold(ProtocolKind.THETA, TrustModel.DISHONEST_ALLOWED, 1.0)
+
+
+def test_every_protocol_has_a_cheat_curve_row():
+    assert set(CHEAT_CURVES) == set(ProtocolKind)
+
+
+@pytest.mark.parametrize("kind", list(ProtocolKind))
+def test_dishonest_threshold_is_the_row_curve(kind):
+    curve, end = CHEAT_CURVES[kind]
+    for lam in np.linspace(0.0, end, 41)[:-1]:
+        assert gme_threshold(kind, TrustModel.DISHONEST_ALLOWED, lam) == curve(lam)
+
+
+def test_each_row_ends_where_its_curve_does():
+    xy_curve, xy_end = CHEAT_CURVES[ProtocolKind.XY]
+    assert xy_curve(xy_end) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError):
+        xy_curve(xy_end + 1e-12)
+    theta_curve, theta_end = CHEAT_CURVES[ProtocolKind.THETA]
+    assert theta_curve(theta_end - 1e-9) == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(ValueError):
+        theta_curve(theta_end)
 
 
 def test_verdict_three_party_case():
