@@ -5,9 +5,9 @@ while holding a state whose honest part is not genuinely multipartite
 entangled.  Two quantities bound it: its best guess of the honest parity,
 a Helstrom measurement on its share against a given honest angle, and the
 best GHZ fidelity its local operations can reach.  Both depend on the state
-only through three entries of the honest reduced state, its corner block on
-the all-0 and all-1 honest strings, which ``_corner`` reads without forming
-the reduced state; the closed forms here are functions of those entries.
+only through the corner block of the honest reduced state on the all-0 and
+all-1 honest strings (``qstate.corner``); the closed forms here are
+functions of its three entries.
 The strategy constructors turn the optimal plays (including loss
 declaration) into round-by-round response policies.
 """
@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import qstate
-from .qstate import GhzDiagonal, PureState, State
+from .qstate import PureState, State
 from .sources import check_key_params, format_key, key_number, key_params, split_key
 
 XY_OPTIMUM = math.cos(math.pi / 8) ** 2
@@ -57,47 +56,11 @@ class Coalition:
         return self.n - len(self.dishonest)
 
 
-@lru_cache(maxsize=128)
-def _corner_indices(coalition: Coalition) -> tuple[np.ndarray, np.ndarray]:
-    """The indices ``L`` and ``L|H`` of ``_corner``, read-only and built once
-    per coalition, over the dishonest bits in ascending order so that the
-    order of the sums does not depend on how the frozenset was built."""
-    low = np.zeros(1, dtype=np.int64)
-    for j in sorted(coalition.dishonest):
-        low = np.concatenate([low, low + (1 << j)])
-    high = low + sum(1 << j for j in coalition.honest)
-    low.setflags(write=False)
-    high.setflags(write=False)
-    return low, high
-
-
 def _corner(state: State, coalition: Coalition) -> tuple[float, float, complex]:
-    """The corner block ``(r00, rNN, x)`` of the honest reduced state.
-
-    With ``0`` and ``N`` the all-0 and all-1 strings of the honest parties,
-    these are ``rho_H[0, 0]``, ``rho_H[N, N]`` and ``rho_H[N, 0]`` of the
-    honest reduced state ``rho_H``.  Let ``H`` be the mask of the honest
-    qubits and ``L`` the 2^d indices whose honest bits are 0 (every subset of
-    the dishonest bits).  Tracing out the coalition sums over ``s`` in ``L``:
-    ``r00 = sum rho[s, s]``, ``rNN = sum rho[s|H, s|H]`` and
-    ``x = sum rho[s|H, s]``.  For a vector, with ``a = psi[L]`` and
-    ``b = psi[L|H]``, they are ``|a|^2``, ``|b|^2`` and ``<a|b>``.  On a
-    ``GhzDiagonal`` record each sum holds a corner weight and ``2^d - 1``
-    background entries, with no index array built; ``x`` is the conjugated
-    coherence when every party is honest, and 0 otherwise.
-    """
+    """``qstate.corner`` of the honest reduced state: the coalition traced out."""
     if state.n != coalition.n:
         raise ValueError(f"state has {state.n} qubits but the coalition has {coalition.n} parties")
-    if isinstance(state, GhzDiagonal):
-        share = state.weight + (2.0 ** len(coalition.dishonest) - 1.0) * state.background
-        return share, share, (0j if coalition.dishonest else state.coherence.conjugate())
-    low, high = _corner_indices(coalition)
-    if isinstance(state, PureState):
-        a, b = state.amplitudes[low], state.amplitudes[high]
-        return float(np.vdot(a, a).real), float(np.vdot(b, b).real), complex(np.vdot(a, b))
-    rho = state.entries
-    r00, rnn = rho[low, low].sum().real, rho[high, high].sum().real
-    return float(r00), float(rnn), complex(rho[high, low].sum())
+    return qstate.corner(state, coalition.dishonest)
 
 
 def _radicand(product: float, square: float) -> float:
@@ -171,7 +134,7 @@ def xy_optimal_pass_probability(psi: PureState, coalition: Coalition) -> float:
     Helstrom guess at honest angle ``t``: projecting the honest parties onto
     ``GHZ_k(t)`` and ``GHZ_k(t + pi)`` leaves the coalition
     ``u = (a + e^{-it} b)/sqrt(2)`` and ``v = (a - e^{-it} b)/sqrt(2)``
-    (``a``, ``b`` as in ``_corner``), and the best guess of which it holds is
+    (``a``, ``b`` as in ``qstate.corner``), and the best guess of which it holds is
     ``1/2 + ||uu* - vv*||_1 / 2`` with
     ``||uu* - vv*||_1^2 = (|u|^2 + |v|^2)^2 - 4|<u|v>|^2``.  Here
     ``|u|^2 + |v|^2 = r00 + rNN`` and

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Union
 import numpy as np
 
 from . import qstate
-from .qstate import GhzDiagonal, PureState, State
+from .qstate import State
 
 if TYPE_CHECKING:
     from .adversary import CheatStrategy
@@ -258,7 +258,8 @@ def estimate_pass_probability(
 
 def exact_pass_probability(rho: State, kind: ProtocolKind) -> float:
     """Exact pass probability of an all-honest round under protocol ``kind``:
-    ``1/2 + Re rho[0, 2^n - 1]`` for both protocols.
+    ``1/2 + Re rho[0, 2^n - 1]`` for both protocols, read as ``1/2 + Re x``
+    with ``x = rho[2^n - 1, 0]`` from ``qstate.corner``.
 
     Theta: averaging the per-setting test operator over all valid
     assignments leaves ``|G_0><G_0| + (I - |G_0><G_0| - |G_pi><G_pi|)/2``, so
@@ -281,13 +282,6 @@ def exact_pass_probability(rho: State, kind: ProtocolKind) -> float:
     which is ``2^(n-1)`` for ``b = 0..0`` and ``b = 1..1`` and 0 otherwise.
     The average of ``(-1)^{|S|/2} <O_S>`` over the ``2^(n-1)`` settings is
     therefore ``rho[0, N] + rho[N, 0] = 2 Re rho[0, N]``.
-
-    A ``GhzDiagonal`` record holds ``rho[0,N]`` as its coherence, and a
-    ``PureState`` ``v`` has ``rho[0,N] = v_0 conj(v_N)``.
     """
     ProtocolKind(kind)
-    if isinstance(rho, PureState):
-        corner = rho.amplitudes[0] * rho.amplitudes[-1].conjugate()
-    else:
-        corner = rho.coherence if isinstance(rho, GhzDiagonal) else rho.entries[0, -1]
-    return 0.5 + float(corner.real)
+    return 0.5 + qstate.corner(rho)[2].real

@@ -1,4 +1,4 @@
-"""Small n-qubit state engine: construction, measurement and fidelity.
+"""Small n-qubit state engine: construction, measurement, corner blocks and fidelity.
 
 Conventions used throughout the package:
 
@@ -26,7 +26,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NoReturn, Sequence, Union
+from typing import Iterable, NoReturn, Sequence, Union
 
 import numpy as np
 
@@ -413,6 +413,46 @@ def setting_pass_probability(rho: State, angles: Sequence[float]) -> float:
         hi = len(anti)
         expectation = float(phases[:hi].dot(anti.dot(phases[hi:])).real)
     return 0.5 * (1.0 + (expectation if m % 2 == 0 else -expectation))
+
+
+@lru_cache(maxsize=128)
+def _corner_indices(n: int, traced: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The indices ``L`` and ``L|H`` of ``corner``, read-only and built once
+    per ``(n, traced)``, over the traced bits in the order given: ascending."""
+    low = np.zeros(1, dtype=np.int64)
+    for j in traced:
+        low = np.concatenate([low, low + (1 << j)])
+    high = low + sum(1 << j for j in range(n) if j not in traced)
+    low.setflags(write=False)
+    high.setflags(write=False)
+    return low, high
+
+
+def corner(state: State, traced: Iterable[int] = ()) -> tuple[float, float, complex]:
+    """The corner block ``(r00, rNN, x) = (rho_K[0, 0], rho_K[N, N], rho_K[N, 0])``
+    of the reduced state ``rho_K`` of the qubits not in ``traced``, with ``0``
+    and ``N`` their all-0 and all-1 strings.  With ``H`` the kept qubits'
+    mask and ``L`` the indices whose kept bits are 0, these are
+    ``sum rho[s, s]``, ``sum rho[s|H, s|H]`` and ``sum rho[s|H, s]`` over
+    ``s`` in ``L``, in ascending order of the traced bits; for a vector,
+    ``|a|^2``, ``|b|^2`` and ``<a|b>`` with ``a = psi[L]``, ``b = psi[L|H]``.
+    A record's sums hold a corner weight and ``2^d - 1`` background entries
+    for ``d`` traced qubits, and ``x`` is its conjugated coherence when
+    nothing is traced, else 0.
+    """
+    traced = tuple(sorted(set(traced)))
+    if traced and not 0 <= traced[0] <= traced[-1] < state.n:
+        raise ValueError(f"traced qubits must lie in [0, {state.n}), got {traced}")
+    if isinstance(state, GhzDiagonal):
+        share = state.weight + (2.0 ** len(traced) - 1.0) * state.background
+        return share, share, (0j if traced else state.coherence.conjugate())
+    low, high = _corner_indices(state.n, traced)
+    if isinstance(state, PureState):
+        a, b = state.amplitudes[low], state.amplitudes[high]
+        return float(np.vdot(a, a).real), float(np.vdot(b, b).real), complex(np.vdot(a, b))
+    rho = state.entries
+    r00, rnn = rho[low, low].sum().real, rho[high, high].sum().real
+    return float(r00), float(rnn), complex(rho[high, low].sum())
 
 
 # ---------------------------------------------------------------------------

@@ -145,11 +145,13 @@ class Transcript:
         ``assumed_loss`` or the share of aborted rounds, whichever is larger.
 
         A coalition can spread its loss declarations over its members, so
-        only the aborted share bounds its loss rate, up to where the protocol's
-        cheating curve ends (``analytics.CHEAT_CURVES``): 1/2 under xy."""
-        end = analytics.CHEAT_CURVES[self.config.kind][1]
-        lam = max(assumed_loss, min(1.0 - self.stats.valid / self.config.rounds, end))
-        return analytics.verdict(self.stats, self.config.kind, trust, lam, sigma)
+        only the aborted share bounds its loss rate.  Under dishonest-allowed
+        trust only, it is capped where the protocol's cheating curve ends
+        (``analytics.CHEAT_CURVES``): 1/2 under xy."""
+        lam = 1.0 - self.stats.valid / self.config.rounds
+        if analytics.TrustModel(trust) is analytics.TrustModel.DISHONEST_ALLOWED:
+            lam = min(lam, analytics.CHEAT_CURVES[self.config.kind][1])
+        return analytics.verdict(self.stats, self.config.kind, trust, max(assumed_loss, lam), sigma)
 
     def messages(self) -> Iterator[dict]:
         """The message log, derived from the rounds and the seed.

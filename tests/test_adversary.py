@@ -244,9 +244,9 @@ def test_equal_coalitions_built_in_another_order_give_the_same_corner(rng):
     first, second = Coalition(10, [1, 9, 4]), Coalition(10, [9, 1, 4])
     assert first == second and list(first.dishonest) != list(second.dishonest)
     for state in (random_pure(10, rng), random_density(10, rng)):
-        adversary._corner_indices.cache_clear()
+        qstate._corner_indices.cache_clear()
         corner = adversary._corner(state, first)
-        adversary._corner_indices.cache_clear()
+        qstate._corner_indices.cache_clear()
         assert adversary._corner(state, second) == corner
 
 

@@ -612,6 +612,32 @@ def test_partial_trace_errors():
 
 
 # ---------------------------------------------------------------------------
+# corner block
+
+
+def test_corner_with_nothing_traced_reads_the_state_corners(rng):
+    rho = random_density(3, rng)
+    m = rho.entries
+    assert qstate.corner(rho) == (m[0, 0].real, m[-1, -1].real, m[-1, 0])
+    record = random_ghz_diagonal(3, rng)
+    assert qstate.corner(record) == (record.weight, record.weight, record.coherence.conjugate())
+
+
+def test_corner_takes_each_traced_qubit_once_in_any_order(rng):
+    for state in (random_pure(4, rng), random_density(4, rng), random_ghz_diagonal(4, rng)):
+        corner = qstate.corner(state, (1, 3))
+        assert qstate.corner(state, [3, 1]) == corner
+        assert qstate.corner(state, (3, 1, 3)) == corner
+
+
+@pytest.mark.parametrize("traced", [(-1,), (3,), (0, 5)])
+def test_corner_rejects_traced_qubits_outside_the_state(traced):
+    for state in (ghz_state(3), ghz_diagonal(3)):
+        with pytest.raises(ValueError, match=r"traced qubits must lie in \[0, 3\)"):
+            qstate.corner(state, traced)
+
+
+# ---------------------------------------------------------------------------
 # fidelity
 
 

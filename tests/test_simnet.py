@@ -232,9 +232,11 @@ def test_verdict_takes_the_larger_of_the_assumed_loss_and_the_aborted_share(kind
     heavy = run_session(_config(kind=kind, rounds=400, honest_loss=0.3))
     aborted = 1.0 - heavy.stats.valid / 400  # about 1 - 0.7**3
     assert aborted > 0.5
-    # under xy the aborted share counts up to 1/2
+    # under xy the aborted share counts up to 1/2 where coalitions may cheat
     expected = 0.5 if kind is ProtocolKind.XY else aborted
     assert heavy.verdict("dishonest-allowed").lam == expected
+    # the all-honest threshold is 3/4 at any loss: the share is not capped
+    assert heavy.verdict("all-honest").lam == aborted
     light = run_session(_config(kind=kind, rounds=400, honest_loss=0.05))
     assert 1.0 - light.stats.valid / 400 < 0.4
     got = light.verdict("all-honest", assumed_loss=0.4, sigma=2.0)
