@@ -77,6 +77,12 @@ CALLS = [
      "--strategy", "projective-cheat:lam=0.1", "--dishonest-count", "2", "--out", "run"],
     ["verify", *_R, "--parties", "5", "--protocol", "xy", "--strategy", "xy-mixed:lam=0.3",
      "--dishonest-count", "2", "--out", "verify.json"],
+    # the xy loss strategies under theta requests, whose answer angles fall anywhere
+    ["session", *_R, "--parties", "4", "--protocol", "theta", "--strategy", "xy-perfect-loss50",
+     "--dishonest-count", "2", "--out", "run"],
+    *(["session", *_R, "--parties", "3", "--protocol", "theta", "--strategy", strategy,
+       "--out", "run"]
+      for strategy in ("xy-naive-loss", "xy-mixed:lam=0.3")),
     # honest loss, with and without an assumed loss and another trust model
     ["session", *_R, "--parties", "3", "--protocol", "theta", "--source", "dephased-ghz:p=0.2",
      "--honest-loss", "0.05", "--out", "run"],
