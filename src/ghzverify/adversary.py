@@ -15,6 +15,7 @@ declaration) into round-by-round response policies.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +26,6 @@ from .sources import check_key_params, format_key, key_number, key_params, split
 
 XY_OPTIMUM = math.cos(math.pi / 8) ** 2
 
-# phases of the four coordinated Bell-type states used to hide basis-dependent
-# loss: answer tables stay balanced because each basis serves half of them
-_BELL_PHASES = (0.0, math.pi, math.pi / 2, 3 * math.pi / 2)
-
-
 @dataclass(frozen=True)
 class Coalition:
     """A partition of n parties into an honest set and a dishonest set."""
@@ -38,6 +34,7 @@ class Coalition:
     dishonest: frozenset[int]
 
     def __init__(self, n: int, dishonest):
+        qstate.check_count(n, "party count")
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "dishonest", frozenset(int(j) for j in dishonest))
         if self.n < 2:
@@ -183,10 +180,18 @@ def xy_cheat_pass_curve(lam: float, name: str = "loss rate") -> float:
 @dataclass(frozen=True)
 class PhaseArm:
     """A table of GHZ phases (offsets from theta_prime), one drawn uniformly
-    per round, and the loss rule the coalition plays with it."""
+    per round, and the loss arc the coalition plays with it: the width in
+    [0, 1], as a share of pi, of the half-open arc of answer angles ``t + phi``
+    (mod pi) centred on pi/2, where the state is least aligned with the
+    request, on which it declares loss; 0 for none, None for ``lam``."""
 
     phases: tuple[float, ...]
-    loss_mode: str = "none"  # "none" | "xy-basis" | "arc"
+    loss_arc: float | None = 0.0
+
+    def __post_init__(self):
+        w = self.loss_arc
+        if w is not None and not (isinstance(w, numbers.Real) and 0.0 <= w <= 1.0):
+            raise ValueError(f"loss_arc must be None or a number in [0, 1], got {w!r}")
 
 
 @dataclass(frozen=True)
@@ -195,7 +200,7 @@ class CheatStrategy:
 
     Each round the honest parties get ``GHZ_k(phi)`` and the coalition
     answers ``[cos(t + phi) < 0]`` to requested angles summing to ``t``, or
-    LOSS under its arm's loss rule.  ``phi`` is ``theta_prime`` plus a phase
+    LOSS on its arm's loss arc.  ``phi`` is ``theta_prime`` plus a phase
     from the arm's table; with two arms the first is played with probability
     ``2*lam`` (it declares loss on half its rounds, so the loss rate is
     ``lam``).  A ``masked`` strategy adds a fresh uniform rotation on
@@ -228,9 +233,7 @@ class CheatStrategy:
         if len(self.arms) > 1:
             arm[rng.random(m) >= 2.0 * self.lam] = 1
         sizes = np.array([len(a.phases) for a in self.arms])
-        table = np.zeros((len(self.arms), sizes.max()))
-        for i, a in enumerate(self.arms):
-            table[i, : sizes[i]] = a.phases
+        table = np.array([a.phases + (0.0,) * (sizes.max() - len(a.phases)) for a in self.arms])
         index = rng.integers(0, sizes[arm]) if sizes.max() > 1 else np.zeros(m, dtype=np.int64)
         phase = self.theta_prime + table[arm, index]
         if self.masked:
@@ -261,10 +264,8 @@ class CheatStrategy:
 
         With requested angles summing to ``t``, the coalition answers bit
         ``[cos(t + phi) < 0]``, which passes with probability
-        ``(1 + |cos(t + phi)|)/2``.  Loss modes: "xy-basis" declares loss
-        whenever the request is not aligned with the state (|cos| below
-        1/2), "arc" declares loss on a half-open arc of width lam*pi centred
-        on the alignment minimum.
+        ``(1 + |cos(t + phi)|)/2``, or declares loss where ``t + phi`` falls
+        on its arm's loss arc (``PhaseArm``), one test for every arm.
         """
         m, n = angles.shape
         d = self.dishonest_count
@@ -285,29 +286,27 @@ class CheatStrategy:
             coherence = 0.5 * np.exp(-1j * phase)
             bits[:, :k] = qstate.sample_record(coherence, angles[:, :k], draws[:, :k])
         total = angles[:, k:].sum(axis=1) + phase
-        alignment = np.cos(total)
-        lost = np.zeros(m, dtype=bool)
-        for i, a in enumerate(self.arms):
-            if a.loss_mode == "xy-basis":
-                lost |= (arm == i) & (np.abs(alignment) < 0.5)
-            elif a.loss_mode == "arc":
-                offset = total % math.pi - math.pi / 2.0
-                half = self.lam * math.pi / 2.0
-                lost |= (arm == i) & (-half <= offset) & (offset < half)
-        bits[:, k] = alignment < 0.0
-        return bits, lost
+        half = self.loss_arcs()[arm] * math.pi / 2.0
+        offset = total % math.pi - math.pi / 2.0
+        bits[:, k] = np.cos(total) < 0.0
+        return bits, (-half <= offset) & (offset < half)
+
+    def loss_arcs(self) -> np.ndarray:
+        """Each arm's loss arc width, ``lam`` in place of None."""
+        return np.array([self.lam if a.loss_arc is None else a.loss_arc for a in self.arms])
 
 
-_XY_LOSS50 = PhaseArm(_BELL_PHASES, "xy-basis")
+_XY_LOSS = 1.0 / 3.0  # loss where |cos(t + phi)| < 1/2: the middle third of pi
+_XY_LOSS50 = PhaseArm((0.0, math.pi, math.pi / 2, 3 * math.pi / 2), _XY_LOSS)
 _XY_ROTATED = PhaseArm(tuple(math.pi / 4 + i * math.pi / 2 for i in range(4)))
-_THETA_ARC = PhaseArm((0.0,), "arc")
+_THETA_ARC = PhaseArm((0.0,), None)
 _THETA_SYNTAX = "{}:lam=<0..1>[,theta-prime=<radians>]"
 
 # name: (key syntax, CheatStrategy fields).  A strategy takes the parameters
 # its syntax names, those in [...] optional; lam is the target loss rate.
 STRATEGIES = {
     "xy-perfect-loss50": ("{}", dict(arms=(_XY_LOSS50,))),
-    "xy-naive-loss": ("{}", dict(arms=(PhaseArm((0.0,), "xy-basis"),))),
+    "xy-naive-loss": ("{}", dict(arms=(PhaseArm((0.0,), _XY_LOSS),))),
     "xy-rotated-bell": ("{}", dict(arms=(_XY_ROTATED,))),
     "xy-mixed": ("{}:lam=<0..1/2>", dict(arms=(_XY_LOSS50, _XY_ROTATED))),
     "theta-rotated-bell": (_THETA_SYNTAX, dict(arms=(_THETA_ARC,), masked=True)),
@@ -334,35 +333,33 @@ def make_strategy(
 ) -> CheatStrategy:
     """Build a named cheating strategy for a coalition of the given size.
 
-    Available strategies (k = number of honest parties), with the draws
-    ``CheatStrategy.draw_side`` makes for a block of m rounds, in order:
+    Available strategies (k = number of honest parties), with their loss
+    arcs and the draws ``CheatStrategy.draw_side`` makes for m rounds:
 
     * ``xy-perfect-loss50`` -- the source sends one of four coordinated
       Bell-type states uniformly at random; the coalition answers only when
-      its requested basis matches, declaring loss otherwise.  Passes every
-      valid round at 50% declared loss, with basis-balanced answers and
-      losses.  Draws ``integers(0, 4, m)``.
+      its requested basis matches: loss arc 1/3, where ``|cos(t + phi)|``
+      is below 1/2.  Passes every valid round at 50% declared loss, with
+      basis-balanced answers and losses.  Draws ``integers(0, 4, m)``.
     * ``xy-naive-loss`` -- the unmixed version of the above (always the same
-      state, loss always on the mismatched basis); detectable by the audit.
-      Draws nothing.
+      state, loss arc 1/3); detectable by the audit.  Draws nothing.
     * ``xy-rotated-bell`` -- pi/4-rotated state with a random multiple-of-pi/2
-      masking offset; never declares loss and passes at cos^2(pi/8).  Draws
+      masking offset; loss arc 0, and passes at cos^2(pi/8).  Draws
       ``integers(0, 4, m)``.
     * ``xy-mixed`` (lam) -- probabilistic mixture: with probability 2*lam play
       xy-perfect-loss50, otherwise xy-rotated-bell.  Draws ``random(m)``
       (arm 0 below 2*lam), then ``integers(0, sizes[arm])``, a phase index
       per row in its arm's table of 4.
     * ``theta-rotated-bell`` (lam, theta_prime) -- rotated state with a fresh
-      uniform masking rotation each round; declares loss on the width-lam*pi
-      arc of requested angles where the pass probability is lowest, so
-      declared-loss angles stay uniform over rounds.  Draws
-      ``uniform(0, pi, m)``.
+      uniform masking rotation each round; loss arc lam, where the pass
+      probability is lowest, so declared-loss angles stay uniform over
+      rounds.  Draws ``uniform(0, pi, m)``.
     * ``projective-cheat`` (lam, theta_prime) -- measures the coalition's
       qubits of the (possibly noisy) source state to steer the honest parties
       into a rotated non-GME state, then plays theta-rotated-bell's rule.
       Draws ``uniform(0, pi, m)``; its dishonest qubits take the last d of
       each row's measurement uniforms (``play``).
-    * ``product-guesser`` (theta_prime) -- fixed rotated state, no loss,
+    * ``product-guesser`` (theta_prime) -- fixed rotated state, loss arc 0,
       always answers the likelier parity.  Draws nothing.
 
     ``play`` draws nothing.  ``n_parties`` may not exceed
@@ -398,6 +395,7 @@ def check_dishonest_count(
     """Raise unless a coalition of ``count`` of ``n_parties`` parties has a
     member and leaves one party honest; the message calls the two values
     ``name`` and ``parties``."""
+    qstate.check_count(count, name)
     if count < 1:
         raise ValueError(f"{name} must be at least 1, got {count}")
     if count >= n_parties:

@@ -177,8 +177,7 @@ def run_block(
     4. with ``honest_loss`` > 0, ``rng.random((m, k)) < honest_loss`` for the
        honest parties' losses.
     """
-    if not 0.0 <= honest_loss < 1.0:
-        raise ValueError(f"honest_loss must lie in [0, 1), got {honest_loss}")
+    check_honest_loss(honest_loss)
     kind = ProtocolKind(kind)
     n, k = _parties(source, strategy)
     angles = _angle_block(kind, n, m, rng, last_angle)
@@ -193,6 +192,12 @@ def run_block(
     parity = np.rint(angles.sum(axis=1) / np.pi).astype(np.int64) % 2
     passed = (bits.sum(axis=1) % 2 == parity).view(np.int8)
     return Rounds(angles, bits, lost, passed)
+
+
+def check_honest_loss(honest_loss: float) -> None:
+    """Reject an honest loss probability outside [0, 1), NaN included."""
+    if not 0.0 <= honest_loss < 1.0:
+        raise ValueError(f"honest_loss must lie in [0, 1), got {honest_loss}")
 
 
 def base_seed(rng: Union[int, np.random.Generator]) -> int:
@@ -217,6 +222,7 @@ def run_rounds(
     rounds ``b*B`` onwards and draws from the stream ``(seed, b)`` as
     ``run_block`` lays out, with ``seed`` the integer ``rng`` or a 63-bit
     integer drawn from the generator ``rng``."""
+    qstate.check_count(rounds, "rounds")
     if rounds < 1:
         raise ValueError("need at least one round")
     seed = base_seed(rng)

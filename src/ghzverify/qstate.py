@@ -37,8 +37,16 @@ MAX_DENSITY_QUBITS = 10
 MAX_RECORD_QUBITS = 64
 
 
+def check_count(value, name: str) -> None:
+    """Reject a count that is not an integer, calling it ``name``; numpy
+    integers pass."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_qubits(n: int, cap: int) -> None:
-    """Reject a qubit count outside [1, cap], naming the cap."""
+    """Reject a qubit count that is not an integer in [1, cap], naming the cap."""
+    check_count(n, "qubit count")
     if not 1 <= n <= cap:
         raise ValueError(f"qubit count must be in [1, {cap}], got {n}")
 
@@ -416,16 +424,20 @@ def setting_pass_probability(rho: State, angles: Sequence[float]) -> float:
 
 
 @lru_cache(maxsize=128)
-def _corner_indices(n: int, traced: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The indices ``L`` and ``L|H`` of ``corner``, read-only and built once
-    per ``(n, traced)``, over the traced bits in the order given: ascending."""
+def _corner_indices(n: int, traced: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The indices ``L`` and ``L|H`` of ``corner`` and, one row per sum, the
+    flat indices ``(s, s)``, ``(s|H, s|H)`` and ``(s|H, s)`` of its three
+    sums in a ``2^n x 2^n`` matrix; read-only and built once per
+    ``(n, traced)``, over the traced bits in the order given: ascending."""
     low = np.zeros(1, dtype=np.int64)
     for j in traced:
         low = np.concatenate([low, low + (1 << j)])
     high = low + sum(1 << j for j in range(n) if j not in traced)
-    low.setflags(write=False)
-    high.setflags(write=False)
-    return low, high
+    dim = 1 << n
+    flat = np.stack([low * (dim + 1), high * (dim + 1), high * dim + low])
+    for index in (low, high, flat):
+        index.setflags(write=False)
+    return low, high, flat
 
 
 def corner(state: State, traced: Iterable[int] = ()) -> tuple[float, float, complex]:
@@ -446,13 +458,12 @@ def corner(state: State, traced: Iterable[int] = ()) -> tuple[float, float, comp
     if isinstance(state, GhzDiagonal):
         share = state.weight + (2.0 ** len(traced) - 1.0) * state.background
         return share, share, (0j if traced else state.coherence.conjugate())
-    low, high = _corner_indices(state.n, traced)
+    low, high, flat = _corner_indices(state.n, traced)
     if isinstance(state, PureState):
         a, b = state.amplitudes[low], state.amplitudes[high]
         return float(np.vdot(a, a).real), float(np.vdot(b, b).real), complex(np.vdot(a, b))
-    rho = state.entries
-    r00, rnn = rho[low, low].sum().real, rho[high, high].sum().real
-    return float(r00), float(rnn), complex(rho[high, low].sum())
+    r00, rnn, x = state.entries.take(flat).sum(axis=1)
+    return float(r00.real), float(rnn.real), complex(x)
 
 
 # ---------------------------------------------------------------------------

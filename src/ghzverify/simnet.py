@@ -27,8 +27,8 @@ import numpy as np
 
 from . import analytics, sources
 from .adversary import CheatStrategy
-from .protocol import LOSS, PassStats, ProtocolKind, Rounds, run_rounds
-from .qstate import State
+from .protocol import LOSS, PassStats, ProtocolKind, Rounds, check_honest_loss, run_rounds
+from .qstate import State, check_count
 
 BROADCAST = -1
 VERIFIER = 0
@@ -57,12 +57,14 @@ class SessionConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ProtocolKind(self.kind))
+        check_count(self.rounds, "rounds")
         if self.rounds < 1:
             raise ValueError("need at least one round")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0.0 <= self.lambda_max < 1.0:
             raise ValueError("lambda_max must lie in [0, 1)")
+        check_honest_loss(self.honest_loss)
         if self.strategy is not None and self.strategy.n_parties != self.n_parties:
             raise ValueError(
                 f"strategy {self.strategy.name!r} is built for "
@@ -147,7 +149,9 @@ class Transcript:
         A coalition can spread its loss declarations over its members, so
         only the aborted share bounds its loss rate.  Under dishonest-allowed
         trust only, it is capped where the protocol's cheating curve ends
-        (``analytics.CHEAT_CURVES``): 1/2 under xy."""
+        (``analytics.CHEAT_CURVES``): 1/2 under xy.  ``assumed_loss`` takes
+        the range of ``analytics.gme_threshold``."""
+        analytics.gme_threshold(self.config.kind, trust, assumed_loss, "assumed_loss")
         lam = 1.0 - self.stats.valid / self.config.rounds
         if analytics.TrustModel(trust) is analytics.TrustModel.DISHONEST_ALLOWED:
             lam = min(lam, analytics.CHEAT_CURVES[self.config.kind][1])

@@ -12,6 +12,7 @@ from ghzverify import adversary, protocol, qstate, sources
 from ghzverify.adversary import (
     XY_OPTIMUM,
     Coalition,
+    PhaseArm,
     averaged_guess_probability,
     best_dishonest_fidelity,
     make_strategy,
@@ -57,6 +58,17 @@ def test_coalition_partition():
     c = Coalition(4, [1, 3])
     assert c.honest == (0, 2)
     assert c.k == 2
+    # numpy integers are counts too
+    assert Coalition(np.int64(4), [1, 3]) == c
+    strat = make_strategy("product-guesser", n_parties=np.int64(3), dishonest_count=np.int64(1))
+    assert (strat.n_parties, strat.dishonest_count) == (3, 1)
+
+
+@pytest.mark.parametrize("arc", ["arc", "xy-basis", 1.5, -0.1, float("nan")])
+def test_phase_arm_rejects_a_loss_arc_outside_0_to_1(arc):
+    message = f"loss_arc must be None or a number in [0, 1], got {arc!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PhaseArm((0.0,), arc)
 
 
 # ---------------------------------------------------------------------------
@@ -726,8 +738,14 @@ def test_make_strategy_names_a_coalition_without_members_or_honest_parties():
          "theta_prime must lie in [0, 2*pi)"),
         (lambda: make_strategy("product-guesser", n_parties=65),
          "qubit count must be in [1, 64], got 65"),
+        (lambda: Coalition(3.7, [1]), "party count must be an integer, got 3.7"),
+        (lambda: make_strategy("product-guesser", n_parties=2.5),
+         "qubit count must be an integer, got 2.5"),
+        (lambda: make_strategy("product-guesser", n_parties=3, dishonest_count=1.5),
+         "dishonest_count must be an integer, got 1.5"),
     ],
-    ids=["one-party", "theta-prime", "65-parties"],
+    ids=["one-party", "theta-prime", "65-parties", "fractional-coalition",
+         "fractional-parties", "fractional-dishonest-count"],
 )
 def test_coalition_and_strategy_range_errors_are_named(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -302,7 +302,7 @@ def test_round_with_always_loss_party(rng):
         name="always-loss",
         n_parties=3,
         dishonest_count=1,
-        arms=(adversary.PhaseArm((0.0,), "arc"),),
+        arms=(adversary.PhaseArm((0.0,), None),),
         lam=1.0,
     )
     (rec,) = oracles.rows(
@@ -344,6 +344,12 @@ def test_round_rejects_bad_honest_loss(rng):
     for loss in (-0.5, float("nan"), float("inf"), 1.0, 2.0):
         with pytest.raises(ValueError, match="honest_loss must lie in"):
             run_block(ghz_state(3), None, ProtocolKind.THETA, 1, rng, honest_loss=loss)
+
+
+def test_run_rounds_takes_an_integer_count():
+    with pytest.raises(ValueError, match="rounds must be an integer, got 2.5"):
+        run_rounds(ghz_state(3), None, ProtocolKind.THETA, 2.5, 1)
+    assert len(run_rounds(ghz_state(3), None, ProtocolKind.THETA, np.int64(3), 1).passed) == 3
 
 
 def test_round_names_source_and_strategy_arity_mismatch(rng):
@@ -405,7 +411,7 @@ def test_estimate_requires_valid_rounds(rng):
         name="always-loss",
         n_parties=2,
         dishonest_count=1,
-        arms=(adversary.PhaseArm((0.0,), "arc"),),
+        arms=(adversary.PhaseArm((0.0,), None),),
         lam=1.0,
     )
     with pytest.raises(ValueError):

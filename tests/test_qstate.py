@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import re
 import warnings
@@ -233,6 +234,15 @@ def test_ghz_diagonal_takes_up_to_64_qubits():
     for n in (0, qstate.MAX_RECORD_QUBITS + 1):
         with pytest.raises(ValueError, match=r"qubit count must be in \[1, 64\], got"):
             GhzDiagonal(n, 0.5, 0.0, 0.0)
+    # a count is an integer, numpy's included
+    for call in (
+        lambda: qstate.ghz_diagonal(2.5),
+        lambda: sources.prepare(sources.SourceModel("ideal-ghz", 2.5)),
+        lambda: qstate.check_qubits(3.0, qstate.MAX_PURE_QUBITS),
+    ):
+        with pytest.raises(ValueError, match=r"qubit count must be an integer, got (2\.5|3\.0)"):
+            call()
+    assert qstate.ghz_diagonal(np.int64(3)).n == 3
     with pytest.raises(ValueError, match="density matrix has non-finite entries"):
         GhzDiagonal(1, 0.5, np.nan, 0.0)
 
@@ -628,6 +638,18 @@ def test_corner_takes_each_traced_qubit_once_in_any_order(rng):
         corner = qstate.corner(state, (1, 3))
         assert qstate.corner(state, [3, 1]) == corner
         assert qstate.corner(state, (3, 1, 3)) == corner
+    # a matrix's corner is exactly its three gathered sums, over every traced set
+    for n in range(1, 7):
+        rho = random_density(n, rng)
+        m = rho.entries
+        for traced in itertools.chain.from_iterable(
+            itertools.combinations(range(n), r) for r in range(n + 1)
+        ):
+            kept = sum(1 << j for j in range(n) if j not in traced)
+            low = np.array([s for s in range(2**n) if s & kept == 0])
+            high = low + kept
+            expected = (m[low, low].sum().real, m[high, high].sum().real, m[high, low].sum())
+            assert qstate.corner(rho, traced) == expected
 
 
 @pytest.mark.parametrize("traced", [(-1,), (3,), (0, 5)])

@@ -40,6 +40,12 @@ def test_honest_session_passes_every_round():
 def test_session_config_validation():
     with pytest.raises(ValueError):
         _config(rounds=0)
+    with pytest.raises(ValueError, match="rounds must be an integer, got 2.5"):
+        _config(rounds=2.5)
+    assert _config(rounds=np.int64(5)).rounds == 5
+    for loss in (1.5, float("nan"), -0.1):
+        with pytest.raises(ValueError, match=rf"honest_loss must lie in \[0, 1\), got {loss}"):
+            _config(honest_loss=loss)
     with pytest.raises(ValueError):
         _config(lambda_max=1.0)
     # a coalition leaves a party honest, so the Verifier, party 0, is never in it
@@ -241,6 +247,10 @@ def test_verdict_takes_the_larger_of_the_assumed_loss_and_the_aborted_share(kind
     assert 1.0 - light.stats.valid / 400 < 0.4
     got = light.verdict("all-honest", assumed_loss=0.4, sigma=2.0)
     assert got == analytics.verdict(light.stats, kind, "all-honest", 0.4, 2.0)
+    # an assumed loss outside the protocol's range is named, not ignored
+    for trust in ("all-honest", "dishonest-allowed"):
+        with pytest.raises(ValueError, match=r"assumed_loss must lie in \[0, 1.*, got -1.0"):
+            light.verdict(trust, assumed_loss=-1.0)
 
 
 def _xy_rounds(angle0, lost0):
